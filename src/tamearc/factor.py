@@ -20,6 +20,7 @@ from random import Random
 from .errors import DegreeBound, FactorIncomplete, InputError
 from .poly import (
     MultiPoly,
+    content_in_y,
     poly_gcd,
     udeg,
     uderiv,
@@ -654,15 +655,6 @@ def _lc_series(p, k):
     return MultiPoly.from_dense(p.vars, "x", utrim(dense))
 
 
-def _content_in_y(p):
-    cont = MultiPoly.zero(p.vars)
-    for c in p.dense_in("y"):
-        cont = poly_gcd(cont, c)
-        if cont.is_const() and not cont.is_zero():
-            break
-    return cont
-
-
 def _split_primitive_y(p):
     """Factor entries for p: y-primitive, squarefree, deg_y >= 2, deg_x >= 1."""
     from .poly import VARS_T
@@ -708,7 +700,7 @@ def _split_primitive_y(p):
                 for i in subset:
                     prod = _trunc_x(prod * lifted[i], k)
                 cand = _trunc_x(c_poly * prod, k)
-                cand = cand.div_exact(_content_in_y(cand)).primitive()
+                cand = cand.div_exact(content_in_y(cand)).primitive()
                 quot = work.div_exact(cand)
                 if quot is not None:
                     entries.append((_shift_x(cand, -x0).primitive(), 1, PROVED,
@@ -754,7 +746,7 @@ def _plane_entries(p, hints):
             (t.poly, t.multiplicity, t.certificate, t.evidence)
             for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors)
         return entries
-    cont = _content_in_y(p)
+    cont = content_in_y(p)
     if cont.degree() > 0:
         entries.extend(_plane_entries(cont, hints))
         p = p.div_exact(cont)

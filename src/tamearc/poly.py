@@ -3,21 +3,43 @@
 Exact arithmetic only. Coefficients are fractions.Fraction; the term order is
 graded lexicographic with x > y > t; rational functions are kept in a unique
 normal form (reduced, denominator integer-primitive with positive leading
-coefficient), so equality is structural everywhere.
+coefficient), so equality is structural everywhere.  Products, exact
+quotients and gcds run on integer numerators over a common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import zip_longest
+from math import gcd as _int_gcd, isqrt
+from operator import add as _add
 
-from .errors import DivisionByZero, NotAUnit
+from .errors import CapabilityError, DivisionByZero, NotAUnit
 
 VARS_T = ("t",)
 VARS_XY = ("x", "y")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _int_numerators(terms):
+    """(den, {exps: int}): the terms over one common denominator."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // _int_gcd(den, d)
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _int_parts(p):
+    """(c, ints) with p = c * ints, ints an integer-primitive {exps: int}, lc > 0."""
+    den, ints = _int_numerators(p.terms)
+    cont = _int_gcd(*ints.values())
+    if p.lc() < 0:
+        cont = -cont
+    return Fraction(cont, den), {e: v // cont for e, v in ints.items()}
 
 
 def _as_fraction(c):
@@ -44,10 +66,10 @@ class MultiPoly:
             if len(exps) != width or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for vars {vars!r}")
             c = _as_fraction(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, _ZERO) + c
+            if c:
+                clean[exps] = clean[exps] + c if exps in clean else c
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -79,7 +101,7 @@ class MultiPoly:
         return not self.terms
 
     def is_const(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
     def const_value(self):
         if not self.terms:
@@ -152,12 +174,17 @@ class MultiPoly:
                 return MultiPoly.zero(self.vars)
             return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, _ZERO) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        den_a, ints_a = _int_numerators(self.terms)
+        den_b, ints_b = _int_numerators(other.terms)
+        prod = {}
+        for e1, c1 in ints_a.items():
+            for e2, c2 in ints_b.items():
+                e = tuple(map(_add, e1, e2))
+                prod[e] = prod.get(e, 0) + c1 * c2
+        den = den_a * den_b
+        if den == 1:
+            return MultiPoly(self.vars, {e: Fraction(c) for e, c in prod.items()})
+        return MultiPoly(self.vars, {e: Fraction(c, den) for e, c in prod.items()})
 
     __rmul__ = __mul__
 
@@ -193,24 +220,13 @@ class MultiPoly:
             return None
         if self.is_zero():
             return self
-        rem = dict(self.terms)
-        quot = {}
-        de, dc = divisor.lead()
-        while rem:
-            re = max(rem, key=lambda exps: (sum(exps), exps))
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(e < 0 for e in qe):
-                return None
-            qc = rem[re] / dc
-            quot[qe] = quot.get(qe, _ZERO) + qc
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                c = rem.get(e, _ZERO) - qc * c2
-                if c == 0:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = c
-        return MultiPoly(self.vars, quot)
+        c, num = _int_parts(self)
+        d, den = _int_parts(divisor)
+        q = _div_ints(num, den, len(self.vars))
+        if q is None:
+            return None
+        s = c / d
+        return MultiPoly(self.vars, {e: s * v for e, v in q.items()})
 
     def divides(self, other):
         return other.div_exact(self) is not None
@@ -269,15 +285,7 @@ class MultiPoly:
         """Signed rational content: self / content() is integer-primitive with lc > 0."""
         if not self.terms:
             return _ONE
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        cont = Fraction(num_gcd, den_lcm)
-        if self.lc() < 0:
-            cont = -cont
-        return cont
+        return _int_parts(self)[0]
 
     def primitive(self):
         if not self.terms:
@@ -504,79 +512,201 @@ def _lagrange(points, values):
     return utrim(coeffs)
 
 
-# gcd and resultant over MultiPoly
+# integer kernel: exact division, and gcds by the heuristic GCDHEU with a
+# primitive-PRS fallback
+#
+# Integer polynomials are packed into dense int lists, lowest degree first:
+# the coefficient of x^i y^j sits at i + j*stride, so exact division of
+# bivariate polynomials is division in Z[z].
 
-def _gcd_univariate(a, b, var):
-    fa = a.dense_fractions(var)
-    fb = b.dense_fractions(var)
-    g = ugcd(fa, fb)
-    return MultiPoly.from_dense(a.vars, var, g).primitive()
-
-
-def _content_in(p, var):
-    """Content of p viewed in Q[other][var]: gcd of the coefficient polynomials."""
-    other = next(v for v in p.vars if v != var)
-    cont = MultiPoly.zero(p.vars)
-    for c in p.dense_in(var):
-        cont = poly_gcd(cont, c)
-        if cont.is_const() and not cont.is_zero():
-            break
-    return cont
+_HEU_POINTS = 6  # evaluation points tried before the PRS fallback
 
 
-def _horner(dense, x0):
-    acc = _ZERO
-    for c in reversed(dense):
+def _pack(ints, stride):
+    dense = {e[0] + e[-1] * stride if len(e) == 2 else e[0]: v for e, v in ints.items()}
+    out = [0] * (max(dense) + 1)
+    for k, v in dense.items():
+        out[k] = v
+    return out
+
+
+def _unpack(dense, stride, width):
+    if width == 1:
+        return {(k,): v for k, v in enumerate(dense) if v}
+    return {(k % stride, k // stride): v for k, v in enumerate(dense) if v}
+
+
+def _idiv_exact(f, g):
+    """f / g in Z[z] for dense int lists with g[-1] != 0, or None if inexact."""
+    m = len(g) - 1
+    if len(f) <= m:
+        return None if any(f) else []
+    r = list(f)
+    lc = g[-1]
+    low = [(i, c) for i, c in enumerate(g[:-1]) if c]
+    q = [0] * (len(f) - m)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + m]
+        if c:
+            qc, rem = divmod(c, lc)
+            if rem:
+                return None
+            q[k] = qc
+            for i, gc in low:
+                r[k + i] -= qc * gc
+    if any(r[:m]):
+        return None
+    return q
+
+
+def _ihorner(f, x0):
+    acc = 0
+    for c in reversed(f):
         acc = acc * x0 + c
     return acc
 
 
-def _gcd_by_samples(f, g):
-    """Gcd of y-primitive f, g from univariate gcds at sampled x; None on failure.
+def _sym_digits(n, base):
+    """Digits of n in base `base`, each in (-base/2, base/2], lowest first."""
+    out = []
+    half = base // 2
+    while n:
+        d = n % base
+        if d > half:
+            d -= base
+        out.append(d)
+        n = (n - d) // base
+    return out
 
-    At any x0 keeping both leading y-coefficients nonzero the specialized gcd
-    contains the specialized true gcd, so its degree can only overshoot.
-    Points achieving the minimal seen degree determine the candidate by
-    interpolation; the exact divisions at the end reject a wrong guess.
+
+def _next_point(xi):
+    return xi * 73794 * isqrt(isqrt(xi)) // 27011
+
+
+def _first_point(f, g):
+    """A start point at least 2 * min(|f|, |g|) + 2 (max-norms over Z)."""
+    return 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+
+
+def _heu_gcd_z(f, g):
+    """(h, f/h, g/h) with h a gcd of f, g in Z[x] (contents included), or None.
+
+    f, g are nonzero trimmed dense int lists.  At any point xi at least
+    2 * min(|f|, |g|) + 2, the primitive part of the balanced xi-adic
+    expansion of gcd(f(xi), g(xi)) is the gcd as soon as it divides f and
+    g (Char, Geddes and Gonnet, JSC 1989), so only the division is checked.
     """
-    fc = [c.dense_fractions("x") for c in f.dense_in("y")]
-    gc = [c.dense_fractions("x") for c in g.dense_in("y")]
-    gamma = ugcd(fc[-1], gc[-1])
-    dx = min(f.deg_in("x"), g.deg_in("x")) + len(gamma) - 1
-    points, samples = [], []
-    best = None
-    for k in range(6 * (dx + 3)):
-        if len(points) > dx:
+    c = _int_gcd(_int_gcd(*f), _int_gcd(*g))
+    if c > 1:
+        f = [v // c for v in f]
+        g = [v // c for v in g]
+    if len(f) == 1 or len(g) == 1:
+        return [c], f, g
+    xi = _first_point(f, g)
+    for _ in range(_HEU_POINTS):
+        fv, gv = _ihorner(f, xi), _ihorner(g, xi)
+        if fv and gv:
+            h = _sym_digits(_int_gcd(fv, gv), xi)
+            hc = _int_gcd(*h)
+            h = [v // (hc if h[-1] > 0 else -hc) for v in h]
+            qf = _idiv_exact(f, h)
+            if qf is not None:
+                qg = _idiv_exact(g, h)
+                if qg is not None:
+                    return [c * v for v in h], qf, qg
+        xi = _next_point(xi)
+    return None
+
+
+def _eval_y(a, stride, xi):
+    """a(x, xi) as a trimmed dense list in x; a is packed with `stride`."""
+    out = [0] * stride
+    for j in range((len(a) - 1) // stride, -1, -1):
+        row = a[j * stride:(j + 1) * stride]
+        out = [u * xi + v for u, v in zip_longest(out, row, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _lift_y(gamma, xi, stride):
+    """Packed primitive h, lc > 0, from the balanced xi-adic digits in y of gamma."""
+    h = []
+    for i, c in enumerate(gamma):
+        for j, d in enumerate(_sym_digits(c, xi)):
+            k = i + j * stride
+            h.extend([0] * (k + 1 - len(h)))
+            h[k] = d
+    hc = _int_gcd(*h)
+    _, _, lead = max((k % stride + k // stride, k % stride, k) for k, v in enumerate(h) if v)
+    return [v // (hc if h[lead] > 0 else -hc) for v in h]
+
+
+def _idiv_packed(f, h, stride):
+    """f / h for packed bivariate f, h, or None.
+
+    Packing is injective on polynomials of x-degree below `stride`, so a
+    quotient from Z[z] counts only if it keeps the product below it.
+    """
+    q = _idiv_exact(f, h)
+    if q is None:
+        return None
+    qx = max(k % stride for k, v in enumerate(q) if v)
+    hx = max(k % stride for k, v in enumerate(h) if v)
+    return q if qx + hx < stride else None
+
+
+def _heu_gcd_xy(a, b, stride):
+    """(h, a/h, b/h) for nonzero packed a, b in Z[x, y], or None.
+
+    GCDHEU with y evaluated first: the same bound on xi makes the primitive
+    part of the coefficientwise xi-adic expansion of the gcd in Z[x] of
+    a(x, xi), b(x, xi) the gcd of a and b once it divides both.
+    """
+    xi = _first_point(a, b)
+    for _ in range(_HEU_POINTS):
+        av, bv = _eval_y(a, stride, xi), _eval_y(b, stride, xi)
+        inner = av and bv and _heu_gcd_z(av, bv)
+        if inner:
+            h = _lift_y(inner[0], xi, stride)
+            qa = _idiv_packed(a, h, stride)
+            if qa is not None:
+                qb = _idiv_packed(b, h, stride)
+                if qb is not None:
+                    return h, qa, qb
+        xi = _next_point(xi)
+    return None
+
+
+def _div_ints(num, den, width):
+    """num / den over Z for {exps: int} polynomials, den primitive; or None.
+
+    By Gauss's lemma a primitive divisor leaves an integer quotient.
+    """
+    stride = max(e[0] for e in (*num, *den)) + 1
+    q = _idiv_packed(_pack(num, stride), _pack(den, stride), stride)
+    return None if q is None else _unpack(q, stride, width)
+
+
+def _heu_gcd(A, B, width):
+    """GCDHEU on integer-primitive {exps: int} polynomials; dicts or None."""
+    stride = max(e[0] for e in (*A, *B)) + 1
+    a, b = _pack(A, stride), _pack(B, stride)
+    if width == 1 or (len(a) <= stride and len(b) <= stride):
+        out = _heu_gcd_z(a, b)
+    else:
+        out = _heu_gcd_xy(a, b, stride)
+    return out and tuple(_unpack(p, stride, width) for p in out)
+
+
+def content_in_y(p):
+    """Content of p in Q[x][y]: the gcd of its y-coefficients, primitive."""
+    cont = MultiPoly.zero(p.vars)
+    for c in p.dense_in("y"):
+        cont = poly_gcd(cont, c)
+        if cont.is_const() and not cont.is_zero():
             break
-        x0 = Fraction(k)
-        fu = [_horner(c, x0) for c in fc]
-        gu = [_horner(c, x0) for c in gc]
-        if fu[-1] == 0 or gu[-1] == 0:
-            continue
-        h = ugcd(fu, gu)
-        if len(h) == 1:
-            return MultiPoly.const(f.vars, 1)
-        if best is None or len(h) < best:
-            best = len(h)
-            points, samples = [], []
-        if len(h) > best:
-            continue
-        scale = _horner(gamma, x0)
-        points.append(x0)
-        samples.append([c * scale for c in h])
-    if len(points) <= dx:
-        return None
-    cand = MultiPoly.zero(f.vars)
-    ypow = MultiPoly.const(f.vars, 1)
-    yvar = MultiPoly(f.vars, {tuple(1 if v == "y" else 0 for v in f.vars): _ONE})
-    for j in range(best):
-        vals = [s[j] for s in samples]
-        cand = cand + MultiPoly.from_dense(f.vars, "x", _lagrange(points, vals)) * ypow
-        ypow = ypow * yvar
-    cand = cand.primitive()
-    if f.div_exact(cand) is None or g.div_exact(cand) is None:
-        return None
-    return cand
+    return cont
 
 
 def _prem(f, g, var):
@@ -595,44 +725,56 @@ def _prem(f, g, var):
     return r
 
 
-def poly_gcd(a, b):
-    """A gcd, primitive with positive leading coefficient; gcd(0, 0) = 0."""
-    if a.is_zero() and b.is_zero():
-        return MultiPoly.zero(a.vars)
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    a._check(b)
-    if len(a.vars) == 1:
-        return _gcd_univariate(a, b, a.vars[0])
-    da, db = a.deg_in("y"), b.deg_in("y")
-    if da == 0 and db == 0:
-        return _gcd_univariate(a, b, "x")
-    if da == 0:
-        return poly_gcd(a, _content_in(b, "y"))
-    if db == 0:
-        return poly_gcd(_content_in(a, "y"), b)
-    ca, cb = _content_in(a, "y"), _content_in(b, "y")
-    f = a.div_exact(ca)
-    g = b.div_exact(cb)
-    cand = _gcd_by_samples(f, g)
-    if cand is not None:
-        return (cand * poly_gcd(ca, cb)).primitive()
+def _gcd_prs(a, b):
+    """Gcd of nonzero a, b by primitive PRS in y over Q[x]; the fallback."""
+    if a.vars == VARS_T or (a.deg_in("y") == 0 and b.deg_in("y") == 0):
+        var = a.vars[0]
+        g = ugcd(a.dense_fractions(var), b.dense_fractions(var))
+        return MultiPoly.from_dense(a.vars, var, g).primitive()
+    ca, cb = content_in_y(a), content_in_y(b)
+    f, g = a.div_exact(ca), b.div_exact(cb)
     if f.deg_in("y") < g.deg_in("y"):
         f, g = g, f
-    while True:
+    while g.deg_in("y") > 0:
         r = _prem(f, g, "y")
         if r.is_zero():
             break
-        rc = _content_in(r, "y")
-        f, g = g, r.div_exact(rc)
-        if g.deg_in("y") == 0:
-            g = MultiPoly.const(a.vars, 1)
-            break
-    cont = poly_gcd(ca, cb)
-    return (g.primitive() * cont).primitive()
+        f, g = g, r.div_exact(content_in_y(r))
+    else:
+        g = MultiPoly.const(a.vars, 1)
+    return (g.primitive() * poly_gcd(ca, cb)).primitive()
 
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) with g = gcd(a, b) primitive, lc > 0; all zero for (0, 0)."""
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        zero = MultiPoly.zero(a.vars)
+        if a.is_zero() and b.is_zero():
+            return zero, zero, zero
+        p = a if b.is_zero() else b
+        c = MultiPoly.const(a.vars, p.content())
+        return (p.primitive(), zero, c) if a.is_zero() else (p.primitive(), c, zero)
+    if a.is_const() or b.is_const():
+        return MultiPoly.const(a.vars, 1), a, b
+    ca, A = _int_parts(a)
+    cb, B = _int_parts(b)
+    out = _heu_gcd(A, B, len(a.vars))
+    if out is None:
+        g = _gcd_prs(a, b)
+        return g, a.div_exact(g), b.div_exact(g)
+    g, qa, qb = out
+    return (MultiPoly(a.vars, g),
+            MultiPoly(a.vars, {e: ca * v for e, v in qa.items()}),
+            MultiPoly(a.vars, {e: cb * v for e, v in qb.items()}))
+
+
+def poly_gcd(a, b):
+    """A gcd, primitive with positive leading coefficient; gcd(0, 0) = 0."""
+    return _gcd_cofactors(a, b)[0]
+
+
+# resultant over MultiPoly
 
 def _sylvester(fc, gc):
     m, n = len(fc) - 1, len(gc) - 1
@@ -663,7 +805,8 @@ def _bareiss_det(M, zero, one):
             for j in range(k + 1, n):
                 num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
                 q = num.div_exact(prev)
-                assert q is not None, "Bareiss exact division failed"
+                if q is None:
+                    raise CapabilityError("Bareiss exact division failed")
                 M[i][j] = q
         prev = M[k][k]
     return M[n - 1][n - 1] * sign if sign > 0 else -M[n - 1][n - 1]
@@ -716,13 +859,11 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.const(num.vars, 1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.div_exact(g)
-                den = den.div_exact(g)
+            _, num, den = _gcd_cofactors(num, den)
             c = den.content()
-            num = num * (1 / c)
-            den = den * (1 / c)
+            if c != 1:
+                num = num * (1 / c)
+                den = den * (1 / c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -750,14 +891,6 @@ class RatFunc:
 
     def const_value(self):
         return self.num.const_value() / self.den.const_value()
-
-    def is_poly(self):
-        return self.den.is_const()
-
-    def as_poly(self):
-        if not self.den.is_const():
-            raise ValueError("not a polynomial")
-        return self.num * (1 / self.den.const_value())
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -880,9 +1013,6 @@ class DualRatFunc:
     @property
     def vars(self):
         return self.body.vars
-
-    def is_unit(self):
-        return not self.body.is_zero()
 
     def is_zero(self):
         return self.body.is_zero() and self.eps.is_zero()

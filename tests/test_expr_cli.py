@@ -105,12 +105,12 @@ class TestGrammar:
             assert back == val, val.render()
 
 
-def run_cli(*args, job=None):
+def run_cli(*args, job=None, timeout=None):
     cmd = [sys.executable, "-m", "tamearc.cli"]
     if job is not None:
         cmd += ["--job", str(job)]
     cmd += list(args)
-    return subprocess.run(cmd, capture_output=True)
+    return subprocess.run(cmd, capture_output=True, timeout=timeout)
 
 
 class TestCli:
@@ -150,6 +150,13 @@ class TestCli:
         out = r.stdout.decode()
         assert "cycle: [V(y)] + [V(x - 1)]" in out
         assert "warning: affine divisor has nonzero total degree" in out
+
+    def test_high_power_finishes_within_budget(self):
+        # the squarefree split of (x + y)^40 recurses through about 40
+        # nontrivial bivariate gcds; a blow-up raises TimeoutExpired
+        r = run_cli("div", "--f", "(x+y)^40", timeout=10)
+        assert r.returncode == 0
+        assert "cycle: 40*[V(x + y)]" in r.stdout.decode().splitlines()
 
     def test_check_failure_exits_1(self):
         r = run_cli("cycle-check", "--component", "x | y")

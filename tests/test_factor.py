@@ -173,6 +173,11 @@ class TestPlaneCurve:
                 assert sum(d * m for d, m in ours) == sum(d * m for d, m in theirs)
             done += 1
 
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_power_of_a_line(self, n):
+        fac = factor_plane_curve((X + Y) ** n)
+        assert [(t.poly, t.multiplicity) for t in fac.factors] == [(X + Y, n)]
+
     def test_unit_tracking(self):
         p = MultiPoly.const(VARS_XY, Fraction(-3, 2)) * (X + Y)
         fac = factor_plane_curve(p)

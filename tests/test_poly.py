@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import tamearc.poly
 from tamearc.errors import DivisionByZero, NotAUnit
 from tamearc.poly import (
     DualRatFunc,
@@ -14,6 +15,8 @@ from tamearc.poly import (
     RatFunc,
     VARS_T,
     VARS_XY,
+    _gcd_cofactors,
+    _gcd_prs,
     dual_invert,
     poly_gcd,
     resultant,
@@ -95,6 +98,12 @@ class TestMultiPoly:
         assert q is not None and q * (X + Y) == p
         assert (X * X + Y).div_exact(X + Y) is None
 
+    def test_div_exact_packing_does_not_wrap(self):
+        # packed with stride 2, y and x * x are both z^2
+        assert Y.div_exact(X) is None
+        assert (X * Y + Y).div_exact(X * X) is None
+        assert (X * Y).div_exact(Y) == X
+
     def test_derivative(self):
         p = X ** 3 * Y + X
         assert p.derivative("x") == 3 * X ** 2 * Y + MultiPoly.const(VARS_XY, 1)
@@ -161,6 +170,88 @@ class TestGcd:
                                sympy.Poly(to_sympy(q), _SX, _SY)).as_expr()
             quot = sympy.cancel(ours / theirs)
             assert quot.is_constant(), (p.render(), q.render())
+
+    def test_cofactors_multiply_back(self):
+        rng = random.Random(8)
+        for vars, deg in ((VARS_T, 4), (VARS_XY, 3)):
+            for a, b in gcd_pairs(rng, vars, deg, 40):
+                g, qa, qb = _gcd_cofactors(a, b)
+                assert g == poly_gcd(a, b)
+                if a.is_zero() and b.is_zero():
+                    assert g.is_zero() and qa.is_zero() and qb.is_zero()
+                    continue
+                assert g * qa == a and g * qb == b, (a.render(), b.render())
+                assert g.lc() > 0 and g.content() == 1
+                assert poly_gcd(qa, qb) == MultiPoly.const(vars, 1)
+
+    def test_unlucky_point_is_rejected(self):
+        # the first point is 2 * 1 + 29 = 31, where v + 1 and v + 33 take
+        # the values 32 and 64: their gcd reads as the false factor v + 1,
+        # which only the exact division of v + 33 rejects
+        for v in (T, X, Y):
+            a, b = v + 1, v + 33
+            for p, q in ((a, b), (b, a)):
+                g, qp, qq = _gcd_cofactors(p, q)
+                assert (g, qp, qq) == (MultiPoly.const(v.vars, 1), p, q)
+
+    def test_fallback_after_the_last_point(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _gcd_prs(a, b)
+
+        monkeypatch.setattr(tamearc.poly, "_HEU_POINTS", 1)
+        monkeypatch.setattr(tamearc.poly, "_gcd_prs", counted)
+        a, b = X + 1, X + 33
+        assert _gcd_cofactors(a * Y, b * Y) == (Y, a, b)
+        # the y-contents x + 1 and x + 33 go through the fallback in turn
+        assert calls == [(a * Y, b * Y), (a, b)]
+
+    def test_prs_fallback_matches_sympy(self):
+        # the heuristic succeeds on every pool, so only a direct call
+        # reaches the fallback
+        for p, q in sympy_univariate_pairs():
+            ours = to_sympy(_gcd_prs(p, q))
+            theirs = sympy.gcd(sympy.Poly(to_sympy(p), _ST),
+                               sympy.Poly(to_sympy(q), _ST)).as_expr()
+            assert sympy.simplify(ours / theirs).is_constant()
+        for p, q in sympy_bivariate_pairs():
+            ours = to_sympy(_gcd_prs(p, q))
+            theirs = sympy.gcd(sympy.Poly(to_sympy(p), _SX, _SY),
+                               sympy.Poly(to_sympy(q), _SX, _SY)).as_expr()
+            assert sympy.cancel(ours / theirs).is_constant(), (p.render(), q.render())
+
+
+def gcd_pairs(rng, vars, deg, count):
+    """Pairs with a random common factor, each also against a constant and 0."""
+    zero = MultiPoly.zero(vars)
+    unit = MultiPoly.const(vars, Fraction(-7, 3))
+    pairs = [(zero, zero)]
+    for _ in range(count):
+        c = rand_poly(rng, vars, 2)
+        a = rand_poly(rng, vars, deg) * c
+        b = rand_poly(rng, vars, deg) * c
+        pairs += [(a, b), (a, zero), (zero, b), (unit, b), (a, unit)]
+    return pairs
+
+
+def sympy_univariate_pairs():
+    """The pairs that TestGcd.test_matches_sympy_univariate draws."""
+    rng = random.Random(5)
+    for _ in range(40):
+        p, q = rand_poly(rng, VARS_T, 4), rand_poly(rng, VARS_T, 4)
+        if not (p.is_zero() or q.is_zero()):
+            yield p, q
+
+
+def sympy_bivariate_pairs():
+    """The pairs that TestGcd.test_matches_sympy_bivariate draws."""
+    rng = random.Random(6)
+    for _ in range(25):
+        a, b, c = (rand_poly(rng, VARS_XY, 2) for _ in range(3))
+        if not (a.is_zero() or b.is_zero() or c.is_zero()):
+            yield a * c, b * c
 
 
 class TestResultant:

@@ -1,0 +1,18 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+import tamearc
+
+PACKAGE = Path(tamearc.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so internal invariants raise typed errors
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -19,13 +19,14 @@ from random import Random
 
 from .errors import DegreeBound, FactorIncomplete, InputError
 from .poly import (
+    VARS_T,
     MultiPoly,
-    content_in_y,
+    _gcd_cofactors,
+    content_in,
     poly_gcd,
     udeg,
-    uderiv,
     udivmod,
-    ugcd,
+    uinvmod,
     umul,
     uscale,
     usub,
@@ -220,17 +221,16 @@ def _zderiv(f, q):
     return _zred([i * f[i] for i in range(1, len(f))], q)
 
 
-def _zbezout(a, b, q):
+def _zinv(a, b, q):
+    """s with s·a ≡ 1 mod b over F_q, for coprime a, b."""
     r0, r1 = list(a), list(b)
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         qt, r = _zdivmod(r0, r1, q)
         r0, r1 = r1, r
         s0, s1 = s1, _zsub(s0, _zmul(qt, s1, q), q)
-        t0, t1 = t1, _zsub(t0, _zmul(qt, t1, q), q)
     inv = pow(r0[-1], -1, q)
-    return _zred(uscale(s0, inv), q), _zred(uscale(t0, inv), q)
+    return _zred(uscale(s0, inv), q)
 
 
 def _odd_primes():
@@ -323,7 +323,7 @@ def _hensel_tree_int(target, pool, q, big):
     v0 = [1]
     for f in right:
         v0 = _zmul(v0, f, q)
-    s, _ = _zbezout(u0, v0, q)
+    s = _zinv(u0, v0, q)
     u, v = _hensel_pair_int(target, list(u0), list(v0), u0, v0, s, q, big)
     return _hensel_tree_int(u, left, q, big) + _hensel_tree_int(v, right, q, big)
 
@@ -456,23 +456,20 @@ def _rational_roots(f):
     return sorted(roots)
 
 
-def _yun(f):
-    """Squarefree decomposition over Q: f = lc · prod g_i^i with g_i monic."""
-    f = [c / f[-1] for c in f]
+def _yun(f, var):
+    """Squarefree decomposition of f in var: f = c · prod g_i^i with g_i primitive.
+
+    The cofactors of each gcd are exact, so b and c stay quotients by the same g.
+    """
     out = []
-    df = uderiv(f)
-    a = ugcd(f, df)
-    b = udivmod(f, a)[0]
-    c = udivmod(df, a)[0]
-    d = usub(c, uderiv(b))
+    _, b, c = _gcd_cofactors(f, f.derivative(var))
+    d = c - b.derivative(var)
     i = 1
-    while udeg(b) >= 1:
-        g = ugcd(b, d)
-        if udeg(g) >= 1:
+    while b.deg_in(var) >= 1:
+        g, b, c = _gcd_cofactors(b, d)
+        if g.deg_in(var) >= 1:
             out.append((g, i))
-        b = udivmod(b, g)[0]
-        c = udivmod(d, g)[0]
-        d = usub(c, uderiv(b))
+        d = c - b.derivative(var)
         i += 1
     return out
 
@@ -529,9 +526,8 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
             f"degree {d} exceeds the factorization bound {bound}; "
             "supply a factor hint")
     if d >= 1:
-        dense = work.dense_fractions(var)
-        for sqf, mult in _yun(dense):
-            for fac, note in _factor_squarefree_q(sqf):
+        for sqf, mult in _yun(work, var):
+            for fac, note in _factor_squarefree_q(sqf.dense_fractions(var)):
                 poly = MultiPoly.from_dense(p.vars, var, fac)
                 entries.append((poly, mult, PROVED, note))
     return _finish(p, entries)
@@ -559,20 +555,6 @@ def _series_inverse(c_dense, k):
             acc += cj * inv[i - j]
         inv[i] = -acc / c_dense[0]
     return utrim(inv)
-
-
-def _ubezout(a, b):
-    """s·a + t·b = 1 for coprime dense rational polynomials."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
-    while r1:
-        q, r = udivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, usub(s0, umul(q, s1))
-        t0, t1 = t1, usub(t0, umul(q, t1))
-    lc = r0[-1]
-    return uscale(s0, 1 / lc), uscale(t0, 1 / lc)
 
 
 def _y_dense_at_zero(p):
@@ -618,7 +600,7 @@ def _hensel_tree_series(target, pool, k):
     v0 = [_ONE]
     for f in right:
         v0 = umul(v0, f)
-    s, _ = _ubezout(u0, v0)
+    s = uinvmod(u0, v0)
     u = _from_y_dense(target.vars, u0)
     v = _from_y_dense(target.vars, v0)
     u, v = _hensel_pair_series(target, u, v, s, k)
@@ -631,8 +613,8 @@ def _pick_specialization(p):
     for x0 in _SPECIALIZE_CANDIDATES:
         if lc.eval_all({"x": x0, "y": 0}) == 0:
             continue
-        u = utrim([c.eval_all({"x": x0, "y": 0}) for c in cy])
-        if udeg(ugcd(u, uderiv(u))) == 0:
+        u = MultiPoly.from_dense(VARS_T, "t", [c.eval_all({"x": x0, "y": 0}) for c in cy])
+        if poly_gcd(u, u.derivative("t")).degree() == 0:
             return x0, u
     raise FactorIncomplete(
         f"no good specialization found for {p.render()!r}; supply a factor hint")
@@ -657,11 +639,8 @@ def _lc_series(p, k):
 
 def _split_primitive_y(p):
     """Factor entries for p: y-primitive, squarefree, deg_y >= 2, deg_x >= 1."""
-    from .poly import VARS_T
-
     x0, u = _pick_specialization(p)
-    u_fact = factor_univariate(
-        MultiPoly.from_dense(VARS_T, "t", u), bound=INTERNAL_DEGREE_BOUND)
+    u_fact = factor_univariate(u, bound=INTERNAL_DEGREE_BOUND)
     if len(u_fact.factors) == 1 and u_fact.factors[0].multiplicity == 1:
         return [(p.primitive(), 1, PROBABLE,
                  f"specialization x = {x0} stays irreducible")]
@@ -682,44 +661,41 @@ def _split_primitive_y(p):
     lifted = _hensel_tree_series(target, pool, k)
     entries = []
     work = shifted
-    c_poly = c_series
-    while True:
-        wy = work.deg_in("y")
-        if wy == 0:
+    while work.deg_in("y") > 1:
+        hit = _recombine(work, lifted, k)
+        if hit is None:
             break
-        if len(lifted) == 1 or wy == 1:
-            tag = PROVED if wy == 1 else PROBABLE
-            note = ("degree 1 in y and primitive" if wy == 1 else
-                    f"series lift at x = {x0} admits no polynomial recombination")
-            entries.append((_shift_x(work, -x0).primitive(), 1, tag, note))
-            break
-        done = False
-        for size in range(1, len(lifted) // 2 + 1):
-            for subset in combinations(range(len(lifted)), size):
-                prod = MultiPoly.const(p.vars, 1)
-                for i in subset:
-                    prod = _trunc_x(prod * lifted[i], k)
-                cand = _trunc_x(c_poly * prod, k)
-                cand = cand.div_exact(content_in_y(cand)).primitive()
-                quot = work.div_exact(cand)
-                if quot is not None:
-                    entries.append((_shift_x(cand, -x0).primitive(), 1, PROVED,
-                                    f"series lift at x = {x0}"))
-                    work = quot
-                    c_poly = _lc_series(work, k)
-                    lifted = [f for i, f in enumerate(lifted) if i not in subset]
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            wy = work.deg_in("y")
-            tag = PROVED if wy == 1 else PROBABLE
-            note = ("degree 1 in y and primitive" if wy == 1 else
-                    f"series lift at x = {x0} admits no polynomial recombination")
-            entries.append((_shift_x(work, -x0).primitive(), 1, tag, note))
-            break
+        subset, cand, work = hit
+        entries.append((_shift_x(cand, -x0).primitive(), 1, PROVED,
+                        f"series lift at x = {x0}"))
+        lifted = [f for i, f in enumerate(lifted) if i not in subset]
+    wy = work.deg_in("y")
+    if wy > 0:
+        tag = PROVED if wy == 1 else PROBABLE
+        note = ("degree 1 in y and primitive" if wy == 1 else
+                f"series lift at x = {x0} admits no polynomial recombination")
+        entries.append((_shift_x(work, -x0).primitive(), 1, tag, note))
     return entries
+
+
+def _recombine(work, lifted, k):
+    """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
+
+    A subset splits work when its product times the leading coefficient of
+    work, made primitive in y, divides work exactly.
+    """
+    c_poly = _lc_series(work, k)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(range(len(lifted)), size):
+            prod = MultiPoly.const(work.vars, 1)
+            for i in subset:
+                prod = _trunc_x(prod * lifted[i], k)
+            cand = _trunc_x(c_poly * prod, k)
+            cand = cand.div_exact(content_in(cand, "y")).primitive()
+            quot = work.div_exact(cand)
+            if quot is not None:
+                return subset, cand, quot
+    return None
 
 
 def factor_plane_curve(p, hints=None):
@@ -740,29 +716,22 @@ def _plane_entries(p, hints):
         p, entries = _extract_hints(p, hinted)
         if p.is_const():
             return entries
-    dx, dy = p.deg_in("x"), p.deg_in("y")
-    if dx == 0 or dy == 0:
+    if p.deg_in("x") > 0 and p.deg_in("y") > 0:
+        cont = content_in(p, "y")
+        if cont.degree() > 0:
+            entries.extend(_plane_entries(cont, hints))
+            p = p.div_exact(cont)
+        g = poly_gcd(p, p.derivative("y"))
+        if g.degree() > 0:
+            entries.extend(_plane_entries(g, hints))
+            entries.extend(_plane_entries(p.div_exact(g), hints))
+            return entries
+    if p.deg_in("x") == 0 or p.deg_in("y") == 0:
         entries.extend(
             (t.poly, t.multiplicity, t.certificate, t.evidence)
             for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors)
-        return entries
-    cont = content_in_y(p)
-    if cont.degree() > 0:
-        entries.extend(_plane_entries(cont, hints))
-        p = p.div_exact(cont)
-    dp = p.derivative("y")
-    g = poly_gcd(p, dp)
-    if g.degree() > 0:
-        entries.extend(_plane_entries(g, hints))
-        entries.extend(_plane_entries(p.div_exact(g), hints))
-        return entries
-    if p.deg_in("x") == 0:
-        entries.extend(
-            (t.poly, t.multiplicity, t.certificate, t.evidence)
-            for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors)
-        return entries
-    if p.deg_in("y") == 1:
+    elif p.deg_in("y") == 1:
         entries.append((p.primitive(), 1, PROVED, "degree 1 in y and primitive"))
-        return entries
-    entries.extend(_split_primitive_y(p.primitive()))
+    else:
+        entries.extend(_split_primitive_y(p.primitive()))
     return entries

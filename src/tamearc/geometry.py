@@ -33,8 +33,8 @@ from .poly import (
     resultant,
     uadd,
     udeg,
-    uderiv,
     udivmod,
+    uinvmod,
     umul,
     uscale,
     usub,
@@ -168,11 +168,6 @@ class ClosedPoint:
     def at_infinity(self):
         return self.variety.kind == "P1" and self.poly is None
 
-    def is_rational(self):
-        if self.variety.kind == "P1":
-            return self.at_infinity or self.poly.degree() == 1
-        return self.residue_degree == 1
-
     def rational_values(self):
         """The (a, b) coordinates of a degree-1 point on A2."""
         a = -self.u0.dense_in("x")[0].const_value()
@@ -259,12 +254,6 @@ class DivisorCycle:
             raise ValueError("cycles on different varieties")
         return DivisorCycle.build(self.variety, list(self.terms) + list(other.terms))
 
-    def __neg__(self):
-        return DivisorCycle(self.variety, tuple((y, -n) for y, n in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def render(self):
         return _render_terms(self.terms)
 
@@ -294,28 +283,8 @@ class ClosedPointCycle:
         return ClosedPointCycle.build(
             self.variety, list(self.terms) + list(other.terms))
 
-    def __neg__(self):
-        return ClosedPointCycle(self.variety, tuple((p, -n) for p, n in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        if k == 0:
-            return ClosedPointCycle.zero(self.variety)
-        return ClosedPointCycle(self.variety, _merge_terms(
-            (p, n * k) for p, n in self.terms))
-
     def render(self):
         return _render_terms(self.terms)
-
-
-def cycle_add(c1, c2):
-    return c1 + c2
-
-
-def cycle_is_zero(c):
-    return c.is_zero()
 
 
 @dataclass(frozen=True)
@@ -428,25 +397,13 @@ def p1_residue(f, Y):
     if not num or not den:
         raise NotAUnitAlongY(
             f"{f.render()} is not a unit at V({Y.poly.render()})")
-    return _f_mul(num, _f_inv(den, u), u)
+    return _f_mul(num, uinvmod(den, u), u)
 
 
 # arithmetic in F = Q[theta]/(u), dense lowest-first Fraction lists
 
 def _f_mul(a, b, u):
     return udivmod(umul(a, b), u)[1]
-
-
-def _f_inv(a, u):
-    r0, r1 = list(u), list(a)
-    t0, t1 = [], [_ONE]
-    while utrim(list(r1)):
-        q, r = udivmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, usub(t0, umul(q, t1))
-    if udeg(r0) != 0:
-        raise DivisionByZero("non-invertible element in the residue field")
-    return utrim(uscale(t0, 1 / r0[0]))
 
 
 def _f_pow(a, n, u):
@@ -470,7 +427,7 @@ def _fw_trim(A):
 
 def _fw_divmod(A, B, u):
     A = [list(c) for c in A]
-    inv = _f_inv(B[-1], u)
+    inv = uinvmod(B[-1], u)
     quot = [[] for _ in range(max(0, len(A) - len(B) + 1))]
     while len(A) >= len(B):
         c = _f_mul(A[-1], inv, u)
@@ -489,7 +446,7 @@ def _fw_gcd(A, B, u):
     B = _fw_trim([utrim(list(c)) for c in B])
     while B:
         A, B = B, _fw_divmod(A, B, u)[1]
-    inv = _f_inv(A[-1], u)
+    inv = uinvmod(A[-1], u)
     return [_f_mul(c, inv, u) for c in A]
 
 
@@ -636,7 +593,7 @@ def _intersection_points(p, h, seed, swap):
             if len(sqf) != 2:
                 good = False
                 break
-            c_val = utrim([-v for v in _f_mul(sqf[0], _f_inv(sqf[1], u), u)])
+            c_val = utrim([-v for v in _f_mul(sqf[0], uinvmod(sqf[1], u), u)])
             a_val = udivmod(uadd(uscale(c_val, lam), [_ZERO, _ONE]), u)[1]
             b_val = c_val
             if swap:

@@ -30,7 +30,6 @@ from .geometry import (
     PrimeDivisor,
     ResidueFunc,
     Y_inf_valuation,
-    _f_inv,
     _f_mul,
     _f_pow,
     div_on_curve,
@@ -45,6 +44,7 @@ from .poly import (
     VARS_T,
     VARS_XY,
     poly_gcd,
+    uinvmod,
     uresultant,
     utrim,
 )
@@ -76,9 +76,6 @@ class MilnorSymbol:
     @property
     def vars(self):
         return self.terms[0][0].vars
-
-    def __add__(self, other):
-        return MilnorSymbol(self.terms + other.terms)
 
     def render(self):
         parts = []
@@ -236,7 +233,7 @@ def _p1_value_pow(point, a, n):
     u = point.poly.dense_fractions("t")
     base = list(a)
     if n < 0:
-        base = _f_inv(base, u)
+        base = uinvmod(base, u)
         n = -n
     return tuple(_f_pow(base, n, u))
 

@@ -398,10 +398,6 @@ def usub(f, g):
     return uadd(f, [-b for b in g])
 
 
-def uderiv(f):
-    return utrim([i * f[i] for i in range(1, len(f))])
-
-
 def udivmod(f, g):
     """Polynomial division over Q; returns (quotient, remainder)."""
     if not g:
@@ -419,49 +415,17 @@ def udivmod(f, g):
     return utrim(q), f
 
 
-def _int_primitive(f):
-    """Clear denominators and strip integer content; f is a dense Fraction list."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    out = [int(c.numerator * (den // c.denominator)) for c in f]
-    cont = 0
-    for v in out:
-        cont = _int_gcd(cont, v)
-    return [v // cont for v in out] if cont > 1 else out
-
-
-def ugcd(f, g):
-    """Monic gcd by primitive PRS over the integers; fractions only at the end."""
-    f, g = utrim(list(f)), utrim(list(g))
-    if not f and not g:
-        return []
-    if not f or not g:
-        h = f or g
-        return [c / h[-1] for c in h]
-    a, b = _int_primitive(f), _int_primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        dg = len(b) - 1
-        blc = b[-1]
-        r = list(a)
-        while r and len(r) - 1 >= dg:
-            shift = len(r) - 1 - dg
-            rlc = r[-1]
-            r = [c * blc for c in r]
-            for i, c in enumerate(b):
-                r[shift + i] -= rlc * c
-            while r and r[-1] == 0:
-                r.pop()
-        cont = 0
-        for v in r:
-            cont = _int_gcd(cont, v)
-        if cont > 1:
-            r = [v // cont for v in r]
-        a, b = b, r
-    lc = Fraction(a[-1])
-    return [c / lc for c in a]
+def uinvmod(a, u):
+    """The inverse of a modulo u over Q, of degree below u's; a need not be reduced."""
+    r0, r1 = list(u), list(a)
+    t0, t1 = [], [_ONE]
+    while utrim(list(r1)):
+        q, r = udivmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, usub(t0, umul(q, t1))
+    if udeg(r0) != 0:
+        raise DivisionByZero("non-invertible element in the residue field")
+    return utrim(uscale(t0, 1 / r0[0]))
 
 
 def uresultant(f, g):
@@ -699,10 +663,10 @@ def _heu_gcd(A, B, width):
     return out and tuple(_unpack(p, stride, width) for p in out)
 
 
-def content_in_y(p):
-    """Content of p in Q[x][y]: the gcd of its y-coefficients, primitive."""
+def content_in(p, var):
+    """Content of p in var: the gcd of its var-coefficients, primitive."""
     cont = MultiPoly.zero(p.vars)
-    for c in p.dense_in("y"):
+    for c in p.dense_in(var):
         cont = poly_gcd(cont, c)
         if cont.is_const() and not cont.is_zero():
             break
@@ -715,8 +679,7 @@ def _prem(f, g, var):
     if df < dg:
         return f
     glc = g.dense_in(var)[-1]
-    vx = MultiPoly.variable(var) if len(f.vars) == 1 else MultiPoly(
-        f.vars, {tuple(1 if v == var else 0 for v in f.vars): _ONE})
+    vx = MultiPoly.variable(var)
     r = f
     while not r.is_zero() and r.deg_in(var) >= dg:
         dr = r.deg_in(var)
@@ -726,23 +689,41 @@ def _prem(f, g, var):
 
 
 def _gcd_prs(a, b):
-    """Gcd of nonzero a, b by primitive PRS in y over Q[x]; the fallback."""
-    if a.vars == VARS_T or (a.deg_in("y") == 0 and b.deg_in("y") == 0):
-        var = a.vars[0]
-        g = ugcd(a.dense_fractions(var), b.dense_fractions(var))
-        return MultiPoly.from_dense(a.vars, var, g).primitive()
-    ca, cb = content_in_y(a), content_in_y(b)
+    """Gcd of nonzero a, b by primitive PRS in the last variable either involves.
+
+    This is the fallback of _gcd_cofactors.  The contents in that variable
+    are constants or polynomials in the other one; poly_gcd joins them.
+    """
+    var = next((v for v in reversed(a.vars) if a.deg_in(v) > 0 or b.deg_in(v) > 0),
+               a.vars[-1])
+    ca, cb = content_in(a, var), content_in(b, var)
     f, g = a.div_exact(ca), b.div_exact(cb)
-    if f.deg_in("y") < g.deg_in("y"):
+    if f.deg_in(var) < g.deg_in(var):
         f, g = g, f
-    while g.deg_in("y") > 0:
-        r = _prem(f, g, "y")
+    while g.deg_in(var) > 0:
+        r = _prem(f, g, var)
         if r.is_zero():
             break
-        f, g = g, r.div_exact(content_in_y(r))
+        f, g = g, r.div_exact(content_in(r, var)).primitive()
     else:
         g = MultiPoly.const(a.vars, 1)
     return (g.primitive() * poly_gcd(ca, cb)).primitive()
+
+
+def _gcd_parts(a, b):
+    """(h, ca, qa, cb, qb) with a = ca*qa*h and b = cb*qb*h, for nonconstant a, b.
+
+    h, qa and qb are integer-primitive {exps: int} with lc > 0, and h is the
+    gcd; so ca and cb are the signed contents of a/h and b/h (Gauss's lemma).
+    """
+    ca, A = _int_parts(a)
+    cb, B = _int_parts(b)
+    out = _heu_gcd(A, B, len(a.vars))
+    if out is None:
+        g = _gcd_prs(a, b)
+        return (_int_parts(g)[1], *_int_parts(a.div_exact(g)), *_int_parts(b.div_exact(g)))
+    h, qa, qb = out
+    return h, ca, qa, cb, qb
 
 
 def _gcd_cofactors(a, b):
@@ -757,14 +738,8 @@ def _gcd_cofactors(a, b):
         return (p.primitive(), zero, c) if a.is_zero() else (p.primitive(), c, zero)
     if a.is_const() or b.is_const():
         return MultiPoly.const(a.vars, 1), a, b
-    ca, A = _int_parts(a)
-    cb, B = _int_parts(b)
-    out = _heu_gcd(A, B, len(a.vars))
-    if out is None:
-        g = _gcd_prs(a, b)
-        return g, a.div_exact(g), b.div_exact(g)
-    g, qa, qb = out
-    return (MultiPoly(a.vars, g),
+    h, ca, qa, cb, qb = _gcd_parts(a, b)
+    return (MultiPoly(a.vars, h),
             MultiPoly(a.vars, {e: ca * v for e, v in qa.items()}),
             MultiPoly(a.vars, {e: cb * v for e, v in qb.items()}))
 
@@ -858,12 +833,17 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             den = MultiPoly.const(num.vars, 1)
-        else:
-            _, num, den = _gcd_cofactors(num, den)
+        elif num.is_const() or den.is_const():
             c = den.content()
             if c != 1:
                 num = num * (1 / c)
                 den = den * (1 / c)
+        else:
+            _, ca, qa, cb, qb = _gcd_parts(num, den)
+            s = ca / cb
+            vars = num.vars
+            num = MultiPoly(vars, {e: s * v for e, v in qa.items()})
+            den = MultiPoly(vars, qb)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)

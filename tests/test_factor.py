@@ -10,6 +10,7 @@ from tamearc.errors import DegreeBound, InputError
 from tamearc.factor import (
     ASSERTED,
     DEFAULT_DEGREE_BOUND,
+    INTERNAL_DEGREE_BOUND,
     PROBABLE,
     PROVED,
     FactorHints,
@@ -98,6 +99,23 @@ class TestUnivariate:
             if p.degree() > DEFAULT_DEGREE_BOUND:
                 continue
             fac = factor_univariate(p)
+            assert fac.verify(p)
+            assert our_factor_count(fac) == sympy_factor_count(p), p.render()
+            done += 1
+
+
+    @pytest.mark.parametrize("v", [T, X])
+    def test_multiplicities_one_two_four_match_sympy(self, v):
+        # no part of multiplicity 3, so the squarefree split has an empty step
+        rng = random.Random(24)
+        done = 0
+        while done < 12:
+            parts = [rand_poly(rng, VARS_T, 2, terms=3) for _ in range(3)]
+            if any(q.degree() < 1 for q in parts):
+                continue
+            a, b, c = (q.subst({"t": v}) for q in parts)
+            p = a * b ** 2 * c ** 4
+            fac = factor_univariate(p, bound=INTERNAL_DEGREE_BOUND)
             assert fac.verify(p)
             assert our_factor_count(fac) == sympy_factor_count(p), p.render()
             done += 1

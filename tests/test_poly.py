@@ -20,6 +20,10 @@ from tamearc.poly import (
     dual_invert,
     poly_gcd,
     resultant,
+    udivmod,
+    uinvmod,
+    umul,
+    usub,
 )
 
 import frozen
@@ -212,15 +216,44 @@ class TestGcd:
         # the heuristic succeeds on every pool, so only a direct call
         # reaches the fallback
         for p, q in sympy_univariate_pairs():
-            ours = to_sympy(_gcd_prs(p, q))
-            theirs = sympy.gcd(sympy.Poly(to_sympy(p), _ST),
-                               sympy.Poly(to_sympy(q), _ST)).as_expr()
-            assert sympy.simplify(ours / theirs).is_constant()
+            # the x-only copies run the same PRS, in x
+            for a, b, gen in ((p, q, _ST), (p.subst({"t": X}), q.subst({"t": X}), _SX)):
+                ours = to_sympy(_gcd_prs(a, b))
+                theirs = sympy.gcd(sympy.Poly(to_sympy(a), gen),
+                                   sympy.Poly(to_sympy(b), gen)).as_expr()
+                assert sympy.simplify(ours / theirs).is_constant(), (a.render(), b.render())
         for p, q in sympy_bivariate_pairs():
             ours = to_sympy(_gcd_prs(p, q))
             theirs = sympy.gcd(sympy.Poly(to_sympy(p), _SX, _SY),
                                sympy.Poly(to_sympy(q), _SX, _SY)).as_expr()
             assert sympy.cancel(ours / theirs).is_constant(), (p.render(), q.render())
+
+
+class TestUinvmod:
+    def test_inverse_or_division_by_zero(self):
+        rng = random.Random(9)
+        outcomes = set()
+        for i in range(120):
+            a, u = rand_poly(rng, VARS_T, 5), rand_poly(rng, VARS_T, 4)
+            if u.degree() < 1:
+                continue
+            if i % 3 == 0:
+                c = rand_poly(rng, VARS_T, 2)
+                a, u = a * c, u * c
+            if u.degree() < 1:
+                continue
+            coprime = sympy.gcd(sympy.Poly(to_sympy(a), _ST),
+                                sympy.Poly(to_sympy(u), _ST)).degree() == 0
+            ad, ud = a.dense_fractions("t"), u.dense_fractions("t")
+            if coprime:
+                s = uinvmod(ad, ud)
+                assert len(s) < len(ud)
+                assert udivmod(usub(umul(ad, s), [Fraction(1)]), ud)[1] == []
+            else:
+                with pytest.raises(DivisionByZero):
+                    uinvmod(ad, ud)
+            outcomes.add(coprime)
+        assert outcomes == {True, False}
 
 
 def gcd_pairs(rng, vars, deg, count):

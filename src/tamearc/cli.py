@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CapabilityError, InputError, TameArcError
+from .errors import CapabilityError, InputError
 from .expr import parse_expr, parse_poly
-from .factor import DEFAULT_DEGREE_BOUND, FactorHints, PROBABLE, factor_plane_curve
+from .factor import FactorHints, PROBABLE
 from .geometry import (
-    A2,
-    P1,
-    PrimeDivisor,
     ResidueFunc,
+    Variety,
     div_codim1,
     div_on_curve,
+    prime_divisors,
+    variety_of,
 )
 from .gersten import (
     HigherCycleRep,
@@ -40,7 +40,7 @@ from .ksymbols import (
     d_eps,
     tame,
 )
-from .poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
+from .poly import DualRatFunc, RatFunc
 from .tangent import diagram_check, tangent2, tangent3, tangent_cocycle
 
 COMMANDS = (
@@ -72,14 +72,6 @@ class Report:
     certificates: tuple = ()
     warnings: tuple = ()
     status: int = 0
-
-
-def _vars_for(variety):
-    return VARS_T if variety == "P1" else VARS_XY
-
-
-def _variety_obj(variety):
-    return P1 if variety == "P1" else A2
 
 
 def _parse_hints(entries, vars):
@@ -117,13 +109,10 @@ def _plain(src, vars, key):
 
 def _irreducible_curve(src, vars, hints):
     p = parse_poly(src, vars)
-    if vars == VARS_T:
-        return PrimeDivisor(P1, p)
-    fac = factor_plane_curve(p, hints=hints)
-    if len(fac.factors) != 1 or fac.factors[0].multiplicity != 1:
+    primes = [] if p.is_zero() else prime_divisors(p, variety_of(vars), hints)
+    if len(primes) != 1 or primes[0][1] != 1:
         raise InputError(f"curve {src!r} is not irreducible")
-    term = fac.factors[0]
-    return PrimeDivisor(A2, term.poly, term.certificate)
+    return primes[0][0]
 
 
 def _parse_component(entry, vars, hints):
@@ -173,7 +162,8 @@ def run_job(job):
     """Dispatch a job to the library and collect a deterministic report."""
     if job.command not in COMMANDS:
         raise InputError(f"unknown command {job.command!r}")
-    vars = _vars_for(job.variety)
+    X = Variety(job.variety)
+    vars = X.vars
     hints = _parse_hints(job.factor_hints, vars)
     payload = []
     certificates = []
@@ -183,13 +173,13 @@ def run_job(job):
     if job.command == "tame":
         f = _plain(_require(job, "f"), vars, "f")
         g = _plain(_require(job, "g"), vars, "g")
-        cycle = tame(MilnorSymbol.of(f, g), _variety_obj(job.variety), hints=hints)
+        cycle = tame(MilnorSymbol.of(f, g), X, hints=hints)
         payload.extend(_k1_payload(cycle))
         warnings.extend(_tag_warnings(p for p, _ in cycle.terms))
 
     elif job.command == "div":
         f = _plain(_require(job, "f"), vars, "f")
-        cycle = div_codim1(f, _variety_obj(job.variety), hints=hints)
+        cycle = div_codim1(f, X, hints=hints)
         payload.append(("cycle", cycle.render()))
         payload.append(("total degree", str(cycle.total_degree())))
         if job.variety == "A2" and cycle.total_degree() != 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, EpsDegree, ExprSyntaxError
-from .poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
+from .poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
 
 _PUNCT = set("+-*/^()")
 

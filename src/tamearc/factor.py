@@ -141,12 +141,17 @@ def _extract_hints(p, hint_factors):
     return work, entries
 
 
+def _hint_table(hints, p):
+    """hints as FactorHints; a plain list of factors names factors of p itself."""
+    if hints is None or isinstance(hints, FactorHints):
+        return hints
+    table = FactorHints()
+    table.add(p, hints)
+    return table
+
+
 def _hinted(hints, p):
-    if isinstance(hints, FactorHints):
-        return hints.lookup(p)
-    if hints:
-        return tuple(hints)
-    return ()
+    return hints.lookup(p) if hints else ()
 
 
 # arithmetic in F_q[t], dense lowest-first integer lists
@@ -388,33 +393,34 @@ def _zassenhaus(g):
     lifted = _hensel_tree_int(target, pool, q, big)
     work = list(g)
     found = []
-    note = f"lift and recombination mod {q}"
-    while udeg(work) > 0:
-        if len(lifted) == 1:
-            found.append(work)
+    while len(lifted) > 1:
+        hit = _recombine_int(work, lifted, big)
+        if hit is None:
             break
-        wlc = int(work[-1])
-        done = False
-        for size in range(1, len(lifted) // 2 + 1):
-            for subset in combinations(range(len(lifted)), size):
-                prod = [wlc % big]
-                for i in subset:
-                    prod = utrim([int(c) % big for c in umul(prod, lifted[i])])
-                cand = [Fraction(_center(int(c), big)) for c in prod]
-                cand = _int_primitive(cand)
-                quot, rem = udivmod(work, cand)
-                if not rem and _is_integral(quot):
-                    found.append(cand)
-                    work = quot
-                    lifted = [f for i, f in enumerate(lifted) if i not in subset]
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            found.append(work)
-            break
-    return [f for f in found], note
+        subset, cand, work = hit
+        found.append(cand)
+        lifted = [f for i, f in enumerate(lifted) if i not in subset]
+    found.append(work)
+    return found, f"lift and recombination mod {q}"
+
+
+def _recombine_int(work, lifted, big):
+    """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
+
+    A subset splits work when its product times the leading coefficient of
+    work, centered mod big and made integer-primitive, divides work over Z.
+    """
+    wlc = int(work[-1])
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(range(len(lifted)), size):
+            prod = [wlc % big]
+            for i in subset:
+                prod = utrim([int(c) % big for c in umul(prod, lifted[i])])
+            cand = _int_primitive([Fraction(_center(int(c), big)) for c in prod])
+            quot, rem = udivmod(work, cand)
+            if not rem and _is_integral(quot):
+                return subset, cand, quot
+    return None
 
 
 def _divisors(n):
@@ -519,7 +525,7 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     var = _active_variable(p)
     if var is None:
         return Factorization(p.const_value(), ())
-    work, entries = _extract_hints(p, _hinted(hints, p))
+    work, entries = _extract_hints(p, _hinted(_hint_table(hints, p), p))
     d = work.deg_in(var)
     if d > bound:
         raise DegreeBound(
@@ -704,7 +710,7 @@ def factor_plane_curve(p, hints=None):
         raise ValueError("cannot factor the zero polynomial")
     if p.vars != ("x", "y"):
         raise ValueError("factor_plane_curve expects a polynomial in x, y")
-    return _finish(p, _plane_entries(p, hints))
+    return _finish(p, _plane_entries(p, _hint_table(hints, p)))
 
 
 def _plane_entries(p, hints):

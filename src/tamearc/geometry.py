@@ -19,7 +19,6 @@ from .errors import (
     ProjectionDisagreement,
 )
 from .factor import (
-    DEFAULT_DEGREE_BOUND,
     INTERNAL_DEGREE_BOUND,
     PROVED,
     factor_plane_curve,
@@ -53,12 +52,21 @@ class Variety:
         if self.kind not in ("P1", "A2"):
             raise ValueError(f"unknown variety kind {self.kind!r}")
 
+    @property
+    def vars(self):
+        return VARS_T if self.kind == "P1" else VARS_XY
+
     def render(self):
         return self.kind
 
 
 P1 = Variety("P1")
 A2 = Variety("A2")
+
+
+def variety_of(vars):
+    """The variety whose coordinates are vars: P1 for t, A2 for x, y."""
+    return P1 if vars == VARS_T else A2
 
 
 class PrimeDivisor:
@@ -354,23 +362,30 @@ def Y_inf_valuation(f):
     return f.den.degree() - f.num.degree()
 
 
-def div_codim1(f, X, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def prime_divisors(poly, X, hints=None):
+    """[(PrimeDivisor, multiplicity)] of the irreducible factors of poly on X.
+
+    This is the one place where functions become primes, so every caller
+    sees the same normalized equation of each component.
+    """
+    if X.kind == "P1":
+        fac = factor_univariate(poly, hints=hints)
+    else:
+        fac = factor_plane_curve(poly, hints=hints)
+    return [(PrimeDivisor(X, term.poly, term.certificate), term.multiplicity)
+            for term in fac.factors]
+
+
+def div_codim1(f, X, hints=None):
     """The divisor of zeros and poles of f on X, as a DivisorCycle."""
     if f.is_zero():
         raise DivisionByZero("the zero function has no divisor")
-    pairs = []
-    if X.kind == "P1":
-        for part, sign in ((f.num, 1), (f.den, -1)):
-            for term in factor_univariate(part, bound=bound, hints=hints).factors:
-                pairs.append((PrimeDivisor(P1, term.poly), sign * term.multiplicity))
-        nu = Y_inf_valuation(f)
-        if nu:
-            pairs.append((PrimeDivisor.infinity(), nu))
-    else:
-        for part, sign in ((f.num, 1), (f.den, -1)):
-            for term in factor_plane_curve(part, hints=hints).factors:
-                pairs.append((PrimeDivisor(A2, term.poly, term.certificate),
-                              sign * term.multiplicity))
+    pairs = [(prime, sign * m)
+             for part, sign in ((f.num, 1), (f.den, -1))
+             for prime, m in prime_divisors(part, X, hints)]
+    nu = Y_inf_valuation(f) if X.kind == "P1" else 0
+    if nu:
+        pairs.append((PrimeDivisor.infinity(), nu))
     return DivisorCycle.build(X, pairs)
 
 
@@ -616,30 +631,24 @@ def intersection_cycle(p, h, seed=0):
     return first
 
 
-def div_on_curve(g, seed=0, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def div_on_curve(g, seed=0, hints=None):
     """Zeros minus poles of g on its curve, as a certified ClosedPointCycle."""
     if isinstance(g, RatFunc):
         if g.vars != VARS_T:
             raise ValueError("direct div_on_curve input must live on P1")
-        return _p1_point_cycle(g, hints, bound)
+        return ClosedPointCycle.build(
+            P1, [(_point_of(y), n) for y, n in div_codim1(g, P1, hints).terms])
     p = g.curve.poly
     pairs = []
     for part, sign in ((g.rep.num, 1), (g.rep.den, -1)):
-        for term in factor_plane_curve(part, hints=hints).factors:
-            pts = intersection_cycle(p, term.poly, seed)
-            for pt, mult in pts.items():
-                pairs.append((pt, sign * term.multiplicity * mult))
+        for prime, m in prime_divisors(part, A2, hints):
+            for pt, mult in intersection_cycle(p, prime.poly, seed).items():
+                pairs.append((pt, sign * m * mult))
     return ClosedPointCycle.build(A2, pairs)
 
 
-def _p1_point_cycle(f, hints, bound):
-    if f.is_zero():
-        raise DivisionByZero("the zero function has no divisor")
-    pairs = []
-    for part, sign in ((f.num, 1), (f.den, -1)):
-        for term in factor_univariate(part, bound=bound, hints=hints).factors:
-            pairs.append((ClosedPoint(P1, term.poly), sign * term.multiplicity))
-    nu = Y_inf_valuation(f)
-    if nu:
-        pairs.append((ClosedPoint.p1_infinity(), nu))
-    return ClosedPointCycle.build(P1, pairs)
+def _point_of(prime):
+    """The closed point of P1 that the prime divisor is."""
+    if prime.at_infinity:
+        return ClosedPoint.p1_infinity()
+    return ClosedPoint(P1, prime.poly)

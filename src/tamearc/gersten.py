@@ -113,13 +113,13 @@ def cycle_check(c, seed=0, hints=None):
     )
 
 
-def tame_boundary_certify(c, s, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def tame_boundary_certify(c, s, hints=None):
     """One-sided verifier that s exhibits c as a tame boundary.
 
     Passes iff tame(s) equals the K1 cycle of c componentwise; a fail says
     nothing about membership in the tame image under a different symbol.
     """
-    image = tame(s, A2, hints=hints, bound=bound)
+    image = tame(s, A2, hints=hints)
     candidate = c.as_k1_cycle()
     quotient = candidate * image.power(-1)
     return Certificate(
@@ -134,10 +134,10 @@ def tame_boundary_certify(c, s, hints=None, bound=DEFAULT_DEGREE_BOUND):
     )
 
 
-def complex_check_q2(f, g, seed=0, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def complex_check_q2(f, g, seed=0, hints=None):
     """Certify the square-zero identity div_k1(tame({f, g})) = 0 on the plane."""
     s = MilnorSymbol.of(f, g)
-    image = tame(s, A2, hints=hints, bound=bound)
+    image = tame(s, A2, hints=hints)
     cycle = div_k1(image, seed=seed, hints=hints)
     return Certificate(
         claim="ComplexSquareZero",
@@ -150,10 +150,10 @@ def complex_check_q2(f, g, seed=0, hints=None, bound=DEFAULT_DEGREE_BOUND):
     )
 
 
-def weil_check_p1(f, g, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def weil_check_p1(f, g, hints=None):
     """Certify reciprocity on the line: norms of the tame components multiply to 1."""
     s = MilnorSymbol.of(f, g)
-    image = tame(s, P1, hints=hints, bound=bound)
+    image = tame(s, P1, hints=hints)
     product = Fraction(1)
     norms = []
     for point, val in image.terms:
@@ -166,5 +166,5 @@ def weil_check_p1(f, g, hints=None, bound=DEFAULT_DEGREE_BOUND):
         inputs=_sorted_inputs([("f", f.render()), ("g", g.render())]),
         witness=(("component norms", "; ".join(norms) if norms else "none"),
                  ("norm product", str(product))),
-        provenance=(("factor bound", str(bound)),),
+        provenance=(("factor bound", str(DEFAULT_DEGREE_BOUND)),),
     )

@@ -21,28 +21,27 @@ from .errors import (
     RestrictionUndefined,
     ScopeError,
 )
-from .factor import DEFAULT_DEGREE_BOUND, factor_plane_curve, factor_univariate
 from .geometry import (
     A2,
     P1,
-    ClosedPoint,
     ClosedPointCycle,
     PrimeDivisor,
-    ResidueFunc,
     Y_inf_valuation,
     _f_mul,
     _f_pow,
+    _point_of,
     div_on_curve,
     p1_residue,
+    prime_divisors,
     restrict,
     valuation,
+    variety_of,
 )
 from .poly import (
     DualRatFunc,
     MultiPoly,
     RatFunc,
     VARS_T,
-    VARS_XY,
     poly_gcd,
     uinvmod,
     uresultant,
@@ -50,10 +49,6 @@ from .poly import (
 )
 
 _ONE = Fraction(1)
-
-
-def _variety_of(vars):
-    return P1 if vars == VARS_T else A2
 
 
 @dataclass(frozen=True)
@@ -258,21 +253,15 @@ def p1_component_norm(point, val):
     return uresultant(u, list(val))
 
 
-def _prime_orders(f, g, variety, hints, bound):
+def _prime_orders(f, g, variety, hints):
     """Map prime -> (nu(f), nu(g)) from the four factorizations."""
     orders = {}
 
     def _absorb(func, slot):
         for part, sign in ((func.num, 1), (func.den, -1)):
-            if variety.kind == "P1":
-                fac = factor_univariate(part, bound=bound, hints=hints)
-            else:
-                fac = factor_plane_curve(part, hints=hints)
-            for term in fac.factors:
-                prime = (PrimeDivisor(P1, term.poly) if variety.kind == "P1"
-                         else PrimeDivisor(A2, term.poly, term.certificate))
+            for prime, mult in prime_divisors(part, variety, hints):
                 m, n = orders.get(prime, (0, 0))
-                delta = sign * term.multiplicity
+                delta = sign * mult
                 orders[prime] = (m + delta, n) if slot == 0 else (m, n + delta)
 
     _absorb(f, 0)
@@ -292,12 +281,12 @@ def _tame_component(f, g, m, n):
     return h
 
 
-def tame(s, X=None, hints=None, bound=DEFAULT_DEGREE_BOUND, seed=0):
+def tame(s, X=None, hints=None):
     """Tame symbol of a Milnor symbol: a K1Cycle over the primes of X."""
-    variety = X if X is not None else _variety_of(s.vars)
+    variety = X if X is not None else variety_of(s.vars)
     components = []
     for f, g, coeff in s.terms:
-        orders = _prime_orders(f, g, variety, hints, bound)
+        orders = _prime_orders(f, g, variety, hints)
         for prime in sorted(orders, key=lambda p: p.sort_key()):
             m, n = orders[prime]
             if m == 0 and n == 0:
@@ -316,12 +305,6 @@ def tame(s, X=None, hints=None, bound=DEFAULT_DEGREE_BOUND, seed=0):
             except NotAUnitAlongY as exc:
                 raise RestrictionUndefined(str(exc)) from exc
     return K1Cycle.build(variety, components)
-
-
-def _point_of(prime):
-    if prime.at_infinity:
-        return ClosedPoint.p1_infinity()
-    return ClosedPoint(P1, prime.poly)
 
 
 def div_k1(c, seed=0, hints=None):
@@ -376,22 +359,19 @@ class GGArc:
                 f"unit {self.unit.render()}, sign {self.sign:+d})")
 
 
-def _component_arcs(this, other, family_sign, hints, bound):
-    """Arcs for every irreducible component of div(body of this)."""
+def _component_arcs(this, other, family_sign, hints):
+    """Arcs for every irreducible component of div(body of this).
+
+    The datum is built from the prime's own equation p, the one whose dp
+    tangent3 reads, so both sides of the tangent square share one p.
+    """
     F = this.body
     F1 = this.eps
-    variety = _variety_of(F.vars)
     arcs = []
     for part, part_sign in ((F.num, 1), (F.den, -1)):
-        if variety.kind == "P1":
-            fac = factor_univariate(part, bound=bound, hints=hints)
-        else:
-            fac = factor_plane_curve(part, hints=hints)
-        for term in fac.factors:
-            p = term.poly
-            m = part_sign * term.multiplicity
-            prime = (PrimeDivisor(P1, p) if variety.kind == "P1"
-                     else PrimeDivisor(A2, p, term.certificate))
+        for prime, mult in prime_divisors(part, variety_of(F.vars), hints):
+            p = prime.poly
+            m = part_sign * mult
             datum = (RatFunc(p) * F1) / (RatFunc.from_const(F.vars, m) * F)
             if not datum.is_zero() and valuation(datum, prime) < 0:
                 raise EpsDatumIrregular(
@@ -403,7 +383,7 @@ def _component_arcs(this, other, family_sign, hints, bound):
     return arcs
 
 
-def d_eps(s, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def d_eps(s, hints=None):
     """Green-Griffiths arcs of a dual symbol, one per component of each body divisor.
 
     Terms whose two bodies share a curve component contribute nothing.
@@ -411,7 +391,7 @@ def d_eps(s, hints=None, bound=DEFAULT_DEGREE_BOUND):
     arcs = []
     for u, v, coeff in s.terms:
         F, G = u.body, v.body
-        if _variety_of(F.vars).kind == "P1":
+        if F.vars == VARS_T:
             if Y_inf_valuation(F) != 0 or Y_inf_valuation(G) != 0:
                 raise ScopeError(
                     "d_eps on P1 requires both bodies to be units at INF; "
@@ -419,8 +399,8 @@ def d_eps(s, hints=None, bound=DEFAULT_DEGREE_BOUND):
         shared = poly_gcd(F.num * F.den, G.num * G.den)
         if shared.degree() > 0:
             continue
-        term_arcs = (_component_arcs(u, v, 1, hints, bound)
-                     + _component_arcs(v, u, -1, hints, bound))
+        term_arcs = (_component_arcs(u, v, 1, hints)
+                     + _component_arcs(v, u, -1, hints))
         if coeff < 0:
             term_arcs = [GGArc(a.curve, a.datum, a.unit, -a.sign) for a in term_arcs]
         arcs.extend(term_arcs * abs(coeff))
@@ -434,7 +414,7 @@ def arc_specialize(a):
     if variety.kind == "A2":
         rf = restrict(body, a.curve) ** (-a.sign)
         return K1Cycle.build(A2, [(a.curve, rf)])
-    point = ClosedPoint(P1, a.curve.poly)
+    point = _point_of(a.curve)
     val = p1_residue(body, a.curve)
     val = _p1_value_pow(point, _p1_value(point, val), -a.sign)
     return K1Cycle.build(P1, [(point, val)])
@@ -463,10 +443,7 @@ class DoubleSES:
     sign: int
 
     def as_arc(self):
-        vars = self.localized_at.vars
-        variety = _variety_of(vars)
-        prime = (PrimeDivisor(P1, self.localized_at) if variety.kind == "P1"
-                 else PrimeDivisor(A2, self.localized_at))
+        prime = PrimeDivisor(variety_of(self.localized_at.vars), self.localized_at)
         return GGArc(curve=prime, datum=self.relation.eps,
                      unit=self.automorphism, sign=self.sign)
 

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .factor import DEFAULT_DEGREE_BOUND, factor_plane_curve, factor_univariate
-from .geometry import A2, P1, PrimeDivisor, valuation
+from .geometry import A2, PrimeDivisor, prime_divisors, valuation, variety_of
 from .gersten import Certificate, _prime_tags, _sorted_inputs
-from .ksymbols import (
-    GGArc,
-    d_eps,
-    specialize_arcs,
-    tame,
-)
+from .ksymbols import d_eps, specialize_arcs, tame
 from .poly import RatFunc, VARS_T, VARS_XY
 
 _DIFFS = {VARS_XY: ("dx", "dy"), VARS_T: ("dt",)}
@@ -185,28 +179,21 @@ def lc_is_zero(c):
     return LocalCohClass.of(c.curve, c.as_form()).is_zero()
 
 
-def _polar_primes(beta, hints, bound):
+def _polar_primes(beta, hints):
     """Irreducible factors of the coefficient denominators, as primes."""
     primes = {}
-    on_line = beta.vars == VARS_T
     for c in beta.coeffs:
         if c.is_zero() or c.den.is_const():
             continue
-        if on_line:
-            fac = factor_univariate(c.den, bound=bound, hints=hints)
-        else:
-            fac = factor_plane_curve(c.den, hints=hints)
-        for term in fac.factors:
-            prime = (PrimeDivisor(P1, term.poly) if on_line
-                     else PrimeDivisor(A2, term.poly, term.certificate))
+        for prime, _ in prime_divisors(c.den, variety_of(beta.vars), hints):
             primes[prime] = None
     return sorted(primes, key=lambda p: p.sort_key())
 
 
-def boundary_forms(beta, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def boundary_forms(beta, hints=None):
     """Polar decomposition of a form: its class along each polar prime."""
     out = []
-    for prime in _polar_primes(beta, hints, bound):
+    for prime in _polar_primes(beta, hints):
         cls = LocalCohClass.of(prime, beta)
         if not cls.is_zero():
             out.append((prime, cls))
@@ -222,15 +209,15 @@ def tangent3(a):
     return a.curve, cls.scale_sign(a.sign)
 
 
-def diagram_check(s, hints=None, bound=DEFAULT_DEGREE_BOUND):
+def diagram_check(s, hints=None):
     """Certify the commuting square: forms boundary of tangent2 vs tangent3 of d_eps.
 
     Also checks the eps = 0 face: the specialized arcs multiply to the tame
     symbol of the specialized symbol.
     """
     beta = tangent2(s)
-    left = dict(boundary_forms(beta, hints=hints, bound=bound))
-    arcs = d_eps(s, hints=hints, bound=bound)
+    left = dict(boundary_forms(beta, hints=hints))
+    arcs = d_eps(s, hints=hints)
     right = {}
     for a in arcs:
         curve, cls = tangent3(a)
@@ -249,9 +236,9 @@ def diagram_check(s, hints=None, bound=DEFAULT_DEGREE_BOUND):
         if not lc_is_zero(diff):
             mismatches.append(f"{prime.render()}: {diff.render()}")
 
-    variety = P1 if s.vars == VARS_T else A2
+    variety = variety_of(s.vars)
     spec_cycle = specialize_arcs(arcs, variety)
-    tame_cycle = tame(s.specialize(), variety, hints=hints, bound=bound)
+    tame_cycle = tame(s.specialize(), variety, hints=hints)
     face_ok = spec_cycle.same_cycle(tame_cycle)
 
     witness = [("tangent2 form", beta.render()),

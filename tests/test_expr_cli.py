@@ -205,6 +205,13 @@ class TestCli:
             "class: [((-1)/y)*dy] / (x)",
         ]
 
+    def test_p1_curve_must_be_irreducible(self):
+        for curve in ("t^2 - 1", "t^2", "3", "0"):
+            r = run_cli("tangent3", "--variety", "P1", "--curve", curve,
+                        "--datum", "1", "--unit", "1 + eps*t", "--sign", "+1")
+            assert r.returncode == 2, curve
+            assert f"message: curve {curve!r} is not irreducible" in r.stdout.decode()
+
     def test_tangent_cocycle_fail_exits_1(self):
         r = run_cli("tangent-cocycle", "--arc", "x | 1 | y | +1")
         assert r.returncode == 1

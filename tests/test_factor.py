@@ -171,6 +171,14 @@ class TestPlaneCurve:
         assert len(fac.factors) == 2
         assert fac.weakest_tag() == ASSERTED
 
+    def test_plain_hint_list_names_factors_of_the_target(self):
+        # the list applies to p itself, not to every piece of the squarefree split
+        p = X * (Y + X) ** 2 * Y
+        fac = factor_plane_curve(p, hints=[X])
+        assert fac.verify(p)
+        assert {(t.poly, t.multiplicity, t.certificate) for t in fac.factors} == {
+            (Y, 1, PROVED), (X, 1, ASSERTED), (X + Y, 2, PROVED)}
+
     def test_matches_sympy_randomized(self):
         rng = random.Random(22)
         done = 0

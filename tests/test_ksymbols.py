@@ -11,6 +11,7 @@ from tamearc.errors import (
     NotAUnitAlongY,
     ScopeError,
 )
+from tamearc.expr import parse_expr
 from tamearc.geometry import A2, P1, ClosedPoint, PrimeDivisor, ResidueFunc
 from tamearc.ksymbols import (
     DualMilnorSymbol,
@@ -224,6 +225,13 @@ class TestDEps:
         assert len(arcs) == 4
         cycle = specialize_arcs(arcs, P1)
         assert cycle.same_cycle(tame(s.specialize()))
+
+
+    def test_p1_datum_on_the_monic_equation(self):
+        s = DualMilnorSymbol.of(parse_expr("(2*t - 1)/(t + 5) + eps"),
+                                parse_expr("(t + 3)/(t - 7) + eps*t"))
+        assert d_eps(s)[0].render() == (
+            "arc(V(t - 1/2), datum 1/2*t + 5/2, unit (t + 3)/(t - 7) + eps*t, sign +1)")
 
 
 class TestArcSpecialize:

@@ -27,3 +27,22 @@ def test_no_function_defined_in_two_modules():
                 owners.setdefault(node.name, []).append(path.name)
     copies = {name: files for name, files in owners.items() if len(files) > 1}
     assert not copies, copies
+
+
+def test_no_unused_imports():
+    # an import that nothing reads hides which modules really depend on which
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found

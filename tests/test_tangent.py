@@ -8,7 +8,7 @@ import pytest
 from tamearc.errors import InputError
 from tamearc.geometry import A2, PrimeDivisor
 from tamearc.ksymbols import DualMilnorSymbol, GGArc, d_eps
-from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_XY
+from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import (
     DiffForm,
     LocalCohClass,
@@ -22,7 +22,7 @@ from tamearc.tangent import (
     tangent_cocycle,
 )
 
-from test_geometry import V_X, V_Y, rand_ratfunc, x, y
+from test_geometry import V_X, V_Y, rand_ratfunc, t, x, y
 from test_gersten import coprime_pool_pair
 from test_ksymbols import ONE_XY, ZERO_XY
 from test_poly import rand_poly
@@ -198,6 +198,25 @@ def rand_admissible_dual(rng):
     return DualMilnorSymbol.of(DualRatFunc(f, f1), DualRatFunc(g, g1))
 
 
+def rand_p1_line_ratio(rng):
+    """(f, roots of f's lines): 1-2 distinct factors a*t + b over as many, a unit at INF."""
+    n = rng.randint(1, 2)
+    while True:
+        lines = [(rng.choice([1, 2, 3, -2, 5]), rng.randint(-6, 6)) for _ in range(2 * n)]
+        roots = {Fraction(-b, a) for a, b in lines}
+        if len(roots) == 2 * n:
+            break
+    f = RatFunc.from_const(VARS_T, 1)
+    for i, (a, b) in enumerate(lines):
+        line = t * RatFunc.from_const(VARS_T, a) + RatFunc.from_const(VARS_T, b)
+        f = f * line if i < n else f / line
+    return f, roots
+
+
+def rand_p1_eps(rng):
+    return RatFunc.from_const(VARS_T, rng.choice([1, 2, -1, -3])) * t ** rng.randint(0, 2)
+
+
 class TestDiagramCheck:
     def test_pinned_regressions(self):
         s = DualMilnorSymbol.of(DualRatFunc(x, ONE_XY), DualRatFunc(y, ZERO_XY))
@@ -217,6 +236,22 @@ class TestDiagramCheck:
             s = rand_admissible_dual(rng)
             cert = diagram_check(s)
             assert cert.verdict, (s.render(), trial)
+
+    def test_p1_pool_with_non_monic_lines(self):
+        # a component such as V(2*t - 1) gets its datum and its dp from the
+        # same equation t - 1/2, so the square commutes as for monic lines
+        for seed in (11, 12):
+            rng = random.Random(seed)
+            done = 0
+            while done < 40:
+                f, f_roots = rand_p1_line_ratio(rng)
+                g, g_roots = rand_p1_line_ratio(rng)
+                if f_roots & g_roots:
+                    continue
+                s = DualMilnorSymbol.of(DualRatFunc(f, rand_p1_eps(rng)),
+                                        DualRatFunc(g, rand_p1_eps(rng)))
+                assert diagram_check(s).verdict, (seed, done, s.render())
+                done += 1
 
     def test_oracle_agreement_both_paths(self):
         # boundary_forms(tangent2(s)) must match summed tangent3 classes per prime

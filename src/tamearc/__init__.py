@@ -24,7 +24,6 @@ from .errors import (
 from .expr import parse_expr, parse_poly
 from .factor import (
     ASSERTED,
-    PROBABLE,
     PROVED,
     FactorHints,
     Factorization,
@@ -74,7 +73,6 @@ from .poly import (
     DualRatFunc,
     MultiPoly,
     RatFunc,
-    dual_invert,
     poly_gcd,
     resultant,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
 from .expr import parse_expr, parse_poly
-from .factor import FactorHints, PROBABLE
+from .factor import FactorHints
 from .geometry import (
     ResidueFunc,
     Variety,
@@ -48,6 +48,14 @@ COMMANDS = (
     "complex-check", "weil-check", "tangent2", "d-eps", "tangent3",
     "diagram-check", "tangent-cocycle",
 )
+
+# commands that run on one variety only; the rest run on both
+_ONLY_ON = {
+    "cycle-check": "A2",
+    "tame-certify": "A2",
+    "complex-check": "A2",
+    "weil-check": "P1",
+}
 
 
 @dataclass(frozen=True)
@@ -139,13 +147,6 @@ def _parse_arc(entry, vars, hints):
     return GGArc(curve=curve, datum=datum, unit=unit, sign=sign)
 
 
-def _tag_warnings(primes):
-    if any(getattr(p, "certificate", None) == PROBABLE for p in primes):
-        return ("a component irreducibility is probabilistic; "
-                "supply --factor-hint to certify it",)
-    return ()
-
-
 def _k1_payload(cycle):
     if cycle.is_trivial():
         return (("components", "none"),)
@@ -162,6 +163,9 @@ def run_job(job):
     """Dispatch a job to the library and collect a deterministic report."""
     if job.command not in COMMANDS:
         raise InputError(f"unknown command {job.command!r}")
+    only = _ONLY_ON.get(job.command, job.variety)
+    if job.variety != only:
+        raise InputError(f"{job.command} runs on {only}")
     X = Variety(job.variety)
     vars = X.vars
     hints = _parse_hints(job.factor_hints, vars)
@@ -175,7 +179,6 @@ def run_job(job):
         g = _plain(_require(job, "g"), vars, "g")
         cycle = tame(MilnorSymbol.of(f, g), X, hints=hints)
         payload.extend(_k1_payload(cycle))
-        warnings.extend(_tag_warnings(p for p, _ in cycle.terms))
 
     elif job.command == "div":
         f = _plain(_require(job, "f"), vars, "f")
@@ -186,7 +189,6 @@ def run_job(job):
             warnings.append(
                 "affine divisor has nonzero total degree; components at "
                 "infinity are not part of this chart")
-        warnings.extend(_tag_warnings(p for p, _ in cycle.terms))
 
     elif job.command == "div-on-curve":
         f = _plain(_require(job, "f"), vars, "f")
@@ -223,8 +225,6 @@ def run_job(job):
         status = 0 if cert.verdict else 1
 
     elif job.command == "weil-check":
-        if job.variety != "P1":
-            raise InputError("weil-check runs on P1")
         f = _plain(_require(job, "f"), vars, "f")
         g = _plain(_require(job, "g"), vars, "g")
         cert = weil_check_p1(f, g, hints=hints)
@@ -242,7 +242,6 @@ def run_job(job):
         v = _dual(_require(job, "g"), vars)
         arcs = d_eps(DualMilnorSymbol.of(u, v), hints=hints)
         payload.append(("arcs", tuple(a.render() for a in arcs)))
-        warnings.extend(_tag_warnings(a.curve for a in arcs))
 
     elif job.command == "tangent3":
         arc = _parse_arc(" | ".join([
@@ -378,9 +377,8 @@ def _build_parser():
     }
     for name, keys in specs.items():
         p = sub.add_parser(name)
-        default_variety = "P1" if name == "weil-check" else "A2"
         p.add_argument("--variety", choices=("A2", "P1"),
-                       default=default_variety)
+                       default=_ONLY_ON.get(name, "A2"))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")

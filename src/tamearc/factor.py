@@ -1,12 +1,13 @@
 """Factorization over Q with per-factor evidence tags.
 
 Univariate polynomials are factored completely: squarefree decomposition,
-rational-root extraction, then a modular lift with exhaustive recombination,
-so every univariate factor is tagged "proved".  Bivariate polynomials are
-split by content extraction and a power-series lift at a good specialization;
-proper divisors found that way are division-checked ("proved"), while
-surviving irreducibility claims of y-degree >= 2 are tagged "probabilistic".
-Caller-supplied factors are division-checked and tagged "user-asserted".
+rational-root extraction, then a modular lift with exhaustive recombination.
+Bivariate polynomials are split by content extraction, a squarefree split
+and a power-series lift at a good specialization, again with exhaustive
+recombination (see `_split_primitive_y` for the two irreducibility
+arguments).  Every factor found is therefore tagged "proved".  A factor
+that a caller supplied is checked to divide, but its irreducibility is
+trusted, so it is tagged "user-asserted".
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ from .poly import (
 )
 
 PROVED = "proved"
-PROBABLE = "probabilistic"
 ASSERTED = "user-asserted"
-
-_TAG_STRENGTH = {PROVED: 2, PROBABLE: 1, ASSERTED: 0}
 
 DEFAULT_DEGREE_BOUND = 8
 INTERNAL_DEGREE_BOUND = 64
@@ -76,9 +74,9 @@ class Factorization:
         return self.product() == target
 
     def weakest_tag(self):
-        if not self.factors:
-            return PROVED
-        return min((t.certificate for t in self.factors), key=_TAG_STRENGTH.__getitem__)
+        if any(t.certificate == ASSERTED for t in self.factors):
+            return ASSERTED
+        return PROVED
 
 
 class FactorHints:
@@ -103,7 +101,7 @@ def _finish(p, found):
     for poly, mult, tag, note in found:
         if poly in merged:
             m, t, n = merged[poly]
-            if _TAG_STRENGTH[tag] > _TAG_STRENGTH[t]:
+            if t == ASSERTED:
                 t, n = tag, note
             merged[poly] = (m + mult, t, n)
         else:
@@ -644,11 +642,33 @@ def _lc_series(p, k):
 
 
 def _split_primitive_y(p):
-    """Factor entries for p: y-primitive, squarefree, deg_y >= 2, deg_x >= 1."""
+    """Factor entries for p: y-primitive, squarefree, deg_y >= 2, deg_x >= 1.
+
+    Every entry is proved irreducible.  p is y-primitive because
+    `_plane_entries` removed `content_in(p, "y")`, so a factor of p with
+    y-degree 0 is a constant.  `_pick_specialization` gives x0 with
+    lc_y(p)(x0) != 0 and u = p(x0, y) squarefree of full y-degree.
+
+    Case 1, u irreducible.  Suppose p = a*b, neither factor constant.
+    Neither lies in Q[x], so both have positive y-degree.  As lc_y(p) =
+    lc_y(a)*lc_y(b), neither leading coefficient vanishes at x0, so
+    u = a(x0, y)*b(x0, y) would split.  Hence p is irreducible.
+
+    Case 2, u splits.  Shift x0 to 0 and lift the monic factors of u to
+    precision k = 2*deg_x + 1 over Q[[x]].  A true factor a of `work`,
+    made monic in y over Q[[x]], is the product of a subset of the lifted
+    factors, because u is squarefree.  Then lc_y(work) * product =
+    lc_y(work/a) * a has x-degree at most deg_x(work) <= deg_x(p) < k, so
+    truncating at x^k gives it exactly.  `_recombine` tries every subset
+    of at most half the factors, smallest first, each checked by exact
+    division, so it finds a or its cofactor, and the first hit has no
+    proper factor.  When the search finds nothing, `work` is irreducible
+    (Lecerf, Math. Comp. 2006, has sharper precision bounds).
+    """
     x0, u = _pick_specialization(p)
     u_fact = factor_univariate(u, bound=INTERNAL_DEGREE_BOUND)
     if len(u_fact.factors) == 1 and u_fact.factors[0].multiplicity == 1:
-        return [(p.primitive(), 1, PROBABLE,
+        return [(p.primitive(), 1, PROVED,
                  f"specialization x = {x0} stays irreducible")]
     shifted = _shift_x(p, x0)
     dy = shifted.deg_in("y")
@@ -677,10 +697,9 @@ def _split_primitive_y(p):
         lifted = [f for i, f in enumerate(lifted) if i not in subset]
     wy = work.deg_in("y")
     if wy > 0:
-        tag = PROVED if wy == 1 else PROBABLE
         note = ("degree 1 in y and primitive" if wy == 1 else
                 f"series lift at x = {x0} admits no polynomial recombination")
-        entries.append((_shift_x(work, -x0).primitive(), 1, tag, note))
+        entries.append((_shift_x(work, -x0).primitive(), 1, PROVED, note))
     return entries
 
 

@@ -80,7 +80,6 @@ class PrimeDivisor:
                 if poly.vars != VARS_T or poly.degree() < 1:
                     raise ValueError("P1 prime needs a non-constant polynomial in t")
                 poly = poly * (1 / poly.lc())
-            certificate = PROVED
         else:
             if poly is None:
                 raise ValueError("A2 has no point at infinity in this chart")

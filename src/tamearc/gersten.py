@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .factor import DEFAULT_DEGREE_BOUND
-from .geometry import A2, P1, ClosedPointCycle
+from .geometry import A2, P1, ClosedPointCycle, div_on_curve
 from .ksymbols import K1Cycle, MilnorSymbol, div_k1, p1_component_norm, tame
 
 CLAIM_KINDS = (
@@ -98,8 +98,6 @@ class HigherCycleRep:
 
 def cycle_check(c, seed=0, hints=None):
     """Certify Ker(div) membership: the component divisors must cancel."""
-    from .geometry import div_on_curve
-
     total = ClosedPointCycle.zero(A2)
     for curve, rf in c.components:
         total = total + div_on_curve(rf, seed=seed, hints=hints)

@@ -14,7 +14,7 @@ from itertools import zip_longest
 from math import gcd as _int_gcd, isqrt
 from operator import add as _add
 
-from .errors import CapabilityError, DivisionByZero, NotAUnit
+from .errors import DivisionByZero, NotAUnit
 
 VARS_T = ("t",)
 VARS_XY = ("x", "y")
@@ -458,22 +458,21 @@ def uresultant(f, g):
         f, g = g, r
 
 
-def _lagrange(points, values):
-    """Dense coefficients of the interpolating polynomial through (points, values)."""
+def _newton(points, values):
+    """Dense coefficients of the interpolating polynomial through (points, values).
+
+    Divided differences give the Newton form, which Horner's rule expands;
+    both take O(n^2) operations.
+    """
     n = len(points)
-    coeffs = [_ZERO] * n
-    for i in range(n):
-        num = [_ONE]
-        denom = _ONE
-        for j in range(n):
-            if j == i:
-                continue
-            num = umul(num, [-points[j], _ONE])
-            denom *= points[i] - points[j]
-        scale = values[i] / denom
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    return utrim(coeffs)
+    diffs = list(values)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (points[i] - points[i - j])
+    coeffs = []
+    for i in range(n - 1, -1, -1):
+        coeffs = uadd(umul(coeffs, [-points[i], _ONE]), [diffs[i]])
+    return coeffs
 
 
 # integer kernel: exact division, and gcds by the heuristic GCDHEU with a
@@ -751,42 +750,6 @@ def poly_gcd(a, b):
 
 # resultant over MultiPoly
 
-def _sylvester(fc, gc):
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    rows = []
-    fr = list(reversed(fc))
-    gr = list(reversed(gc))
-    for i in range(n):
-        rows.append([None] * i + fr + [None] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([None] * i + gr + [None] * (size - i - n - 1))
-    return rows
-
-
-def _bareiss_det(M, zero, one):
-    n = len(M)
-    M = [[zero if c is None else c for c in row] for row in M]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not M[i][k].is_zero()), None)
-            if pivot is None:
-                return zero
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q = num.div_exact(prev)
-                if q is None:
-                    raise CapabilityError("Bareiss exact division failed")
-                M[i][j] = q
-        prev = M[k][k]
-    return M[n - 1][n - 1] * sign if sign > 0 else -M[n - 1][n - 1]
-
-
 def resultant(p, q, var):
     """Sylvester resultant eliminating var; zero iff p, q share a var-positive factor."""
     if p.is_zero() or q.is_zero():
@@ -805,19 +768,19 @@ def resultant(p, q, var):
         val = uresultant([c.const_value() for c in pc], [c.const_value() for c in qc])
         return MultiPoly.const(p.vars, val)
     other = next(v for v in p.vars if v != var)
-    if pc[-1].is_const() and qc[-1].is_const():
-        # leading coefficients never vanish, so specialization commutes with Res
-        bound = p.degree() * q.degree() + 1
-        points = [Fraction(k) for k in range(bound)]
-        values = []
-        for a in points:
-            fa = [c.eval_all({other: a, var: 0}) for c in pc]
-            ga = [c.eval_all({other: a, var: 0}) for c in qc]
-            values.append(uresultant(fa, ga))
-        coeffs = _lagrange(points, values)
-        return MultiPoly.from_dense(p.vars, other, coeffs)
-    M = _sylvester(pc, qc)
-    return _bareiss_det(M, MultiPoly.zero(p.vars), MultiPoly.const(p.vars, 1))
+    # Res has degree at most deg p * deg q in other; specialization commutes
+    # with Res wherever neither leading coefficient in var vanishes
+    bound = p.degree() * q.degree() + 1
+    points, values = [], []
+    a = _ZERO
+    while len(points) < bound:
+        at = {other: a, var: 0}
+        if pc[-1].eval_all(at) != 0 and qc[-1].eval_all(at) != 0:
+            points.append(a)
+            values.append(uresultant([c.eval_all(at) for c in pc],
+                                     [c.eval_all(at) for c in qc]))
+        a += 1
+    return MultiPoly.from_dense(p.vars, other, _newton(points, values))
 
 
 class RatFunc:
@@ -1021,6 +984,7 @@ class DualRatFunc:
     __rmul__ = __mul__
 
     def invert(self):
+        """Inverse in Q(X)[eps]: body^-1 - eps * eps_part * body^-2."""
         if self.body.is_zero():
             raise NotAUnit("dual number with zero body has no inverse")
         inv = self.body.inverse()
@@ -1077,8 +1041,3 @@ class DualRatFunc:
         if self.body.is_zero():
             return f"-{eps_s}" if negative else eps_s
         return f"{self.body.render()} {'-' if negative else '+'} {eps_s}"
-
-
-def dual_invert(u):
-    """Inverse in Q(X)[eps]: body^-1 - eps * eps_part * body^-2."""
-    return u.invert()

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tamearc import cli
 from tamearc.errors import (
     DivisionByZero,
     EpsDegree,
@@ -212,6 +213,17 @@ class TestCli:
             assert r.returncode == 2, curve
             assert f"message: curve {curve!r} is not irreducible" in r.stdout.decode()
 
+    def test_p1_hinted_primes_are_tagged_user_asserted(self):
+        r = run_cli(
+            "diagram-check", "--variety", "P1",
+            "--f", "(t^9 + t + 1)/(t^9 + 2) + eps", "--g", "(t + 3)/(t - 7)",
+            "--factor-hint", "t^9 + t + 1=t^9 + t + 1",
+            "--factor-hint", "t^9 + 2=t^9 + 2",
+            "--factor-hint", "t^11 - 4*t^10 - 21*t^9 + t^3 - 3*t^2 - 25*t - 21"
+                             "=t^9 + t + 1,t + 3,t - 7")
+        assert r.returncode == 0
+        assert "provenance factor tags: user-asserted" in r.stdout.decode().splitlines()
+
     def test_tangent_cocycle_fail_exits_1(self):
         r = run_cli("tangent-cocycle", "--arc", "x | 1 | y | +1")
         assert r.returncode == 1
@@ -263,3 +275,41 @@ class TestCli:
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+# minimal arguments per command and variety, for the in-process smoke test
+_SMOKE_ARGS = {
+    "tame": {"A2": ["--f", "x", "--g", "y"], "P1": ["--f", "t", "--g", "t - 2"]},
+    "div": {"A2": ["--f", "x*y"], "P1": ["--f", "t - 1"]},
+    "div-on-curve": {"A2": ["--f", "y", "--curve", "x"], "P1": ["--f", "t - 1"]},
+    "cycle-check": {"A2": ["--component", "x | y"], "P1": ["--component", "t | 2"]},
+    "tame-certify": {"A2": ["--component", "x | y", "--f", "x", "--g", "y"],
+                     "P1": ["--component", "t | 2", "--f", "t", "--g", "t - 2"]},
+    "complex-check": {"A2": ["--f", "x", "--g", "y"], "P1": ["--f", "t", "--g", "t - 2"]},
+    "weil-check": {"A2": ["--f", "x", "--g", "y"], "P1": ["--f", "t", "--g", "t - 2"]},
+    "tangent2": {"A2": ["--f", "x + eps", "--g", "y"], "P1": ["--f", "t + eps", "--g", "t - 2"]},
+    "d-eps": {"A2": ["--f", "x + eps", "--g", "y"],
+              "P1": ["--f", "(t - 1)/(t + 1) + eps", "--g", "(t - 2)/(t + 3)"]},
+    "tangent3": {
+        "A2": ["--curve", "x", "--datum", "1", "--unit", "y", "--sign", "+1"],
+        "P1": ["--curve", "t", "--datum", "1", "--unit", "1 + eps*t", "--sign", "+1"]},
+    "diagram-check": {"A2": ["--f", "x + eps", "--g", "y"],
+                      "P1": ["--f", "(t - 1)/(t + 1) + eps", "--g", "(t - 2)/(t + 3)"]},
+    "tangent-cocycle": {"A2": ["--arc", "x | 1 | y | +1"],
+                        "P1": ["--arc", "t | 1 | 1 + eps*t | +1"]},
+}
+
+
+@pytest.mark.parametrize("variety", ["A2", "P1"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_runs_in_process(command, variety, capsysbinary):
+    argv = [command, "--variety", variety] + _SMOKE_ARGS[command][variety]
+    status = cli.main(argv)
+    out = capsysbinary.readouterr().out.decode()
+    assert status in (0, 1, 2, 3), out
+    only = cli._ONLY_ON.get(command, variety)
+    if only != variety:
+        assert status == 2
+        assert f"message: {command} runs on {only}" in out
+    else:
+        assert "error:" not in out

@@ -11,7 +11,6 @@ from tamearc.factor import (
     ASSERTED,
     DEFAULT_DEGREE_BOUND,
     INTERNAL_DEGREE_BOUND,
-    PROBABLE,
     PROVED,
     FactorHints,
     factor_plane_curve,
@@ -126,7 +125,7 @@ class TestPlaneCurve:
         p = Y * Y - X ** 3
         fac = factor_plane_curve(p)
         assert len(fac.factors) == 1 and fac.factors[0].multiplicity == 1
-        assert fac.factors[0].certificate == PROBABLE
+        assert fac.factors[0].certificate == PROVED
 
     def test_split_product(self):
         p = (Y - X ** 2) * (Y ** 2 - X ** 3 - 1)
@@ -159,8 +158,7 @@ class TestPlaneCurve:
         assert fac.verify(p)
         tags = {t.poly.render(): t.certificate for t in fac.factors}
         assert len(tags) == 2
-        assert all(tag in (PROVED, PROBABLE) for tag in tags.values())
-        assert PROVED in tags.values()
+        assert all(tag == PROVED for tag in tags.values())
 
     def test_hint_splits_hard_curve(self):
         p = (Y ** 2 - X ** 3) * (Y ** 2 + X ** 3)
@@ -190,14 +188,41 @@ class TestPlaneCurve:
             p = a * b
             fac = factor_plane_curve(p)
             assert fac.verify(p)
-            if fac.weakest_tag() == PROVED:
-                assert our_factor_count(fac) == sympy_factor_count(p), p.render()
-            else:
-                # conservative tags must never over-split: sympy refines ours
-                ours = our_factor_count(fac)
-                theirs = sympy_factor_count(p)
-                assert sum(d * m for d, m in ours) == sum(d * m for d, m in theirs)
+            assert fac.weakest_tag() == PROVED
+            assert our_factor_count(fac) == sympy_factor_count(p), p.render()
             done += 1
+
+    def test_recombination_of_a_pair_of_lifted_factors(self):
+        # at x = 0 both quadrics split into two lines, so each true factor
+        # is the product of two lifted factors
+        p = (Y ** 2 - X - 1) * (Y ** 2 - X - 4)
+        fac = factor_plane_curve(p)
+        assert fac.verify(p)
+        assert [(t.poly, t.certificate) for t in fac.factors] == [
+            (Y ** 2 - X - 4, PROVED), (Y ** 2 - X - 1, PROVED)]
+
+    def test_irreducibility_arguments_are_proofs(self):
+        # both arguments of _split_primitive_y occur, and each one's verdict
+        # agrees with sympy's factor counts
+        rng = random.Random(31)
+        notes = {"stays irreducible": 0, "admits no polynomial recombination": 0}
+        done = 0
+        while done < 40:
+            parts = [rand_poly(rng, VARS_XY, 3, terms=4) for _ in range(rng.randint(1, 3))]
+            if any(q.deg_in("y") < 1 for q in parts):
+                continue
+            p = parts[0]
+            for q in parts[1:]:
+                p = p * q
+            fac = factor_plane_curve(p)
+            assert fac.verify(p)
+            assert all(t.certificate == PROVED for t in fac.factors), p.render()
+            assert our_factor_count(fac) == sympy_factor_count(p), p.render()
+            for t in fac.factors:
+                for note in notes:
+                    notes[note] += note in t.evidence
+            done += 1
+        assert all(notes.values()), notes
 
     @pytest.mark.parametrize("n", [16, 24, 40])
     def test_power_of_a_line(self, n):

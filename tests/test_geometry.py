@@ -15,6 +15,7 @@ from tamearc.geometry import (
     div_codim1,
     div_on_curve,
     intersection_cycle,
+    prime_divisors,
     restrict,
     valuation,
 )
@@ -100,6 +101,13 @@ class TestDivCodim1:
         for _ in range(40):
             f = rand_ratfunc(rng, VARS_T, 4)
             assert div_codim1(f, P1).total_degree() == 0
+
+
+class TestPrimeDivisors:
+    def test_p1_prime_keeps_its_hint_tag(self):
+        p = T ** 9 + T + 1
+        [(prime, mult)] = prime_divisors(p, P1, [p])
+        assert (prime.poly, mult, prime.certificate) == (p, 1, "user-asserted")
 
 
 class TestRestrict:

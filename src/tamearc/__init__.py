@@ -35,8 +35,7 @@ from .geometry import (
     A2,
     P1,
     ClosedPoint,
-    ClosedPointCycle,
-    DivisorCycle,
+    Cycle,
     PrimeDivisor,
     ResidueFunc,
     Variety,
@@ -44,7 +43,6 @@ from .geometry import (
     div_codim1,
     div_on_curve,
     intersection_cycle,
-    restrict,
     valuation,
 )
 from .gersten import (
@@ -83,7 +81,6 @@ from .tangent import (
     d_form,
     diagram_check,
     dlog_dform,
-    lc_is_zero,
     tangent2,
     tangent3,
     tangent_cocycle,

@@ -36,7 +36,6 @@ from .ksymbols import (
     DualMilnorSymbol,
     GGArc,
     MilnorSymbol,
-    _p1_value_render,
     d_eps,
     tame,
 )
@@ -150,13 +149,8 @@ def _parse_arc(entry, vars, hints):
 def _k1_payload(cycle):
     if cycle.is_trivial():
         return (("components", "none"),)
-    out = []
-    for key, val in cycle.terms:
-        if cycle.variety.kind == "A2":
-            out.append((f"component {key.render()}", val.rep.render()))
-        else:
-            out.append((f"component {key.render()}", _p1_value_render(val)))
-    return tuple(out)
+    return tuple((f"component {key.render()}", val.rep.render())
+                 for key, val in cycle.terms)
 
 
 def run_job(job):

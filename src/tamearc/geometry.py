@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 from .errors import (
     DivisionByZero,
@@ -132,37 +133,26 @@ class PrimeDivisor:
 
 
 class ClosedPoint:
-    """Codimension-top point: on P1 a closed point, on A2 a maximal ideal (u0, v0)."""
+    """Codimension-2 point of A2: the maximal ideal (u0, v0).
 
-    __slots__ = ("variety", "poly", "u0", "v0", "residue_degree", "_hash")
+    The closed points of P1 are its prime divisors, so P1 has no ClosedPoint.
+    """
 
-    def __init__(self, variety, poly=None, u0=None, v0=None):
-        if variety.kind == "P1":
-            if poly is not None:
-                poly = poly * (1 / poly.lc())
-                degree = poly.degree()
-            else:
-                degree = 1
-            object.__setattr__(self, "poly", poly)
-            object.__setattr__(self, "u0", None)
-            object.__setattr__(self, "v0", None)
-        else:
-            if u0 is None or v0 is None:
-                raise ValueError("A2 closed point needs generators (u0, v0)")
-            degree = u0.deg_in("x") * v0.deg_in("y")
-            object.__setattr__(self, "poly", None)
-            object.__setattr__(self, "u0", u0)
-            object.__setattr__(self, "v0", v0)
+    __slots__ = ("variety", "u0", "v0", "residue_degree", "_hash")
+
+    def __init__(self, variety, u0=None, v0=None):
+        if variety.kind != "A2":
+            raise ValueError("closed points of P1 are its prime divisors")
+        if u0 is None or v0 is None:
+            raise ValueError("A2 closed point needs generators (u0, v0)")
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "residue_degree", degree)
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "residue_degree", u0.deg_in("x") * v0.deg_in("y"))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedPoint is immutable")
-
-    @classmethod
-    def p1_infinity(cls):
-        return cls(P1, None)
 
     @classmethod
     def rational(cls, a, b):
@@ -171,9 +161,8 @@ class ClosedPoint:
         return cls(A2, u0=x - MultiPoly.const(VARS_XY, a),
                    v0=y - MultiPoly.const(VARS_XY, b))
 
-    @property
-    def at_infinity(self):
-        return self.variety.kind == "P1" and self.poly is None
+    def degree(self):
+        return self.residue_degree
 
     def rational_values(self):
         """The (a, b) coordinates of a degree-1 point on A2."""
@@ -182,97 +171,55 @@ class ClosedPoint:
         return a, b
 
     def sort_key(self):
-        if self.variety.kind == "P1":
-            if self.at_infinity:
-                return (1, ())
-            return (0, self.poly.sort_key())
         return (0, self.u0.sort_key(), self.v0.sort_key())
 
     def __eq__(self, other):
         return (isinstance(other, ClosedPoint)
-                and self.variety == other.variety
-                and self.poly == other.poly
                 and self.u0 == other.u0 and self.v0 == other.v0)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.variety.kind, self.poly, self.u0, self.v0)))
+            object.__setattr__(self, "_hash", hash((self.u0, self.v0)))
         return self._hash
 
     def __repr__(self):
         return f"ClosedPoint({self.render()})"
 
     def render(self):
-        if self.variety.kind == "P1":
-            if self.at_infinity:
-                return "INF"
-            if self.poly.degree() == 1:
-                return str(-self.poly.dense_fractions("t")[0])
-            return f"V({self.poly.render()})"
         if self.residue_degree == 1:
             a, b = self.rational_values()
             return f"({a}, {b})"
         return f"({self.u0.render()}, {self.v0.render()})"
 
 
-def _merge_terms(pairs):
-    acc = {}
-    for item, n in pairs:
-        if n == 0:
-            continue
-        acc[item] = acc.get(item, 0) + n
-    return tuple(sorted(
-        ((item, n) for item, n in acc.items() if n != 0),
-        key=lambda kv: kv[0].sort_key()))
-
-
-def _render_terms(terms):
-    if not terms:
-        return "0"
+def signed_sum(terms):
+    """Render (body, coefficient) pairs as 'a - 2*b + c'; '0' when empty."""
     parts = []
-    for item, n in terms:
-        mag = abs(n)
-        body = f"[{item.render()}]" if mag == 1 else f"{mag}*[{item.render()}]"
+    for body, n in terms:
+        if abs(n) != 1:
+            body = f"{abs(n)}*{body}"
         if not parts:
             parts.append(body if n > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if n > 0 else '-'} {body}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
-class DivisorCycle:
+class Cycle:
+    """Finite Z-combination of points: prime divisors, or closed points of A2."""
+
     variety: Variety
     terms: tuple
 
     @classmethod
     def build(cls, variety, pairs):
-        return cls(variety, _merge_terms(pairs))
-
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
-        return sum(n * y.degree() for y, n in self.terms)
-
-    def __add__(self, other):
-        if self.variety != other.variety:
-            raise ValueError("cycles on different varieties")
-        return DivisorCycle.build(self.variety, list(self.terms) + list(other.terms))
-
-    def render(self):
-        return _render_terms(self.terms)
-
-
-@dataclass(frozen=True)
-class ClosedPointCycle:
-    variety: Variety
-    terms: tuple
-
-    @classmethod
-    def build(cls, variety, pairs):
-        return cls(variety, _merge_terms(pairs))
+        acc = {}
+        for item, n in pairs:
+            acc[item] = acc.get(item, 0) + n
+        return cls(variety, tuple(sorted(
+            ((item, n) for item, n in acc.items() if n != 0),
+            key=lambda kv: kv[0].sort_key())))
 
     @classmethod
     def zero(cls, variety):
@@ -282,40 +229,47 @@ class ClosedPointCycle:
         return not self.terms
 
     def total_degree(self):
-        return sum(n * pt.residue_degree for pt, n in self.terms)
+        return sum(n * item.degree() for item, n in self.terms)
 
     def __add__(self, other):
         if self.variety != other.variety:
             raise ValueError("cycles on different varieties")
-        return ClosedPointCycle.build(
-            self.variety, list(self.terms) + list(other.terms))
+        return Cycle.build(self.variety, list(self.terms) + list(other.terms))
 
     def render(self):
-        return _render_terms(self.terms)
+        return signed_sum((f"[{item.render()}]", n) for item, n in self.terms)
 
 
 @dataclass(frozen=True)
 class ResidueFunc:
-    """A unit of the function field of a curve V(p) in A2, up to the ideal (p)."""
+    """A unit of the residue field of a prime divisor, up to the ideal of the prime.
+
+    On P1 the representative is canonical: the residue mod the point's monic
+    equation, or a constant at INF.  On A2 it is kept as given.
+    """
 
     curve: PrimeDivisor
     rep: RatFunc
 
     def __post_init__(self):
+        if self.curve.variety.kind == "P1":
+            object.__setattr__(self, "rep", p1_residue(self.rep, self.curve))
+            return
         p = self.curve.poly
         if p.divides(self.rep.num) or p.divides(self.rep.den):
             raise NotAUnitAlongY(
                 f"{self.rep.render()} is not a unit along V({p.render()})")
 
+    def _vanishes(self, h):
+        return h.is_zero() or (not self.curve.at_infinity and self.curve.poly.divides(h))
+
     def same_class(self, other):
         if self.curve != other.curve:
             return False
-        cross = self.rep.num * other.rep.den - other.rep.num * self.rep.den
-        return cross.is_zero() or self.curve.poly.divides(cross)
+        return self._vanishes(self.rep.num * other.rep.den - other.rep.num * self.rep.den)
 
     def is_one(self):
-        diff = self.rep.num - self.rep.den
-        return diff.is_zero() or self.curve.poly.divides(diff)
+        return self._vanishes(self.rep.num - self.rep.den)
 
     def __mul__(self, other):
         if self.curve != other.curve:
@@ -329,7 +283,7 @@ class ResidueFunc:
         return ResidueFunc(self.curve, self.rep ** n)
 
     def render(self):
-        return f"{self.rep.render()} on V({self.curve.poly.render()})"
+        return f"{self.rep.render()} on {self.curve.render()}"
 
 
 def valuation(f, Y):
@@ -376,7 +330,7 @@ def prime_divisors(poly, X, hints=None):
 
 
 def div_codim1(f, X, hints=None):
-    """The divisor of zeros and poles of f on X, as a DivisorCycle."""
+    """The divisor of zeros and poles of f on X, as a Cycle of prime divisors."""
     if f.is_zero():
         raise DivisionByZero("the zero function has no divisor")
     pairs = [(prime, sign * m)
@@ -385,50 +339,28 @@ def div_codim1(f, X, hints=None):
     nu = Y_inf_valuation(f) if X.kind == "P1" else 0
     if nu:
         pairs.append((PrimeDivisor.infinity(), nu))
-    return DivisorCycle.build(X, pairs)
-
-
-def restrict(g, Y):
-    """The class of g in the function field of the curve Y = V(p) in A2."""
-    if Y.variety.kind != "A2":
-        raise ValueError("restrict expects a curve in A2")
-    nu = valuation(g, Y)
-    if nu != 0:
-        raise NotAUnitAlongY(
-            f"{g.render()} has valuation {nu} along V({Y.poly.render()})")
-    return ResidueFunc(Y, g)
+    return Cycle.build(X, pairs)
 
 
 def p1_residue(f, Y):
-    """Value of f at the P1 point Y: a dense list mod u, or a Fraction at INF."""
+    """Value of f at the P1 point Y: its remainder mod Y's monic u, or at INF a constant."""
     if Y.at_infinity:
         if Y_inf_valuation(f) != 0:
             raise NotAUnitAlongY(f"{f.render()} is not a unit at INF")
-        return f.num.lc() / f.den.lc()
+        return RatFunc.from_const(VARS_T, f.num.lc() / f.den.lc())
     u = Y.poly.dense_fractions("t")
     num = udivmod(f.num.dense_fractions("t"), u)[1]
     den = udivmod(f.den.dense_fractions("t"), u)[1]
     if not num or not den:
         raise NotAUnitAlongY(
             f"{f.render()} is not a unit at V({Y.poly.render()})")
-    return _f_mul(num, uinvmod(den, u), u)
+    return RatFunc(MultiPoly.from_dense(VARS_T, "t", _f_mul(num, uinvmod(den, u), u)))
 
 
 # arithmetic in F = Q[theta]/(u), dense lowest-first Fraction lists
 
 def _f_mul(a, b, u):
     return udivmod(umul(a, b), u)[1]
-
-
-def _f_pow(a, n, u):
-    result = [_ONE]
-    base = list(a)
-    while n:
-        if n & 1:
-            result = _f_mul(result, base, u)
-        base = _f_mul(base, base, u)
-        n >>= 1
-    return result
 
 
 # polynomials in w over F, as lists of F-elements (lowest first)
@@ -571,7 +503,6 @@ _SHEAR_BASE = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 7, -7, 11, -11, 13, -13]
 def _shear_candidates(seed):
     lams = [Fraction(c) for c in _SHEAR_BASE]
     if seed:
-        from random import Random
         Random(seed).shuffle(lams)
     return lams
 
@@ -631,23 +562,21 @@ def intersection_cycle(p, h, seed=0):
 
 
 def div_on_curve(g, seed=0, hints=None):
-    """Zeros minus poles of g on its curve, as a certified ClosedPointCycle."""
+    """Zeros minus poles of g on its curve, as a certified Cycle of points.
+
+    g is a RatFunc on P1, whose points are its prime divisors, or a
+    ResidueFunc on a curve in A2.
+    """
     if isinstance(g, RatFunc):
         if g.vars != VARS_T:
             raise ValueError("direct div_on_curve input must live on P1")
-        return ClosedPointCycle.build(
-            P1, [(_point_of(y), n) for y, n in div_codim1(g, P1, hints).terms])
+        return div_codim1(g, P1, hints)
+    if g.curve.variety.kind != "A2":
+        raise ValueError("div_on_curve of a ResidueFunc needs a curve in A2")
     p = g.curve.poly
     pairs = []
     for part, sign in ((g.rep.num, 1), (g.rep.den, -1)):
         for prime, m in prime_divisors(part, A2, hints):
             for pt, mult in intersection_cycle(p, prime.poly, seed).items():
                 pairs.append((pt, sign * m * mult))
-    return ClosedPointCycle.build(A2, pairs)
-
-
-def _point_of(prime):
-    """The closed point of P1 that the prime divisor is."""
-    if prime.at_infinity:
-        return ClosedPoint.p1_infinity()
-    return ClosedPoint(P1, prime.poly)
+    return Cycle.build(A2, pairs)

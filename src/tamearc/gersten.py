@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .factor import DEFAULT_DEGREE_BOUND
-from .geometry import A2, P1, ClosedPointCycle, div_on_curve
+from .geometry import A2, P1, Cycle, div_on_curve
 from .ksymbols import K1Cycle, MilnorSymbol, div_k1, p1_component_norm, tame
 
 CLAIM_KINDS = (
@@ -98,7 +98,7 @@ class HigherCycleRep:
 
 def cycle_check(c, seed=0, hints=None):
     """Certify Ker(div) membership: the component divisors must cancel."""
-    total = ClosedPointCycle.zero(A2)
+    total = Cycle.zero(A2)
     for curve, rf in c.components:
         total = total + div_on_curve(rf, seed=seed, hints=hints)
     return Certificate(
@@ -154,9 +154,9 @@ def weil_check_p1(f, g, hints=None):
     image = tame(s, P1, hints=hints)
     product = Fraction(1)
     norms = []
-    for point, val in image.terms:
-        n = p1_component_norm(point, val)
-        norms.append(f"{point.render()} -> {n}")
+    for prime, val in image.terms:
+        n = p1_component_norm(prime, val)
+        norms.append(f"{prime.render()} -> {n}")
         product *= n
     return Certificate(
         claim="Reciprocity",

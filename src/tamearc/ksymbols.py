@@ -23,17 +23,13 @@ from .errors import (
 )
 from .geometry import (
     A2,
-    P1,
-    ClosedPointCycle,
+    Cycle,
     PrimeDivisor,
+    ResidueFunc,
     Y_inf_valuation,
-    _f_mul,
-    _f_pow,
-    _point_of,
     div_on_curve,
-    p1_residue,
     prime_divisors,
-    restrict,
+    signed_sum,
     valuation,
     variety_of,
 )
@@ -43,12 +39,8 @@ from .poly import (
     RatFunc,
     VARS_T,
     poly_gcd,
-    uinvmod,
     uresultant,
-    utrim,
 )
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -73,16 +65,8 @@ class MilnorSymbol:
         return self.terms[0][0].vars
 
     def render(self):
-        parts = []
-        for f, g, coeff in self.terms:
-            body = f"{{{f.render()}, {g.render()}}}"
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts) if parts else "0"
+        return signed_sum((f"{{{f.render()}, {g.render()}}}", coeff)
+                          for f, g, coeff in self.terms)
 
 
 @dataclass(frozen=True)
@@ -112,24 +96,15 @@ class DualMilnorSymbol:
             (u.body, v.body, coeff) for u, v, coeff in self.terms))
 
     def render(self):
-        parts = []
-        for u, v, coeff in self.terms:
-            body = f"{{{u.render()}, {v.render()}}}"
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-        return " ".join(parts) if parts else "0"
+        return signed_sum((f"{{{u.render()}, {v.render()}}}", coeff)
+                          for u, v, coeff in self.terms)
 
 
 class K1Cycle:
     """Finite formal product of K1 classes indexed by codimension-1 points.
 
-    On A2 each component is a ResidueFunc on its curve; on P1 it is a value
-    in the residue field of the point (a dense tuple mod u, or a Fraction
-    at INF).  Identity components are dropped.
+    Each component is a ResidueFunc on its prime divisor (on P1 a closed
+    point, INF included).  Identity components are dropped.
     """
 
     __slots__ = ("variety", "terms")
@@ -147,21 +122,11 @@ class K1Cycle:
 
     @classmethod
     def build(cls, variety, components):
-        if variety.kind == "A2":
-            acc = {}
-            for prime, rf in components:
-                acc[prime] = acc[prime] * rf if prime in acc else rf
-            terms = [(p, rf) for p, rf in acc.items() if not rf.is_one()]
-            terms.sort(key=lambda item: item[0].sort_key())
-        else:
-            acc = {}
-            for point, val in components:
-                if point in acc:
-                    acc[point] = _p1_value_mul(point, acc[point], val)
-                else:
-                    acc[point] = _p1_value(point, val)
-            terms = [(pt, v) for pt, v in acc.items() if not _p1_value_is_one(v)]
-            terms.sort(key=lambda item: item[0].sort_key())
+        acc = {}
+        for prime, rf in components:
+            acc[prime] = acc[prime] * rf if prime in acc else rf
+        terms = [(p, rf) for p, rf in acc.items() if not rf.is_one()]
+        terms.sort(key=lambda item: item[0].sort_key())
         return cls(variety, terms)
 
     def __mul__(self, other):
@@ -172,13 +137,7 @@ class K1Cycle:
     def power(self, n):
         if n == 0:
             return K1Cycle.trivial(self.variety)
-        out = []
-        for key, val in self.terms:
-            if self.variety.kind == "A2":
-                out.append((key, val ** n))
-            else:
-                out.append((key, _p1_value_pow(key, val, n)))
-        return K1Cycle.build(self.variety, out)
+        return K1Cycle.build(self.variety, [(key, val ** n) for key, val in self.terms])
 
     def is_trivial(self):
         return not self.terms
@@ -186,71 +145,21 @@ class K1Cycle:
     def same_cycle(self, other):
         if self.variety != other.variety or len(self.terms) != len(other.terms):
             return False
-        for (k1, v1), (k2, v2) in zip(self.terms, other.terms):
-            if k1 != k2:
-                return False
-            if self.variety.kind == "A2":
-                if not v1.same_class(v2):
-                    return False
-            elif v1 != v2:
-                return False
-        return True
+        return all(k1 == k2 and v1.same_class(v2)
+                   for (k1, v1), (k2, v2) in zip(self.terms, other.terms))
 
     def render(self):
         if not self.terms:
             return "1"
-        parts = []
-        for key, val in self.terms:
-            if self.variety.kind == "A2":
-                parts.append(f"({val.rep.render()} at {key.render()})")
-            else:
-                parts.append(f"({_p1_value_render(val)} at {key.render()})")
-        return " * ".join(parts)
+        return " * ".join(f"({val.rep.render()} at {key.render()})"
+                          for key, val in self.terms)
 
 
-def _p1_value(point, val):
-    """Normalize a residue-field value at a P1 point."""
-    if point.at_infinity:
-        return Fraction(val)
-    return tuple(utrim(list(val)))
-
-
-def _p1_value_mul(point, a, b):
-    if point.at_infinity:
-        return Fraction(a) * Fraction(b)
-    u = point.poly.dense_fractions("t")
-    return tuple(_f_mul(list(a), list(b), u))
-
-
-def _p1_value_pow(point, a, n):
-    if point.at_infinity:
-        return Fraction(a) ** n
-    u = point.poly.dense_fractions("t")
-    base = list(a)
-    if n < 0:
-        base = uinvmod(base, u)
-        n = -n
-    return tuple(_f_pow(base, n, u))
-
-
-def _p1_value_is_one(v):
-    if isinstance(v, Fraction):
-        return v == 1
-    return list(v) == [_ONE]
-
-
-def _p1_value_render(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return MultiPoly.from_dense(VARS_T, "t", list(v)).render()
-
-
-def p1_component_norm(point, val):
-    """Norm of a residue-field value down to Q."""
-    if point.at_infinity:
-        return Fraction(val)
-    u = point.poly.dense_fractions("t")
-    return uresultant(u, list(val))
+def p1_component_norm(prime, val):
+    """Norm of a residue-field value at a point of P1 down to Q."""
+    if prime.at_infinity:
+        return val.rep.const_value()
+    return uresultant(prime.poly.dense_fractions("t"), val.rep.num.dense_fractions("t"))
 
 
 def _prime_orders(f, g, variety, hints):
@@ -293,15 +202,7 @@ def tame(s, X=None, hints=None):
                 continue
             h = _tame_component(f, g, m, n)
             try:
-                if variety.kind == "P1":
-                    point = _point_of(prime)
-                    val = _p1_value(point, p1_residue(h, prime))
-                    if coeff != 1:
-                        val = _p1_value_pow(point, val, coeff)
-                    components.append((point, val))
-                else:
-                    rf = restrict(h, prime) ** coeff
-                    components.append((prime, rf))
+                components.append((prime, ResidueFunc(prime, h) ** coeff))
             except NotAUnitAlongY as exc:
                 raise RestrictionUndefined(str(exc)) from exc
     return K1Cycle.build(variety, components)
@@ -311,7 +212,7 @@ def div_k1(c, seed=0, hints=None):
     """The next Gersten differential: sum of div_on_curve over components."""
     if c.variety.kind != "A2":
         raise ScopeError("div_k1 applies to K1 cycles on the plane")
-    total = ClosedPointCycle.zero(A2)
+    total = Cycle.zero(A2)
     for prime, rf in c.terms:
         total = total + div_on_curve(rf, seed=seed, hints=hints)
     return total
@@ -409,15 +310,8 @@ def d_eps(s, hints=None):
 
 def arc_specialize(a):
     """The eps = 0 image of an arc: (g restricted to the curve)^(-sign)."""
-    variety = a.curve.variety
-    body = a.unit.body
-    if variety.kind == "A2":
-        rf = restrict(body, a.curve) ** (-a.sign)
-        return K1Cycle.build(A2, [(a.curve, rf)])
-    point = _point_of(a.curve)
-    val = p1_residue(body, a.curve)
-    val = _p1_value_pow(point, _p1_value(point, val), -a.sign)
-    return K1Cycle.build(P1, [(point, val)])
+    rf = ResidueFunc(a.curve, a.unit.body) ** (-a.sign)
+    return K1Cycle.build(a.curve.variety, [(a.curve, rf)])
 
 
 def specialize_arcs(arcs, variety):

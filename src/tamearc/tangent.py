@@ -174,11 +174,6 @@ class LocalCohClass:
         return f"[{self.form.render()}] / {denom}"
 
 
-def lc_is_zero(c):
-    """Zero test in H^1 along the curve; sound and complete for this shape."""
-    return LocalCohClass.of(c.curve, c.as_form()).is_zero()
-
-
 def _polar_primes(beta, hints):
     """Irreducible factors of the coefficient denominators, as primes."""
     primes = {}
@@ -233,7 +228,7 @@ def diagram_check(s, hints=None):
             diff = lcls
         else:
             diff = lcls - rcls
-        if not lc_is_zero(diff):
+        if not diff.is_zero():
             mismatches.append(f"{prime.render()}: {diff.render()}")
 
     variety = variety_of(s.vars)

@@ -41,9 +41,9 @@ def p1_tame_as_map(cycle):
     out = {}
     for point, val in cycle.terms:
         if point.at_infinity:
-            out["INF"] = Fraction(val)
+            out["INF"] = val.rep.const_value()
         else:
-            out[int(-point.poly.dense_fractions("t")[0])] = val[0]
+            out[int(-point.poly.dense_fractions("t")[0])] = val.rep.const_value()
     return out
 
 

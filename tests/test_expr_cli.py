@@ -313,3 +313,34 @@ def test_every_command_runs_in_process(command, variety, capsysbinary):
         assert f"message: {command} runs on {only}" in out
     else:
         assert "error:" not in out
+
+
+# stdout of jobs whose P1 points have degree 2 and 3, byte for byte
+_P1_BYTE_PINS = [
+    (["tame", "--f", "(t^2+t+1)^2*(t-3)", "--g", "t^3 - 2", "--variety", "P1"],
+     b"component 3: 1/25\n"
+     b"component V(t^3 - 2): -5*t^2 - 7*t - 9\n"
+     b"component INF: -1\n"),
+    (["tame", "--f", "t^2 - 2", "--g", "t + 3", "--variety", "P1"],
+     b"component -3: 7\n"
+     b"component V(t^2 - 2): -1/7*t + 3/7\n"),
+    (["weil-check", "--f", "(t^2+t+1)^2*(t-3)", "--g", "(t^3 - 2)/(2*t+7)"],
+     b"claim: Reciprocity\n"
+     b"verdict: pass\n"
+     b"input f: t^5 - t^4 - 3*t^3 - 7*t^2 - 5*t - 3\n"
+     b"input g: (t^3 - 2)/(2*t + 7)\n"
+     b"witness component norms: 3 -> 13/25; -7/2 -> -32/19773; "
+     b"V(t^2 + t + 1) -> 1521; V(t^3 - 2) -> -25; INF -> 1/32\n"
+     b"witness norm product: 1\n"
+     b"provenance factor bound: 8\n"),
+    (["div-on-curve", "--f", "1/(t - 1)", "--variety", "P1"],
+     b"cycle: -[1] + [INF]\n"
+     b"total degree: 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _P1_BYTE_PINS,
+                         ids=[argv[0] for argv, _ in _P1_BYTE_PINS])
+def test_p1_higher_degree_points_byte_pins(argv, expected, capsysbinary):
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out == expected

@@ -16,7 +16,6 @@ from tamearc.geometry import (
     div_on_curve,
     intersection_cycle,
     prime_divisors,
-    restrict,
     valuation,
 )
 from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY
@@ -113,19 +112,32 @@ class TestPrimeDivisors:
 class TestRestrict:
     def test_class_identity(self):
         one = RatFunc.from_const(VARS_XY, 1)
-        rf = restrict((x + y) / (x - y), V_X)
+        rf = ResidueFunc(V_X, (x + y) / (x - y))
         assert rf.same_class(ResidueFunc(V_X, -one))
 
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnitAlongY):
-            restrict(x, V_X)
+            ResidueFunc(V_X, x)
         with pytest.raises(NotAUnitAlongY):
-            restrict(x ** -1, V_X)
+            ResidueFunc(V_X, x ** -1)
 
     def test_residue_func_group(self):
         a = ResidueFunc(V_X, y)
         assert (a * a.inverse()).is_one()
         assert (a ** 3).rep == y ** 3
+
+    def test_p1_residue_is_canonical(self):
+        # on P1 the representative is the remainder mod the point's monic u
+        point = PrimeDivisor(P1, T ** 2 - 2)
+        one = RatFunc.from_const(VARS_T, 1)
+        assert ResidueFunc(point, (t ** 3 + one) / (t + one)).rep.render() == "-t + 3"
+        assert ResidueFunc(point, (t + 3 * one) ** -1).rep.render() == "-1/7*t + 3/7"
+        assert ResidueFunc(point, t ** 2).rep == RatFunc.from_const(VARS_T, 2)
+        assert ResidueFunc(INF, (2 * t + one) / (3 * t)).rep.const_value() == Fraction(2, 3)
+        with pytest.raises(NotAUnitAlongY):
+            ResidueFunc(point, t ** 2 - 2 * one)
+        with pytest.raises(NotAUnitAlongY):
+            ResidueFunc(INF, t)
 
 
 class TestIntersection:
@@ -176,6 +188,16 @@ class TestDivOnCurve:
         cycle = div_on_curve((t ** 2 - RatFunc.from_const(VARS_T, 1)) / t)
         terms = {pt.render(): n for pt, n in cycle.terms}
         assert terms == {"1": 1, "-1": 1, "0": -1, "INF": -1}
+
+    def test_p1_residue_func_rejected(self):
+        # a ResidueFunc on a P1 point has no curve in A2 to intersect with
+        rf = ResidueFunc(PrimeDivisor(P1, T ** 2 + 1), t)
+        with pytest.raises(ValueError):
+            div_on_curve(rf)
+
+    def test_p1_has_no_closed_point(self):
+        with pytest.raises(ValueError):
+            ClosedPoint(P1, u0=X, v0=Y)
 
     def test_vertical_line(self):
         rf = ResidueFunc(V_X, y * (y - RatFunc.from_const(VARS_XY, 1)))

@@ -12,7 +12,8 @@ from tamearc.errors import (
     ScopeError,
 )
 from tamearc.expr import parse_expr
-from tamearc.geometry import A2, P1, ClosedPoint, PrimeDivisor, ResidueFunc
+from tamearc.geometry import A2, P1, PrimeDivisor, ResidueFunc
+from tamearc.gersten import weil_check_p1
 from tamearc.ksymbols import (
     DualMilnorSymbol,
     GGArc,
@@ -54,7 +55,7 @@ class TestTameP1:
         got = {}
         for point, val in cycle.terms:
             key = "INF" if point.at_infinity else int(-point.poly.dense_fractions("t")[0])
-            got[key] = Fraction(val) if point.at_infinity else val[0]
+            got[key] = val.rep.const_value()
         assert got == frozen.TAME_T_TMINUS2
 
     def test_steinberg_trivial(self):
@@ -111,6 +112,68 @@ class TestTameP1:
         assert product == 1
 
 
+def rand_mixed_p1(rng):
+    """Nonzero element of Q(t) whose zeros and poles are rational points and
+    points of degree 2 and 3 (the irreducible t^2 + a and t^3 - b).
+
+    Numerator and denominator have degree at most 4, so a product of two
+    stays within the default factorization bound.
+    """
+    def c(v):
+        return RatFunc.from_const(VARS_T, v)
+
+    f = c(rng.choice([1, 2, 3, -1, -2]))
+    room = {1: 4, -1: 4}
+    for _ in range(rng.randint(1, 4)):
+        factor = rng.choice([t - c(rng.randint(-4, 4)),
+                             t ** 2 + c(rng.choice([1, 2, 3, 5])),
+                             t ** 3 - c(rng.choice([2, 3, 5, 6]))])
+        side = rng.choice([1, -1])
+        if factor.num.degree() <= room[side]:
+            room[side] -= factor.num.degree()
+            f = f * factor ** side
+    return f
+
+
+class TestTameP1MixedDegrees:
+    """Seeded pool on P1 that reaches points of degree 2 and 3."""
+
+    def test_pool_reaches_higher_degree_points(self):
+        rng = random.Random(46)
+        seen = set()
+        for _ in range(20):
+            cycle = tame(MilnorSymbol.of(rand_mixed_p1(rng), rand_mixed_p1(rng)))
+            seen.update(key.render()[:5] for key, _ in cycle.terms)
+        assert {"V(t^2", "V(t^3"} <= seen
+
+    def test_bimultiplicative(self):
+        rng = random.Random(47)
+        for _ in range(15):
+            f1, f2, g = (rand_mixed_p1(rng) for _ in range(3))
+            lhs = tame(MilnorSymbol.of(f1 * f2, g))
+            rhs = tame(MilnorSymbol.of(f1, g)) * tame(MilnorSymbol.of(f2, g))
+            assert lhs.same_cycle(rhs)
+            lhs = tame(MilnorSymbol.of(g, f1 * f2))
+            rhs = tame(MilnorSymbol.of(g, f1)) * tame(MilnorSymbol.of(g, f2))
+            assert lhs.same_cycle(rhs)
+
+    def test_antisymmetric_and_power_minus_one_inverts(self):
+        rng = random.Random(48)
+        for _ in range(20):
+            f, g = rand_mixed_p1(rng), rand_mixed_p1(rng)
+            c1 = tame(MilnorSymbol.of(f, g))
+            c2 = tame(MilnorSymbol.of(g, f))
+            assert (c1 * c2).is_trivial()
+            assert (c1 * c1.power(-1)).is_trivial()
+            assert c1.power(-1).same_cycle(c2)
+
+    def test_norm_product_is_one(self):
+        rng = random.Random(49)
+        for _ in range(20):
+            f, g = rand_mixed_p1(rng), rand_mixed_p1(rng)
+            assert weil_check_p1(f, g).verdict
+
+
 class TestTameA2:
     def test_pinned_xy(self):
         cycle = tame(MilnorSymbol.of(x, y))
@@ -150,11 +213,11 @@ class TestK1Cycle:
         assert c.terms[0][1].same_class(ResidueFunc(V_X, y * (y + ONE_XY)))
 
     def test_p1_values_mod_u(self):
-        point = ClosedPoint(P1, T * T - 2)
-        c = K1Cycle.build(P1, [(point, (Fraction(0), Fraction(1))),
-                               (point, (Fraction(0), Fraction(1)))])
+        point = PrimeDivisor(P1, T * T - 2)
+        c = K1Cycle.build(P1, [(point, ResidueFunc(point, t)),
+                               (point, ResidueFunc(point, t))])
         # theta * theta = 2 in Q[t]/(t^2 - 2)
-        assert c.terms[0][1] == (Fraction(2),)
+        assert c.terms[0][1].rep == RatFunc.from_const(VARS_T, 2)
 
     def test_immutable(self):
         c = K1Cycle.trivial(A2)

@@ -46,3 +46,14 @@ def test_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_no_function_local_imports():
+    # an import inside a function hides a module's dependencies from its header
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                             if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    assert not found, found

@@ -16,7 +16,6 @@ from tamearc.tangent import (
     d_form,
     diagram_check,
     dlog_dform,
-    lc_is_zero,
     tangent2,
     tangent3,
     tangent_cocycle,
@@ -127,17 +126,17 @@ class TestLocalCohClass:
         assert cls.order == 2
         assert cls.form == form(x, ONE_XY)
 
-    def test_lc_is_zero_pins(self):
-        assert lc_is_zero(LocalCohClass.of(V_X, form(ZERO_XY, x * (x ** -1))))
-        assert not lc_is_zero(LocalCohClass.of(V_X, dlog_dform(x)))
-        assert lc_is_zero(LocalCohClass.of(V_X, form(ZERO_XY, (x - ONE_XY) ** -1)))
+    def test_zero_class_pins(self):
+        assert LocalCohClass.of(V_X, form(ZERO_XY, x * (x ** -1))).is_zero()
+        assert not LocalCohClass.of(V_X, dlog_dform(x)).is_zero()
+        assert LocalCohClass.of(V_X, form(ZERO_XY, (x - ONE_XY) ** -1)).is_zero()
 
     def test_subtraction_sound_complete(self):
         a = LocalCohClass.of(V_X, form(ZERO_XY, x ** -1))
         b = LocalCohClass.of(V_X, form(ZERO_XY, x ** -1 + y))
-        assert lc_is_zero(a - b)
+        assert (a - b).is_zero()
         c = LocalCohClass.of(V_X, form(ZERO_XY, (x ** -1) * y))
-        assert not lc_is_zero(a - c)
+        assert not (a - c).is_zero()
 
     def test_as_form_round_trip(self):
         beta = form(y * x ** -2, ZERO_XY)
@@ -159,14 +158,14 @@ class TestBoundaryForms:
         out = boundary_forms(MINUS_DY_OVER_XY)
         assert [p.render() for p, _ in out] == ["V(y)", "V(x)"]
         for _, cls in out:
-            assert not lc_is_zero(cls)
+            assert not cls.is_zero()
 
     def test_soundness_randomized(self):
         rng = random.Random(65)
         for _ in range(20):
             beta = form(rand_ratfunc(rng, VARS_XY, 2), rand_ratfunc(rng, VARS_XY, 2))
             for prime, cls in boundary_forms(beta):
-                assert not lc_is_zero(cls)
+                assert not cls.is_zero()
 
 
 class TestTangent3:
@@ -175,7 +174,7 @@ class TestTangent3:
         prime, cls = tangent3(a)
         assert prime == V_X
         diff = cls - LocalCohClass.of(V_X, MINUS_DY_OVER_XY)
-        assert lc_is_zero(diff)
+        assert diff.is_zero()
 
     def test_zero_eps_data(self):
         a = GGArc(curve=V_X, datum=ZERO_XY, unit=DualRatFunc(y, ZERO_XY), sign=1)
@@ -187,7 +186,7 @@ class TestTangent3:
         prime, cls = tangent3(a)
         assert prime == V_Y
         diff = cls - LocalCohClass.of(V_Y, MINUS_DY_OVER_XY)
-        assert lc_is_zero(diff)
+        assert diff.is_zero()
 
 
 def rand_admissible_dual(rng):
@@ -267,11 +266,11 @@ class TestDiagramCheck:
                 lcls = left.get(prime)
                 rcls = right.get(prime)
                 if lcls is None:
-                    assert lc_is_zero(rcls)
+                    assert rcls.is_zero()
                 elif rcls is None:
-                    assert lc_is_zero(lcls)
+                    assert lcls.is_zero()
                 else:
-                    assert lc_is_zero(lcls - rcls)
+                    assert (lcls - rcls).is_zero()
 
 
 class TestTangentCocycle:

@@ -515,8 +515,10 @@ def _active_variable(p):
 def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
-    Degrees above `bound` raise DegreeBound; verified hint factors are divided
-    out first, so pre-factored input can bypass the bound.
+    A squarefree part of degree above `bound` raises DegreeBound, as the
+    recombination search is exponential in that degree alone; Yun's split
+    is not, so a power such as (t - 1)^9 factors.  Verified hint factors are
+    divided out first, so pre-factored input can bypass the bound.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -524,13 +526,15 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     if var is None:
         return Factorization(p.const_value(), ())
     work, entries = _extract_hints(p, _hinted(_hint_table(hints, p), p))
-    d = work.deg_in(var)
-    if d > bound:
-        raise DegreeBound(
-            f"degree {d} exceeds the factorization bound {bound}; "
-            "supply a factor hint")
-    if d >= 1:
-        for sqf, mult in _yun(work, var):
+    if work.deg_in(var) >= 1:
+        parts = _yun(work, var)
+        for sqf, _ in parts:
+            d = sqf.deg_in(var)
+            if d > bound:
+                raise DegreeBound(
+                    f"degree {d} exceeds the factorization bound {bound}; "
+                    "supply a factor hint")
+        for sqf, mult in parts:
             for fac, note in _factor_squarefree_q(sqf.dense_fractions(var)):
                 poly = MultiPoly.from_dense(p.vars, var, fac)
                 entries.append((poly, mult, PROVED, note))

@@ -1,10 +1,22 @@
 """Multivariate polynomials, rational functions, and dual numbers over Q.
 
-Exact arithmetic only. Coefficients are fractions.Fraction; the term order is
-graded lexicographic with x > y > t; rational functions are kept in a unique
-normal form (reduced, denominator integer-primitive with positive leading
-coefficient), so equality is structural everywhere.  Products, exact
-quotients and gcds run on integer numerators over a common denominator.
+Exact arithmetic only.  The term order is graded lexicographic with
+x > y > t.  A MultiPoly is stored as content times an integer polynomial:
+`cont` is its signed rational content (1 for zero) and `ints` maps exponent
+tuples to integers whose gcd is 1, with a positive leading coefficient, so
+equality is structural.  `terms`, the Fraction coefficient of each monomial,
+is a view built on first use for renderers and callers outside the kernel.
+
+Kernel results come from one trusted constructor, `_from_primitive`, and
+meet its contract without a further gcd: a product is the product of the
+contents times the integer product, primitive by Gauss's lemma; an exact
+quotient is primitive for the same reason; negation, scalar products and
+`primitive()` touch only the content; sums, derivatives and dense slices
+take one content gcd (`_normalize`).  The public constructor validates its
+input and normalizes it the same way.
+
+Rational functions are kept in a unique normal form (reduced, denominator
+with content 1), and gcds run on the integer parts.
 """
 
 from __future__ import annotations
@@ -12,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd, isqrt
-from operator import add as _add
 
 from .errors import DivisionByZero, NotAUnit
 
@@ -22,24 +33,11 @@ VARS_XY = ("x", "y")
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
-def _int_numerators(terms):
-    """(den, {exps: int}): the terms over one common denominator."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // _int_gcd(den, d)
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+_new = object.__new__
 
 
-def _int_parts(p):
-    """(c, ints) with p = c * ints, ints an integer-primitive {exps: int}, lc > 0."""
-    den, ints = _int_numerators(p.terms)
-    cont = _int_gcd(*ints.values())
-    if p.lc() < 0:
-        cont = -cont
-    return Fraction(cont, den), {e: v // cont for e, v in ints.items()}
+def _glex(exps):
+    return (sum(exps), exps)
 
 
 def _as_fraction(c):
@@ -50,15 +48,30 @@ def _as_fraction(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _checked_vars(vars):
+    vars = tuple(vars)
+    if vars not in (VARS_T, VARS_XY):
+        raise ValueError(f"unsupported variable set {vars!r}")
+    return vars
+
+
+def _primitive_parts(ints):
+    """(g, ints / g) for a nonzero {exps: int}, g its signed content (lc(ints / g) > 0)."""
+    g = _int_gcd(*ints.values())
+    if ints[max(ints, key=_glex)] < 0:
+        g = -g
+    if g != 1:
+        ints = {e: v // g for e, v in ints.items()}
+    return g, ints
+
+
 class MultiPoly:
     """Sparse polynomial over Q in variables ('t',) or ('x', 'y')."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "cont", "ints", "_terms", "_hash")
 
     def __init__(self, vars, terms):
-        vars = tuple(vars)
-        if vars not in (VARS_T, VARS_XY):
-            raise ValueError(f"unsupported variable set {vars!r}")
+        vars = _checked_vars(vars)
         clean = {}
         width = len(vars)
         for exps, c in terms.items():
@@ -68,67 +81,98 @@ class MultiPoly:
             c = _as_fraction(c)
             if c:
                 clean[exps] = clean[exps] + c if exps in clean else c
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
-        object.__setattr__(self, "_hash", None)
+        clean = {e: c for e, c in clean.items() if c}
+        cont, ints = _ONE, {}
+        if clean:
+            den = 1
+            for c in clean.values():
+                d = c.denominator
+                if d != 1:
+                    den = den * d // _int_gcd(den, d)
+            g, ints = _primitive_parts(
+                {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+            cont = Fraction(g, den)
+        _set_vars(self, vars)
+        _set_cont(self, cont)
+        _set_ints(self, ints)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self):
+        """{exps: Fraction}, the coefficients as rationals; read-only."""
+        terms = self._terms
+        if terms is None:
+            c = self.cont
+            if c.denominator == 1:
+                n = c.numerator
+                terms = {e: Fraction(n * v) for e, v in self.ints.items()}
+            else:
+                terms = {e: c * v for e, v in self.ints.items()}
+            _set_terms(self, terms)
+        return terms
 
     # construction helpers
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return _from_primitive(_checked_vars(vars), _ONE, {})
 
     @classmethod
     def const(cls, vars, c):
+        vars = _checked_vars(vars)
         c = _as_fraction(c)
-        return cls(vars, {} if c == 0 else {(0,) * len(vars): c})
+        if not c:
+            return _from_primitive(vars, _ONE, {})
+        return _from_primitive(vars, c, {(0,) * len(vars): 1})
 
     @classmethod
     def variable(cls, name):
         if name == "t":
-            return cls(VARS_T, {(1,): _ONE})
+            return _from_primitive(VARS_T, _ONE, {(1,): 1})
         if name in VARS_XY:
             exps = tuple(1 if v == name else 0 for v in VARS_XY)
-            return cls(VARS_XY, {exps: _ONE})
+            return _from_primitive(VARS_XY, _ONE, {exps: 1})
         raise ValueError(f"unknown variable {name!r}")
 
     # predicates and views
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        ints = self.ints
+        return not ints or (len(ints) == 1 and not any(next(iter(ints))))
 
     def const_value(self):
-        if not self.terms:
+        if not self.ints:
             return _ZERO
-        [(exps, c)] = self.terms.items()
-        if any(e != 0 for e in exps):
+        [exps] = self.ints
+        if any(exps):
             raise ValueError("not a constant")
-        return c
+        return self.cont
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.ints))
 
     def deg_in(self, var):
-        if not self.terms:
+        if not self.ints:
             return -1
         i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.ints)
 
     def lead(self):
         """Leading (exponents, coefficient) in graded-lex order."""
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda exps: (sum(exps), exps))
-        return e, self.terms[e]
+        e = max(self.ints, key=_glex)
+        return e, self.cont * self.ints[e]
 
     def lc(self):
         return self.lead()[1]
@@ -149,15 +193,29 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return MultiPoly(self.vars, terms)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # ca*A + cb*B = k / lcm(da, db) * (ma*A + mb*B), with ma, mb coprime integers
+        ca, cb = self.cont, other.cont
+        da, db = ca.denominator, cb.denominator
+        g = _int_gcd(da, db)
+        ma, mb = ca.numerator * (db // g), cb.numerator * (da // g)
+        k = _int_gcd(ma, mb)
+        ma, mb = ma // k, mb // k
+        out = {e: ma * v for e, v in self.ints.items()}
+        get = out.get
+        for e, v in other.ints.items():
+            out[e] = get(e, 0) + mb * v
+        return _normalize(self.vars, Fraction(k, da // g * db), out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        if not self.ints:
+            return self
+        return _from_primitive(self.vars, -self.cont, self.ints)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,43 +227,51 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+            if not other or not self.ints:
                 return MultiPoly.zero(self.vars)
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return _from_primitive(self.vars, self.cont * other, self.ints)
         self._check(other)
-        den_a, ints_a = _int_numerators(self.terms)
-        den_b, ints_b = _int_numerators(other.terms)
+        A, B = self.ints, other.ints
+        if not A or not B:
+            return MultiPoly.zero(self.vars)
         prod = {}
-        for e1, c1 in ints_a.items():
-            for e2, c2 in ints_b.items():
-                e = tuple(map(_add, e1, e2))
-                prod[e] = prod.get(e, 0) + c1 * c2
-        den = den_a * den_b
-        if den == 1:
-            return MultiPoly(self.vars, {e: Fraction(c) for e, c in prod.items()})
-        return MultiPoly(self.vars, {e: Fraction(c, den) for e, c in prod.items()})
+        get = prod.get
+        if len(self.vars) == 1:
+            for (i,), a in A.items():
+                for (j,), b in B.items():
+                    e = (i + j,)
+                    prod[e] = get(e, 0) + a * b
+        else:
+            for (i1, j1), a in A.items():
+                for (i2, j2), b in B.items():
+                    e = (i1 + i2, j1 + j2)
+                    prod[e] = get(e, 0) + a * b
+        ca, cb = self.cont, other.cont
+        cont = cb if ca == 1 else ca if cb == 1 else ca * cb
+        # primitive with lc > 0 by Gauss's lemma; only cancelled terms go
+        return _from_primitive(self.vars, cont, {e: v for e, v in prod.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.const(self.vars, 1) if result is None else result
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
+        return (isinstance(other, MultiPoly) and self.vars == other.vars
+                and self.cont == other.cont and self.ints == other.ints)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.vars, frozenset(self.terms.items()))))
+            _set_hash(self, hash((self.vars, self.cont, frozenset(self.ints.items()))))
         return self._hash
 
     def __repr__(self):
@@ -220,26 +286,23 @@ class MultiPoly:
             return None
         if self.is_zero():
             return self
-        c, num = _int_parts(self)
-        d, den = _int_parts(divisor)
-        q = _div_ints(num, den, len(self.vars))
+        q = _div_ints(self.ints, divisor.ints, len(self.vars))
         if q is None:
             return None
-        s = c / d
-        return MultiPoly(self.vars, {e: s * v for e, v in q.items()})
+        # primitive with lc > 0, as the divisor and the dividend are
+        return _from_primitive(self.vars, self.cont / divisor.cont, q)
 
     def divides(self, other):
         return other.div_exact(self) is not None
 
     def derivative(self, var):
         i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(k - 1 if j == i else k for j, k in enumerate(e))
-            terms[ne] = terms.get(ne, _ZERO) + c * e[i]
-        return MultiPoly(self.vars, terms)
+        out = {}
+        for e, v in self.ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = v * k
+        return _normalize(self.vars, self.cont, out)
 
     def subst(self, assignments):
         """Substitute variables by polynomials (all over the same target vars)."""
@@ -270,27 +333,24 @@ class MultiPoly:
         return result
 
     def eval_all(self, values):
-        total = _ZERO
-        for e, c in self.terms.items():
-            v = c
+        total = 0
+        for e, v in self.ints.items():
             for name, n in zip(self.vars, e):
                 if n:
                     v *= _as_fraction(values[name]) ** n
             total += v
-        return total
+        return self.cont * total
 
     # content and normal forms
 
     def content(self):
         """Signed rational content: self / content() is integer-primitive with lc > 0."""
-        if not self.terms:
-            return _ONE
-        return _int_parts(self)[0]
+        return self.cont
 
     def primitive(self):
-        if not self.terms:
+        if self.cont == 1:
             return self
-        return self * (1 / self.content())
+        return _from_primitive(self.vars, _ONE, self.ints)
 
     # univariate views
 
@@ -300,11 +360,10 @@ class MultiPoly:
         d = self.deg_in(var)
         if d < 0:
             return []
-        coeffs = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            rest = tuple(0 if j == i else k for j, k in enumerate(e))
-            coeffs[e[i]][rest] = c
-        return [MultiPoly(self.vars, t) for t in coeffs]
+        rows = [{} for _ in range(d + 1)]
+        for e, v in self.ints.items():
+            rows[e[i]][e[:i] + (0,) + e[i + 1:]] = v
+        return [_normalize(self.vars, self.cont, row) for row in rows]
 
     @classmethod
     def from_dense(cls, vars, var, coeffs):
@@ -335,7 +394,7 @@ class MultiPoly:
     # rendering (canonical, parseable by tamearc.expr)
 
     def render(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -352,6 +411,39 @@ class MultiPoly:
             else:
                 parts.append(f"{'+' if c > 0 else '-'} {body}")
         return " ".join(parts)
+
+
+_set_vars = MultiPoly.vars.__set__
+_set_cont = MultiPoly.cont.__set__
+_set_ints = MultiPoly.ints.__set__
+_set_terms = MultiPoly._terms.__set__
+_set_hash = MultiPoly._hash.__set__
+
+
+def _from_primitive(vars, cont, ints):
+    """The trusted constructor: the polynomial cont * ints, checking nothing.
+
+    ints is an integer-primitive {exps: int} with no zero value and a
+    positive graded-lex leading coefficient, and cont a nonzero Fraction;
+    the zero polynomial is (1, {}).  Only this module calls it, on results
+    that meet the contract by construction (see the module docstring).
+    """
+    p = _new(MultiPoly)
+    _set_vars(p, vars)
+    _set_cont(p, cont)
+    _set_ints(p, ints)
+    _set_terms(p, None)
+    _set_hash(p, None)
+    return p
+
+
+def _normalize(vars, scale, ints):
+    """The polynomial scale * ints for an {exps: int} that may hold zeros."""
+    ints = {e: v for e, v in ints.items() if v}
+    if not ints:
+        return _from_primitive(vars, _ONE, {})
+    g, ints = _primitive_parts(ints)
+    return _from_primitive(vars, scale * g, ints)
 
 
 # dense univariate helpers over Fraction (lowest-degree-first lists)
@@ -713,16 +805,14 @@ def _gcd_parts(a, b):
     """(h, ca, qa, cb, qb) with a = ca*qa*h and b = cb*qb*h, for nonconstant a, b.
 
     h, qa and qb are integer-primitive {exps: int} with lc > 0, and h is the
-    gcd; so ca and cb are the signed contents of a/h and b/h (Gauss's lemma).
+    gcd; so ca and cb are the contents of a and b (Gauss's lemma).
     """
-    ca, A = _int_parts(a)
-    cb, B = _int_parts(b)
-    out = _heu_gcd(A, B, len(a.vars))
+    out = _heu_gcd(a.ints, b.ints, len(a.vars))
     if out is None:
         g = _gcd_prs(a, b)
-        return (_int_parts(g)[1], *_int_parts(a.div_exact(g)), *_int_parts(b.div_exact(g)))
+        return g.ints, a.cont, a.div_exact(g).ints, b.cont, b.div_exact(g).ints
     h, qa, qb = out
-    return h, ca, qa, cb, qb
+    return h, a.cont, qa, b.cont, qb
 
 
 def _gcd_cofactors(a, b):
@@ -738,9 +828,9 @@ def _gcd_cofactors(a, b):
     if a.is_const() or b.is_const():
         return MultiPoly.const(a.vars, 1), a, b
     h, ca, qa, cb, qb = _gcd_parts(a, b)
-    return (MultiPoly(a.vars, h),
-            MultiPoly(a.vars, {e: ca * v for e, v in qa.items()}),
-            MultiPoly(a.vars, {e: cb * v for e, v in qb.items()}))
+    vars = a.vars
+    return (_from_primitive(vars, _ONE, h), _from_primitive(vars, ca, qa),
+            _from_primitive(vars, cb, qb))
 
 
 def poly_gcd(a, b):
@@ -789,27 +879,26 @@ class RatFunc:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
+        vars = num.vars
         if den is None:
-            den = MultiPoly.const(num.vars, 1)
+            den = MultiPoly.const(vars, 1)
         num._check(den)
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            den = MultiPoly.const(num.vars, 1)
+            den = MultiPoly.const(vars, 1)
         elif num.is_const() or den.is_const():
-            c = den.content()
+            c = den.cont
             if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
+                num = _from_primitive(vars, num.cont / c, num.ints)
+                den = _from_primitive(vars, _ONE, den.ints)
         else:
             _, ca, qa, cb, qb = _gcd_parts(num, den)
-            s = ca / cb
-            vars = num.vars
-            num = MultiPoly(vars, {e: s * v for e, v in qa.items()})
-            den = MultiPoly(vars, qb)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+            num = _from_primitive(vars, ca / cb, qa)
+            den = _from_primitive(vars, _ONE, qb)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_rhash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -842,7 +931,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -871,8 +960,9 @@ class RatFunc:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
+            num, den = self.den ** -n, self.num ** -n
+            return _reduced(num * (1 / den.cont), den.primitive())
+        return _reduced(self.num ** n, self.den ** n)
 
     def inverse(self):
         return self ** -1
@@ -893,7 +983,7 @@ class RatFunc:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self.den)))
+            _set_rhash(self, hash((self.num, self.den)))
         return self._hash
 
     def __repr__(self):
@@ -921,6 +1011,24 @@ class RatFunc:
         if self.den.is_const() and self.den.const_value() == 1:
             return self.num.render()
         return f"{_atom(self.num.render())}/{_atom(self.den.render())}"
+
+
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+_set_rhash = RatFunc._hash.__set__
+
+
+def _reduced(num, den):
+    """RatFunc(num, den) for a pair already in normal form, with no gcd.
+
+    Negation and powers keep a reduced fraction reduced, and by Gauss's lemma
+    a power of a primitive polynomial is primitive.
+    """
+    r = _new(RatFunc)
+    _set_num(r, num)
+    _set_den(r, den)
+    _set_rhash(r, None)
+    return r
 
 
 def _atom(s):

@@ -184,6 +184,14 @@ class TestCli:
         assert r.returncode == 3
         assert "error: DegreeBound" in r.stdout.decode()
 
+    def test_bound_applies_to_squarefree_parts(self):
+        # degree 9, but every squarefree part has degree 1 or 3
+        r = run_cli("div", "--f", "(t-1)^9", "--variety", "P1")
+        assert r.returncode == 0
+        assert "cycle: 9*[1] - 9*[INF]" in r.stdout.decode().splitlines()
+        r = run_cli("div", "--f", "(t^3-2)^3", "--variety", "P1")
+        assert r.returncode == 0
+
     def test_factor_hint_rescues_bound(self):
         r = run_cli("div", "--f", "t^9 + t + 1", "--variety", "P1",
                     "--factor-hint", "t^9 + t + 1=t^9 + t + 1")

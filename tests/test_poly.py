@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -132,6 +133,55 @@ class TestMultiPoly:
             if p.is_zero():
                 continue
             assert parse_poly(p.render(), VARS_XY) == p
+
+
+def assert_canonical(r):
+    """r is what the public constructor makes of r.terms, integer-primitive with lc > 0."""
+    p = MultiPoly(r.vars, r.terms)
+    assert (r.vars, r.cont, r.ints) == (p.vars, p.cont, p.ints), r
+    if not r.ints:
+        assert r.cont == 1
+        return
+    lead = max(r.ints, key=lambda e: (sum(e), e))
+    assert gcd(*r.ints.values()) == 1 and r.ints[lead] > 0, (r.cont, r.ints)
+
+
+def kernel_results(p, q, c):
+    """Every kind of kernel result on p, q and the scalar c."""
+    # (p + c)*(p - c) and (q - p)*(q + p) cancel their cross terms inside the product
+    out = [p + q, p - q, q - p, p - p, p * q, q * p, p * c, c * p, -p, p ** 2, p ** 3,
+           (p + c) * (p - c), (q - p) * (q + p), p.primitive(),
+           *_gcd_cofactors(p, q), *_gcd_cofactors(p * q, q)]
+    if not q.is_zero():
+        out.append((p * q).div_exact(q))
+    for v in p.vars:
+        out.append(p.derivative(v))
+        out.extend(p.dense_in(v))
+    return out
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("vars", [VARS_T, VARS_XY])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_results_are_canonical(self, vars, data):
+        p, q = data.draw(poly_strategy(vars)), data.draw(poly_strategy(vars))
+        for r in kernel_results(p, q, data.draw(small_fraction)):
+            assert_canonical(r)
+
+    def test_forced_cancellations(self):
+        one_t, one_xy = MultiPoly.const(VARS_T, 1), MultiPoly.const(VARS_XY, 1)
+        half = Fraction(1, 2)
+        for r in ((T - one_t) * (T + one_t), (T * half - one_t) * (T * half + one_t),
+                  X * Y - Y * X, (X - Y) * (X * X + X * Y + Y * Y),
+                  (-X - one_xy) * (X - one_xy), (X + Y) * half - Y * half):
+            assert_canonical(r)
+        assert ((T - one_t) * (T + one_t)).ints == {(2,): 1, (0,): -1}
+        assert (X * Y - Y * X).is_zero()
+        for p in (T, X, Y):
+            for q in (p + 1, -p * 3 - 2, p * Fraction(-2, 3)):
+                for r in kernel_results(p, q, Fraction(-3, 4)):
+                    assert_canonical(r)
 
 
 class TestGcd:
@@ -357,6 +407,26 @@ class TestRatFunc:
     def test_derivative_quotient_rule(self):
         f = RatFunc(X) / RatFunc(Y)
         assert f.derivative("y") == -RatFunc(X) / RatFunc(Y * Y)
+
+    def test_neg_and_powers_match_the_gcd_path(self):
+        # -r and r**n skip the gcd of RatFunc(num, den); they must give its result
+        def fields(f):
+            return [(p.vars, p.cont, p.ints) for p in (f.num, f.den)]
+
+        rng = random.Random(12)
+        checked = 0
+        for vars, deg in ((VARS_T, 3), (VARS_XY, 2)) * 30:
+            a, b = rand_poly(rng, vars, deg), rand_poly(rng, vars, deg)
+            if b.is_zero():
+                continue
+            r = RatFunc(a, b)
+            assert fields(-r) == fields(RatFunc(-r.num, r.den))
+            for n in (0, 1, 2, 3):
+                assert fields(r ** n) == fields(RatFunc(r.num ** n, r.den ** n))
+                if n and not r.is_zero():
+                    assert fields(r ** -n) == fields(RatFunc(r.den ** n, r.num ** n))
+            checked += not r.is_zero()
+        assert checked > 40
 
     @given(poly_strategy(VARS_T), poly_strategy(VARS_T))
     @settings(max_examples=50, deadline=None)

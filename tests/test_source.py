@@ -57,3 +57,20 @@ def test_no_function_local_imports():
                 found.extend(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                              if isinstance(inner, (ast.Import, ast.ImportFrom)))
     assert not found, found
+
+
+def test_trusted_constructors_stay_in_poly():
+    # _from_primitive and _reduced skip every check on the promise that their
+    # input is already in normal form; only the kernel that proves it may call them
+    trusted = {"_from_primitive", "_reduced"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names}
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else set())
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names & trusted)
+    assert not found, found

@@ -56,36 +56,20 @@ def _tokenize(src):
     return tokens
 
 
-class _Val:
-    """Parse-time value: a body and an eps part, both RatFunc."""
-
-    __slots__ = ("body", "eps")
-
-    def __init__(self, body, eps):
-        self.body = body
-        self.eps = eps
-
-    def has_eps(self):
-        return not self.eps.is_zero()
-
-
-def _mul(a, b, pos):
-    if a.has_eps() and b.has_eps():
+def _check_eps(a, b, pos):
+    """A product or quotient of DualRatFunc may carry eps in one operand only."""
+    if not a.eps.is_zero() and not b.eps.is_zero():
         raise EpsDegree(f"eps appears to degree 2 after expansion (at position {pos})")
-    return _Val(a.body * b.body, a.eps * b.body + a.body * b.eps)
 
 
 def _div(a, b, pos):
-    if a.has_eps() and b.has_eps():
-        raise EpsDegree(f"eps appears to degree 2 after expansion (at position {pos})")
+    _check_eps(a, b, pos)
     if b.body.is_zero():
-        if b.has_eps():
+        if not b.eps.is_zero():
             raise EpsDegree(
                 f"division by a pure eps multiple needs eps^(-1) (at position {pos})")
         raise DivisionByZero("division by zero in expression")
-    inv_body = b.body ** -1
-    inv = _Val(inv_body, -b.eps * inv_body * inv_body)
-    return _mul(a, inv, pos)
+    return a / b
 
 
 class _Parser:
@@ -119,17 +103,14 @@ class _Parser:
             negate = True
         val = self.term()
         if negate:
-            val = _Val(-val.body, -val.eps)
+            val = -val
         while True:
             tok = self._peek()
             if tok is None or tok[1] not in ("+", "-"):
                 return val
             self._next()
             rhs = self.term()
-            if tok[1] == "+":
-                val = _Val(val.body + rhs.body, val.eps + rhs.eps)
-            else:
-                val = _Val(val.body - rhs.body, val.eps - rhs.eps)
+            val = val + rhs if tok[1] == "+" else val - rhs
 
     def term(self):
         val = self.factor()
@@ -138,7 +119,9 @@ class _Parser:
             if tok is None or tok[1] != "*":
                 return val
             pos = self._next()[2]
-            val = _mul(val, self.factor(), pos)
+            rhs = self.factor()
+            _check_eps(val, rhs, pos)
+            val = val * rhs
 
     def factor(self):
         val = self.atom_chain()
@@ -149,11 +132,9 @@ class _Parser:
             if exp[0] != "int":
                 raise ExprSyntaxError("exponent must be a natural number", exp[2])
             n = int(exp[1])
-            out = _Val(RatFunc.from_const(self.vars, 1),
-                       RatFunc.from_const(self.vars, 0))
-            for _ in range(n):
-                out = _mul(out, val, pos)
-            return out
+            if n >= 2:
+                _check_eps(val, val, pos)
+            return val ** n
         return val
 
     def atom_chain(self):
@@ -169,15 +150,13 @@ class _Parser:
         tok = self._next()
         kind, text, pos = tok
         if kind == "int":
-            return _Val(RatFunc.from_const(self.vars, Fraction(int(text))),
-                        RatFunc.from_const(self.vars, 0))
+            return DualRatFunc(RatFunc.from_const(self.vars, Fraction(int(text))))
         if kind == "name":
             if text == "eps":
-                return _Val(RatFunc.from_const(self.vars, 0),
-                            RatFunc.from_const(self.vars, 1))
+                return DualRatFunc(RatFunc.from_const(self.vars, 0),
+                                   RatFunc.from_const(self.vars, 1))
             if text in self.vars:
-                return _Val(RatFunc.variable(text),
-                            RatFunc.from_const(self.vars, 0))
+                return DualRatFunc(RatFunc.variable(text))
             if text in ("x", "y", "t"):
                 chart = "the line" if self.vars == VARS_T else "the plane"
                 raise ExprSyntaxError(f"variable {text!r} is not on {chart}", pos)
@@ -218,7 +197,7 @@ def parse_expr(src, vars=None):
         raise ExprSyntaxError(f"unexpected token {leftover[1]!r}", leftover[2])
     if val.eps.is_zero():
         return val.body
-    return DualRatFunc(val.body, val.eps)
+    return val
 
 
 def parse_poly(src, vars=None):

@@ -1,9 +1,13 @@
 """Factorization over Q with per-factor evidence tags.
 
-Univariate polynomials are factored completely: squarefree decomposition,
-rational-root extraction, then a modular lift with exhaustive recombination.
-Bivariate polynomials are split by content extraction, a squarefree split
-and a power-series lift at a good specialization, again with exhaustive
+Both factorizers divide out the hint factors named for the polynomial
+itself, then split the rest once by Yun's squarefree decomposition (Yun,
+SYMSAC 1976); a plane curve first loses its content in y, which is
+factored as a polynomial in x.  Each squarefree part is factored once.  A
+univariate part stays in integers: its rational roots are divided out,
+then a modular lift with exhaustive recombination splits the rest.  A
+plane part of degree 1 in y is irreducible, and a higher one is split by a
+power-series lift at a good specialization, again with exhaustive
 recombination (see `_split_primitive_y` for the two irreducibility
 arguments).  Every factor found is therefore tagged "proved".  A factor
 that a caller supplied is checked to divide, but its irreducibility is
@@ -23,6 +27,8 @@ from .poly import (
     VARS_T,
     MultiPoly,
     _gcd_cofactors,
+    _idiv_exact,
+    _pack,
     content_in,
     poly_gcd,
     udeg,
@@ -96,25 +102,16 @@ class FactorHints:
 
 
 def _finish(p, found):
-    """Assemble a Factorization for p from (poly, mult, tag, note) entries."""
-    merged = {}
-    for poly, mult, tag, note in found:
-        if poly in merged:
-            m, t, n = merged[poly]
-            if t == ASSERTED:
-                t, n = tag, note
-            merged[poly] = (m + mult, t, n)
-        else:
-            merged[poly] = (mult, tag, note)
+    """Assemble a Factorization for p from (poly, mult, tag, note) entries.
+
+    No two entries are equal: a hint factor is divided out as often as it
+    divides, and the y-content and the squarefree parts share no factor.
+    """
     lc_prod = _ONE
-    for poly, (m, _, _) in merged.items():
-        lc_prod *= poly.lc() ** m
-    unit = p.lc() / lc_prod
-    terms = tuple(
-        FactorTerm(poly, m, t, n)
-        for poly, (m, t, n) in sorted(merged.items(), key=lambda kv: kv[0].sort_key())
-    )
-    return Factorization(unit, terms)
+    for poly, mult, _, _ in found:
+        lc_prod *= poly.lc() ** mult
+    terms = sorted((FactorTerm(*entry) for entry in found), key=lambda t: t.poly.sort_key())
+    return Factorization(p.lc() / lc_prod, tuple(terms))
 
 
 def _extract_hints(p, hint_factors):
@@ -139,31 +136,25 @@ def _extract_hints(p, hint_factors):
     return work, entries
 
 
-def _hint_table(hints, p):
-    """hints as FactorHints; a plain list of factors names factors of p itself."""
-    if hints is None or isinstance(hints, FactorHints):
-        return hints
-    table = FactorHints()
-    table.add(p, hints)
-    return table
-
-
 def _hinted(hints, p):
-    return hints.lookup(p) if hints else ()
+    """The hint factors for p: a FactorHints is looked up, a plain list names factors of p."""
+    if isinstance(hints, FactorHints):
+        return hints.lookup(p)
+    return hints or ()
 
 
 # arithmetic in F_q[t], dense lowest-first integer lists
 
 def _zred(f, q):
-    return utrim([int(c) % q for c in f])
+    return utrim([c % q for c in f])
 
 
 def _zsub(f, g, q):
     out = [0] * max(len(f), len(g))
     for i, a in enumerate(f):
-        out[i] += int(a)
+        out[i] += a
     for i, b in enumerate(g):
-        out[i] -= int(b)
+        out[i] -= b
     return _zred(out, q)
 
 
@@ -298,17 +289,15 @@ def _hensel_pair_int(target, u, v, u0, v0, s, q, big):
     """Lift target ≡ u·v from mod q to mod big = q^K; all three monic."""
     m = q
     while m < big:
-        prod = umul(u, v)
-        diff = [int(x) - int(y) for x, y in
-                zip(target + [0] * len(prod), prod + [0] * len(target))]
-        e = _zred([((c % big) // m) for c in diff], q)
+        # target - u*v vanishes mod m, so its digit at m is the next correction
+        e = _zred([c // m for c in _zsub(target, _zmul(u, v, big), big)], q)
         if e:
             b = _zdivmod(_zmul(s, e, q), v0, q)[1]
             num = _zsub(e, _zmul(b, u0, q), q)
             a = _zdivmod(num, v0, q)[0]
-            u = utrim([(int(x) + m * int(y)) % big for x, y in
+            u = utrim([(x + m * y) % big for x, y in
                        zip(u + [0] * len(a), a + [0] * len(u))])
-            v = utrim([(int(x) + m * int(y)) % big for x, y in
+            v = utrim([(x + m * y) % big for x, y in
                        zip(v + [0] * len(b), b + [0] * len(v))])
         m *= q
     return u, v
@@ -331,23 +320,6 @@ def _hensel_tree_int(target, pool, q, big):
     return _hensel_tree_int(u, left, q, big) + _hensel_tree_int(v, right, q, big)
 
 
-def _int_primitive(f):
-    """Scale a dense rational list to integer coefficients, content 1, lc > 0."""
-    num = 0
-    den = 1
-    for c in f:
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    scale = Fraction(den, num if num else 1)
-    if f[-1] < 0:
-        scale = -scale
-    return [c * scale for c in f]
-
-
-def _is_integral(f):
-    return all(c.denominator == 1 for c in f)
-
-
 def _zassenhaus(g):
     """Complete factorization of a primitive squarefree integer polynomial.
 
@@ -355,7 +327,7 @@ def _zassenhaus(g):
     recombination is exhaustive, so the result is a proof either way.
     """
     n = udeg(g)
-    lc = int(g[-1])
+    lc = g[-1]
     candidates = []
     checked = 0
     for q in _odd_primes():
@@ -364,7 +336,7 @@ def _zassenhaus(g):
         checked += 1
         if lc % q == 0:
             continue
-        gq = _zred([int(c) for c in g], q)
+        gq = _zred(g, q)
         if udeg(gq) != n:
             continue
         gq = _zmonic(gq, q)
@@ -380,13 +352,13 @@ def _zassenhaus(g):
     _, q, gq = min(candidates)
     pool = _factor_mod(gq, q)
     # any factor of lc*g has coefficients below this bound, so the lift separates
-    norm = isqrt(sum(int(c) ** 2 for c in g)) + 1
+    norm = isqrt(sum(c * c for c in g)) + 1
     bound = 2 * (2 ** n) * norm * abs(lc) + 1
     big = q
     while big < bound:
         big *= q
     lc_inv = pow(lc, -1, big)
-    target = [(int(c) * lc_inv) % big for c in g]
+    target = [(c * lc_inv) % big for c in g]
     target[-1] = 1
     lifted = _hensel_tree_int(target, pool, q, big)
     work = list(g)
@@ -406,17 +378,20 @@ def _recombine_int(work, lifted, big):
     """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
 
     A subset splits work when its product times the leading coefficient of
-    work, centered mod big and made integer-primitive, divides work over Z.
+    work, centered mod big and divided by its content, divides work over Z.
+    The centered leading coefficient is that of work, as big > 2 lc(work).
     """
-    wlc = int(work[-1])
+    wlc = work[-1]
     for size in range(1, len(lifted) // 2 + 1):
         for subset in combinations(range(len(lifted)), size):
-            prod = [wlc % big]
+            prod = [wlc]
             for i in subset:
-                prod = utrim([int(c) % big for c in umul(prod, lifted[i])])
-            cand = _int_primitive([Fraction(_center(int(c), big)) for c in prod])
-            quot, rem = udivmod(work, cand)
-            if not rem and _is_integral(quot):
+                prod = _zmul(prod, lifted[i], big)
+            cand = [_center(c, big) for c in prod]
+            cont = _int_gcd(*cand)
+            cand = [c // cont for c in cand]
+            quot = _idiv_exact(work, cand)
+            if quot is not None:
                 return subset, cand, quot
     return None
 
@@ -439,23 +414,21 @@ def _rational_roots(f):
     roots = []
     if f and f[0] == 0:
         roots.append(_ZERO)
-        f = utrim(f[1:])
-    if udeg(f) < 1:
+        f = f[1:]
+    n = udeg(f)
+    if n < 1:
         return roots
-    a0 = int(f[0])
-    an = int(f[-1])
     seen = set()
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in _divisors(f[0]):
+        for q in _divisors(f[-1]):
             for sign in (1, -1):
                 r = Fraction(sign * p, q)
                 if r in seen:
                     continue
                 seen.add(r)
-                acc = _ZERO
-                for c in reversed(f):
-                    acc = acc * r + c
-                if acc == 0:
+                # den^n f(r) for r = num/den in lowest terms
+                num, den = r.numerator, r.denominator
+                if sum(c * num ** i * den ** (n - i) for i, c in enumerate(f)) == 0:
                     roots.append(r)
     return sorted(roots)
 
@@ -478,30 +451,26 @@ def _yun(f, var):
     return out
 
 
-def _factor_squarefree_q(f):
-    """Irreducible factors of a squarefree dense rational polynomial.
+def _factor_squarefree(f):
+    """Irreducible factors of a squarefree dense integer-primitive list with lc > 0.
 
     Complete; returns (dense integer-primitive factor, note) pairs, all proved.
+    A quotient by a primitive factor stays primitive (Gauss's lemma).
     """
-    f = _int_primitive(list(f))
     out = []
     for r in _rational_roots(f):
-        lin = [-r, _ONE]
-        f = udivmod(f, lin)[0]
-        out.append((_int_primitive(lin), "rational root"))
-    f = _int_primitive(f)
+        lin = [-r.numerator, r.denominator]
+        f = _idiv_exact(f, lin)
+        out.append((lin, "rational root"))
     d = udeg(f)
-    if d == 0:
+    if d < 1:
         return out
-    if d == 1:
-        out.append((f, "linear"))
-        return out
-    if d in (2, 3):
+    if d <= 3:
+        # a factor of degree 1 would be a rational root
         out.append((f, f"degree {d} with no rational root"))
         return out
     factors, note = _zassenhaus(f)
-    for g in factors:
-        out.append((_int_primitive(g), note))
+    out.extend((g, note) for g in factors)
     return out
 
 
@@ -525,19 +494,19 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     var = _active_variable(p)
     if var is None:
         return Factorization(p.const_value(), ())
-    work, entries = _extract_hints(p, _hinted(_hint_table(hints, p), p))
-    if work.deg_in(var) >= 1:
-        parts = _yun(work, var)
-        for sqf, _ in parts:
-            d = sqf.deg_in(var)
-            if d > bound:
-                raise DegreeBound(
-                    f"degree {d} exceeds the factorization bound {bound}; "
-                    "supply a factor hint")
-        for sqf, mult in parts:
-            for fac, note in _factor_squarefree_q(sqf.dense_fractions(var)):
-                poly = MultiPoly.from_dense(p.vars, var, fac)
-                entries.append((poly, mult, PROVED, note))
+    work, entries = _extract_hints(p, _hinted(hints, p))
+    parts = _yun(work, var)
+    for sqf, _ in parts:
+        d = sqf.deg_in(var)
+        if d > bound:
+            raise DegreeBound(
+                f"degree {d} exceeds the factorization bound {bound}; "
+                "supply a factor hint")
+    for sqf, mult in parts:
+        # sqf has content 1 and one live variable, so stride 1 lists its coefficients
+        for fac, note in _factor_squarefree(_pack(sqf.ints, 1)):
+            poly = MultiPoly.from_dense(p.vars, var, fac)
+            entries.append((poly, mult, PROVED, note))
     return _finish(p, entries)
 
 
@@ -649,7 +618,7 @@ def _split_primitive_y(p):
     """Factor entries for p: y-primitive, squarefree, deg_y >= 2, deg_x >= 1.
 
     Every entry is proved irreducible.  p is y-primitive because
-    `_plane_entries` removed `content_in(p, "y")`, so a factor of p with
+    `factor_plane_curve` removed `content_in(p, "y")`, so a factor of p with
     y-degree 0 is a constant.  `_pick_specialization` gives x0 with
     lc_y(p)(x0) != 0 and u = p(x0, y) squarefree of full y-degree.
 
@@ -727,40 +696,33 @@ def _recombine(work, lifted, k):
     return None
 
 
+def _univariate_entries(p):
+    return [(t.poly, t.multiplicity, t.certificate, t.evidence)
+            for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors]
+
+
 def factor_plane_curve(p, hints=None):
-    """Factor a bivariate polynomial into primitive irreducible parts."""
+    """Factor a bivariate polynomial into primitive irreducible parts.
+
+    After the hint factors for p are divided out, the y-content is factored
+    in x, and each part of Yun's split in y is factored once; the part's
+    index is the multiplicity of its factors.
+    """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.vars != ("x", "y"):
         raise ValueError("factor_plane_curve expects a polynomial in x, y")
-    return _finish(p, _plane_entries(p, _hint_table(hints, p)))
-
-
-def _plane_entries(p, hints):
-    if p.is_const():
-        return []
-    entries = []
-    hinted = _hinted(hints, p)
-    if hinted:
-        p, entries = _extract_hints(p, hinted)
-        if p.is_const():
-            return entries
-    if p.deg_in("x") > 0 and p.deg_in("y") > 0:
-        cont = content_in(p, "y")
-        if cont.degree() > 0:
-            entries.extend(_plane_entries(cont, hints))
-            p = p.div_exact(cont)
-        g = poly_gcd(p, p.derivative("y"))
-        if g.degree() > 0:
-            entries.extend(_plane_entries(g, hints))
-            entries.extend(_plane_entries(p.div_exact(g), hints))
-            return entries
-    if p.deg_in("x") == 0 or p.deg_in("y") == 0:
-        entries.extend(
-            (t.poly, t.multiplicity, t.certificate, t.evidence)
-            for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors)
-    elif p.deg_in("y") == 1:
-        entries.append((p.primitive(), 1, PROVED, "degree 1 in y and primitive"))
-    else:
-        entries.extend(_split_primitive_y(p.primitive()))
-    return entries
+    work, entries = _extract_hints(p, _hinted(hints, p))
+    cont = content_in(work, "y")
+    if not cont.is_const():
+        entries.extend(_univariate_entries(cont))
+        work = work.div_exact(cont)
+    for part, mult in _yun(work, "y"):
+        if part.deg_in("x") == 0:
+            found = _univariate_entries(part)
+        elif part.deg_in("y") == 1:
+            found = [(part, 1, PROVED, "degree 1 in y and primitive")]
+        else:
+            found = _split_primitive_y(part)
+        entries.extend((poly, m * mult, tag, note) for poly, m, tag, note in found)
+    return _finish(p, entries)

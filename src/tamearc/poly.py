@@ -1106,14 +1106,14 @@ class DualRatFunc:
             raise ValueError("dual powers take integers")
         if n < 0:
             return self.invert() ** (-n)
-        result = DualRatFunc(RatFunc.from_const(self.vars, 1))
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return DualRatFunc(RatFunc.from_const(self.vars, 1)) if result is None else result
 
     def _coerce(self, other):
         if isinstance(other, DualRatFunc):

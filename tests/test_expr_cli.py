@@ -56,6 +56,21 @@ class TestGrammar:
             with pytest.raises(EpsDegree):
                 parse_expr(src)
 
+    @pytest.mark.parametrize("src, error, message", [
+        ("eps*eps", EpsDegree, "eps appears to degree 2 after expansion (at position 3)"),
+        ("(x + eps)^2", EpsDegree,
+         "eps appears to degree 2 after expansion (at position 9)"),
+        ("x/eps", EpsDegree,
+         "division by a pure eps multiple needs eps^(-1) (at position 1)"),
+        ("eps/(x + eps)", EpsDegree,
+         "eps appears to degree 2 after expansion (at position 3)"),
+        ("1/0", DivisionByZero, "division by zero in expression"),
+    ])
+    def test_eps_and_zero_messages_pinned(self, src, error, message):
+        with pytest.raises(error) as info:
+            parse_expr(src)
+        assert str(info.value) == message
+
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("x + ")

@@ -177,6 +177,41 @@ class TestPlaneCurve:
         assert {(t.poly, t.multiplicity, t.certificate) for t in fac.factors} == {
             (Y, 1, PROVED), (X, 1, ASSERTED), (X + Y, 2, PROVED)}
 
+    def test_multiplicities_one_two_four_match_sympy(self):
+        # no part of multiplicity 3, so Yun's split in y has an empty step
+        rng = random.Random(25)
+        done = 0
+        while done < 12:
+            parts = [rand_poly(rng, VARS_XY, 2, terms=3) for _ in range(3)]
+            if any(q.deg_in("x") < 1 or q.deg_in("y") < 1 for q in parts):
+                continue
+            a, b, c = parts
+            p = a * b ** 2 * c ** 4
+            fac = factor_plane_curve(p)
+            assert fac.verify(p)
+            assert fac.weakest_tag() == PROVED
+            assert our_factor_count(fac) == sympy_factor_count(p), p.render()
+            done += 1
+
+    def test_hint_applies_to_the_polynomial_it_names(self):
+        cusp, other = (Y ** 2 - X ** 3).primitive(), Y ** 2 + X ** 3
+        p = cusp ** 2 * other
+        hints = FactorHints()
+        hints.add(p, [cusp])
+        fac = factor_plane_curve(p, hints=hints)
+        assert fac.verify(p)
+        assert {(t.poly, t.multiplicity, t.certificate) for t in fac.factors} == {
+            (cusp, 2, ASSERTED), (other, 1, PROVED)}
+        # a hint keyed to the squarefree part is not a hint for p
+        hints = FactorHints()
+        hints.add(cusp * other, [cusp, other])
+        fac = factor_plane_curve(p, hints=hints)
+        unhinted = factor_plane_curve(p)
+        assert fac.unit == unhinted.unit
+        assert [(t.poly, t.multiplicity, t.certificate) for t in fac.factors] == [
+            (t.poly, t.multiplicity, t.certificate) for t in unhinted.factors]
+        assert fac.weakest_tag() == PROVED
+
     def test_matches_sympy_randomized(self):
         rng = random.Random(22)
         done = 0

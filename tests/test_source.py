@@ -74,3 +74,26 @@ def test_trusted_constructors_stay_in_poly():
                      if isinstance(node, (ast.Import, ast.ImportFrom)) else set())
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names & trusted)
     assert not found, found
+
+
+def test_no_uncalled_private_functions():
+    # a private module-level function or class that no other code names is dead
+    defined = {}
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and stmt.name.startswith("_"):
+                defined[stmt.name] = f"{path.name}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                # a call from a function's own body does not keep it alive
+                if not (is_def and name == stmt.name):
+                    named.add(name)
+    dead = sorted(where + " " + name for name, where in defined.items() if name not in named)
+    assert not dead, dead

@@ -512,9 +512,7 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
 
 # bivariate factorization
 
-_SPECIALIZE_CANDIDATES = [Fraction(0)] + [
-    Fraction(s * k) for k in range(1, 25) for s in (1, -1)
-]
+_SPECIALIZE_CANDIDATES = [0] + [s * k for k in range(1, 25) for s in (1, -1)]
 
 
 def _trunc_x(p, k):
@@ -597,15 +595,6 @@ def _pick_specialization(p):
         f"no good specialization found for {p.render()!r}; supply a factor hint")
 
 
-def _shift_x(p, x0):
-    if not x0:
-        return p
-    return p.subst({
-        "x": MultiPoly(p.vars, {(1, 0): _ONE, (0, 0): x0}),
-        "y": MultiPoly.variable("y"),
-    })
-
-
 def _lc_series(p, k):
     dense = [_ZERO] * k
     for exps, coef in p.dense_in("y")[-1].terms.items():
@@ -643,7 +632,7 @@ def _split_primitive_y(p):
     if len(u_fact.factors) == 1 and u_fact.factors[0].multiplicity == 1:
         return [(p.primitive(), 1, PROVED,
                  f"specialization x = {x0} stays irreducible")]
-    shifted = _shift_x(p, x0)
+    shifted = p.shear(0, x0)
     dy = shifted.deg_in("y")
     k = 2 * shifted.deg_in("x") + 1
     c_series = _lc_series(shifted, k)
@@ -665,14 +654,14 @@ def _split_primitive_y(p):
         if hit is None:
             break
         subset, cand, work = hit
-        entries.append((_shift_x(cand, -x0).primitive(), 1, PROVED,
+        entries.append((cand.shear(0, -x0).primitive(), 1, PROVED,
                         f"series lift at x = {x0}"))
         lifted = [f for i, f in enumerate(lifted) if i not in subset]
     wy = work.deg_in("y")
     if wy > 0:
         note = ("degree 1 in y and primitive" if wy == 1 else
                 f"series lift at x = {x0} admits no polynomial recombination")
-        entries.append((_shift_x(work, -x0).primitive(), 1, PROVED, note))
+        entries.append((work.shear(0, -x0).primitive(), 1, PROVED, note))
     return entries
 
 
@@ -704,15 +693,20 @@ def _univariate_entries(p):
 def factor_plane_curve(p, hints=None):
     """Factor a bivariate polynomial into primitive irreducible parts.
 
-    After the hint factors for p are divided out, the y-content is factored
-    in x, and each part of Yun's split in y is factored once; the part's
-    index is the multiplicity of its factors.
+    After the hint factors for p are divided out, a polynomial in x alone
+    goes to factor_univariate; otherwise the y-content is factored in x, and
+    each part of Yun's split in y is factored once; the part's index is the
+    multiplicity of its factors.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.vars != ("x", "y"):
         raise ValueError("factor_plane_curve expects a polynomial in x, y")
     work, entries = _extract_hints(p, _hinted(hints, p))
+    if work.deg_in("y") < 1:
+        if work.deg_in("x") >= 1:
+            entries.extend(_univariate_entries(work))
+        return _finish(p, entries)
     cont = content_in(work, "y")
     if not cont.is_const():
         entries.extend(_univariate_entries(cont))

@@ -5,7 +5,9 @@ after a change of coordinates x -> x + lam*y that puts both curves in shape
 position, the order of each irreducible factor of Res_y equals the local
 intersection multiplicity at the single fiber point, which is recovered
 exactly from the fiber gcd.  Every cycle is recomputed under an independent
-second projection; disagreement is an error, never a silent answer.
+second projection; disagreement is an error, never a silent answer.  A
+Gersten check (`div_on_curves`) intersects each unordered pair of curves
+once, and both projections still run for that pair.
 """
 
 from __future__ import annotations
@@ -501,28 +503,20 @@ _SHEAR_BASE = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 7, -7, 11, -11, 13, -13]
 
 
 def _shear_candidates(seed):
-    lams = [Fraction(c) for c in _SHEAR_BASE]
+    lams = list(_SHEAR_BASE)
     if seed:
         Random(seed).shuffle(lams)
     return lams
 
 
-def _swap_xy(p):
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    return p.subst({"x": y, "y": x})
-
-
 def _intersection_points(p, h, seed, swap):
     """Intersection cycle of V(p) and V(h) as {ClosedPoint: multiplicity}."""
     if swap:
-        p = _swap_xy(p)
-        h = _swap_xy(h)
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
+        p = p.swap_xy()
+        h = h.swap_xy()
     for lam in _shear_candidates(seed):
-        p2 = p.subst({"x": x + lam * y, "y": y})
-        h2 = h.subst({"x": x + lam * y, "y": y})
+        p2 = p.shear(lam)
+        h2 = h.shear(lam)
         if p2.deg_in("y") != p.degree() or h2.deg_in("y") != h.degree():
             continue
         R = resultant(p2, h2, "y")
@@ -571,12 +565,27 @@ def div_on_curve(g, seed=0, hints=None):
         if g.vars != VARS_T:
             raise ValueError("direct div_on_curve input must live on P1")
         return div_codim1(g, P1, hints)
-    if g.curve.variety.kind != "A2":
-        raise ValueError("div_on_curve of a ResidueFunc needs a curve in A2")
-    p = g.curve.poly
+    return div_on_curves([g], seed, hints)
+
+
+def div_on_curves(funcs, seed=0, hints=None):
+    """The sum of div_on_curve over ResidueFuncs on curves in A2.
+
+    The intersection cycle of two curves does not depend on their order, so
+    each unordered pair is intersected once, into a table that lives for
+    this call only.
+    """
+    met = {}
     pairs = []
-    for part, sign in ((g.rep.num, 1), (g.rep.den, -1)):
-        for prime, m in prime_divisors(part, A2, hints):
-            for pt, mult in intersection_cycle(p, prime.poly, seed).items():
-                pairs.append((pt, sign * m * mult))
+    for g in funcs:
+        if g.curve.variety.kind != "A2":
+            raise ValueError("div_on_curve of a ResidueFunc needs a curve in A2")
+        p = g.curve.poly
+        for part, sign in ((g.rep.num, 1), (g.rep.den, -1)):
+            for prime, m in prime_divisors(part, A2, hints):
+                key = frozenset((p, prime.poly))
+                if key not in met:
+                    met[key] = intersection_cycle(p, prime.poly, seed)
+                for pt, mult in met[key].items():
+                    pairs.append((pt, sign * m * mult))
     return Cycle.build(A2, pairs)

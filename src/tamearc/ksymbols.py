@@ -22,12 +22,10 @@ from .errors import (
     ScopeError,
 )
 from .geometry import (
-    A2,
-    Cycle,
     PrimeDivisor,
     ResidueFunc,
     Y_inf_valuation,
-    div_on_curve,
+    div_on_curves,
     prime_divisors,
     signed_sum,
     valuation,
@@ -212,10 +210,7 @@ def div_k1(c, seed=0, hints=None):
     """The next Gersten differential: sum of div_on_curve over components."""
     if c.variety.kind != "A2":
         raise ScopeError("div_k1 applies to K1 cycles on the plane")
-    total = Cycle.zero(A2)
-    for prime, rf in c.terms:
-        total = total + div_on_curve(rf, seed=seed, hints=hints)
-    return total
+    return div_on_curves((rf for _, rf in c.terms), seed, hints)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,7 @@ class GGArc:
                 f"V({p.render()})")
 
     def render(self):
-        return (f"arc(V({self.curve.poly.render()}), datum {self.datum.render()}, "
+        return (f"arc({self.curve.render()}, datum {self.datum.render()}, "
                 f"unit {self.unit.render()}, sign {self.sign:+d})")
 
 

@@ -11,8 +11,9 @@ Kernel results come from one trusted constructor, `_from_primitive`, and
 meet its contract without a further gcd: a product is the product of the
 contents times the integer product, primitive by Gauss's lemma; an exact
 quotient is primitive for the same reason; negation, scalar products and
-`primitive()` touch only the content; sums, derivatives and dense slices
-take one content gcd (`_normalize`).  The public constructor validates its
+`primitive()` touch only the content; sums, derivatives, dense slices and
+the integral substitutions `shear` and `swap_xy` take one content gcd
+(`_normalize`).  The public constructor validates its
 input and normalizes it the same way.
 
 Rational functions are kept in a unique normal form (reduced, denominator
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd as _int_gcd, isqrt
+from math import comb, gcd as _int_gcd, isqrt
 
 from .errors import DivisionByZero, NotAUnit
 
@@ -331,6 +332,39 @@ class MultiPoly:
                     term = term * power(v, n)
             result = result + term
         return result
+
+    def shear(self, a, b=0):
+        """p(x + a*y + b, y) for integers a, b, on a polynomial in x, y.
+
+        The substitution has an integral inverse, so the integer part stays
+        primitive and only the sign of its leading term can change.
+        """
+        if self.vars != VARS_XY:
+            raise ValueError("shear needs a polynomial in x, y")
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError("shear takes integer offsets")
+        if not (a or b):
+            return self
+        # (x + a*y + b)^n = sum C(n, k) C(n - k, l) a^l b^(n-k-l) x^k y^l,
+        # without the terms that a zero a or b cancels
+        powers = {}
+        for n in {e[0] for e in self.ints}:
+            powers[n] = [((k, l), comb(n, k) * comb(n - k, l) * a ** l * b ** (n - k - l))
+                         for k in range(n + 1) for l in range(n - k + 1)
+                         if (a or not l) and (b or k + l == n)]
+        out = {}
+        get = out.get
+        for (n, j), v in self.ints.items():
+            for (k, l), c in powers[n]:
+                e = (k, j + l)
+                out[e] = get(e, 0) + v * c
+        return _normalize(self.vars, self.cont, out)
+
+    def swap_xy(self):
+        """p(y, x), on a polynomial in x, y: a swap of exponents."""
+        if self.vars != VARS_XY:
+            raise ValueError("swap_xy needs a polynomial in x, y")
+        return _normalize(self.vars, self.cont, {(j, i): v for (i, j), v in self.ints.items()})
 
     def eval_all(self, values):
         total = 0
@@ -852,25 +886,41 @@ def resultant(p, q, var):
         return p ** dq
     if dq <= 0:
         return q ** dp
-    pc = p.dense_in(var)
-    qc = q.dense_in(var)
-    if all(c.is_const() for c in pc) and all(c.is_const() for c in qc):
-        val = uresultant([c.const_value() for c in pc], [c.const_value() for c in qc])
-        return MultiPoly.const(p.vars, val)
-    other = next(v for v in p.vars if v != var)
+    # Res(c*P, d*Q) = c^dq * d^dp * Res(P, Q): the integer parts are evaluated
+    i = p.vars.index(var)
+    pc, qc = _coefficient_rows(p.ints, i, dp), _coefficient_rows(q.ints, i, dq)
+    scale = p.cont ** dq * q.cont ** dp
+
+    def res_at(a):
+        return scale * uresultant([Fraction(_ihorner(c, a)) for c in pc],
+                                  [Fraction(_ihorner(c, a)) for c in qc])
+
+    if all(len(c) <= 1 for c in pc + qc):
+        return MultiPoly.const(p.vars, res_at(0))
+    other = p.vars[1 - i]
     # Res has degree at most deg p * deg q in other; specialization commutes
     # with Res wherever neither leading coefficient in var vanishes
     bound = p.degree() * q.degree() + 1
     points, values = [], []
-    a = _ZERO
+    a = 0
     while len(points) < bound:
-        at = {other: a, var: 0}
-        if pc[-1].eval_all(at) != 0 and qc[-1].eval_all(at) != 0:
+        if _ihorner(pc[-1], a) and _ihorner(qc[-1], a):
             points.append(a)
-            values.append(uresultant([c.eval_all(at) for c in pc],
-                                     [c.eval_all(at) for c in qc]))
+            values.append(res_at(a))
         a += 1
     return MultiPoly.from_dense(p.vars, other, _newton(points, values))
+
+
+def _coefficient_rows(ints, i, d):
+    """The coefficients of var_i^0 .. var_i^d of {exps: int}, as dense int lists."""
+    rows = [[] for _ in range(d + 1)]
+    for e, v in ints.items():
+        row = rows[e[i]]
+        m = e[1 - i] if len(e) == 2 else 0
+        if len(row) <= m:
+            row.extend([0] * (m + 1 - len(row)))
+        row[m] = v
+    return rows
 
 
 class RatFunc:
@@ -992,11 +1042,6 @@ class RatFunc:
     def derivative(self, var):
         n = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
         return RatFunc(n, self.den * self.den)
-
-    def subst(self, assignments):
-        num = self.num.subst(assignments)
-        den = self.den.subst(assignments)
-        return RatFunc(num, den)
 
     def eval_all(self, values):
         d = self.den.eval_all(values)

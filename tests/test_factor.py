@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import tamearc.factor
 from tamearc.errors import DegreeBound, InputError
 from tamearc.factor import (
     ASSERTED,
@@ -121,6 +122,17 @@ class TestUnivariate:
 
 
 class TestPlaneCurve:
+    def test_x_only_goes_straight_to_factor_univariate(self, monkeypatch):
+        # a polynomial of y-degree 0 is its own y-content; no gcd is taken
+        monkeypatch.setattr(tamearc.factor, "content_in", None)
+        three = MultiPoly.const(VARS_XY, 3)
+        p = Fraction(-2, 5) * (X - three) ** 2 * (X * X + three)
+        fac = factor_plane_curve(p)
+        assert fac.verify(p) and fac.unit == Fraction(-2, 5)
+        assert {(t.poly, t.multiplicity) for t in fac.factors} == {
+            (X - three, 2), (X * X + three, 1)}
+        assert factor_plane_curve(MultiPoly.const(VARS_XY, 7)).factors == ()
+
     def test_pinned_cuspidal(self):
         p = Y * Y - X ** 3
         fac = factor_plane_curve(p)

@@ -18,7 +18,7 @@ from tamearc.geometry import (
     prime_divisors,
     valuation,
 )
-from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY
+from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY, poly_gcd
 
 import frozen
 import oracles
@@ -181,6 +181,43 @@ class TestIntersection:
         assert mult == 1 and point.residue_degree == 2
         assert point.u0 == X
         assert point.v0 == Y ** 2 - MultiPoly.const(VARS_XY, 2)
+
+
+def rand_curve(rng):
+    """An irreducible line, conic or cubic with small integer coefficients."""
+    a, b, c = (rng.randint(-3, 3) for _ in range(3))
+    one = MultiPoly.const(VARS_XY, 1)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return (a or 1) * X + b * Y + c * one
+    if kind == 1:
+        return Y - X ** 2 - a * X - b * one
+    if kind == 2:
+        return X ** 2 + (a or 2) * Y ** 2 - (c or 3) * one
+    return Y ** 2 - X ** 3 - a * X - b * one
+
+
+class TestIntersectionSymmetry:
+    def test_order_of_the_curves_does_not_matter(self):
+        # a Gersten check intersects each unordered pair once, so the cycle
+        # must not depend on which curve comes first
+        one = MultiPoly.const(VARS_XY, 1)
+        pairs = [(X ** 2 + Y ** 2 - 3 * one, Y - X),       # one point of degree 2
+                 (Y - X ** 2 + 2 * one, Y),                 # one point of degree 2
+                 (Y - X ** 3 + 2 * one, Y),                 # one point of degree 3
+                 (Y ** 2 - X ** 3 - X - one, X - Y)]
+        rng = random.Random(93)
+        while len(pairs) < 40:
+            p, h = rand_curve(rng), rand_curve(rng)
+            if poly_gcd(p, h).degree() == 0:
+                pairs.append((p, h))
+        degrees = set()
+        for i, (p, h) in enumerate(pairs):
+            seed = i % 3
+            forward = intersection_cycle(p, h, seed)
+            assert intersection_cycle(h, p, seed) == forward, (p.render(), h.render())
+            degrees.update(pt.residue_degree for pt in forward)
+        assert {1, 2, 3} <= degrees
 
 
 class TestDivOnCurve:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tamearc import geometry
 from tamearc.errors import InputError
 from tamearc.gersten import (
     Certificate,
@@ -144,6 +145,26 @@ class TestComplexSquareZero:
             f, g = coprime_pool_pair(rng)
             cert = complex_check_q2(f, g, seed=trial)
             assert cert.verdict, (f.render(), g.render(), trial)
+
+    def test_each_pair_of_curves_intersected_once_per_call(self, monkeypatch):
+        # both projections run once per unordered pair, and nothing is kept
+        # from one call to the next
+        calls = []
+        inner = geometry._intersection_points
+
+        def counted(p, h, seed, swap):
+            calls.append(frozenset((p, h)))
+            return inner(p, h, seed, swap)
+
+        monkeypatch.setattr(geometry, "_intersection_points", counted)
+        f, g = coprime_pool_pair(random.Random(102))
+        first = complex_check_q2(f, g, seed=102)
+        pairs = set(calls)
+        assert first.verdict and len(pairs) >= 2
+        assert all(calls.count(pair) == 2 for pair in pairs)
+        calls.clear()
+        assert complex_check_q2(f, g, seed=102) == first
+        assert len(calls) == 2 * len(pairs) and set(calls) == pairs
 
 
 class TestWeilReciprocity:

@@ -294,7 +294,7 @@ class TestDEps:
         s = DualMilnorSymbol.of(parse_expr("(2*t - 1)/(t + 5) + eps"),
                                 parse_expr("(t + 3)/(t - 7) + eps*t"))
         assert d_eps(s)[0].render() == (
-            "arc(V(t - 1/2), datum 1/2*t + 5/2, unit (t + 3)/(t - 7) + eps*t, sign +1)")
+            "arc(1/2, datum 1/2*t + 5/2, unit (t + 3)/(t - 7) + eps*t, sign +1)")
 
 
 class TestArcSpecialize:

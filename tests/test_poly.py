@@ -118,6 +118,29 @@ class TestMultiPoly:
         sheared = p.subst({"x": X + 2 * Y, "y": Y})
         assert sheared == X * Y + 2 * Y ** 2
 
+    def test_shear_and_swap_match_subst(self):
+        # the integer kernels against the generic substitution, for every shear
+        # the intersection code may try and a few shifts
+        from tamearc.geometry import _SHEAR_BASE
+        rng = random.Random(11)
+        polys = [rand_poly(rng, VARS_XY, 4, terms=6) for _ in range(12)]
+        polys += [X - Y, Y - X ** 2, MultiPoly.const(VARS_XY, Fraction(-3, 2)),
+                  MultiPoly.zero(VARS_XY)]
+        for p in polys:
+            assert p.swap_xy() == p.subst({"x": Y, "y": X}), p.render()
+            for lam in _SHEAR_BASE:
+                for b in (0, 3, -2):
+                    want = p.subst({"x": X + lam * Y + MultiPoly.const(VARS_XY, b), "y": Y})
+                    assert p.shear(lam, b) == want, (p.render(), lam, b)
+
+    def test_shear_needs_integers_in_x_y(self):
+        with pytest.raises(TypeError):
+            X.shear(Fraction(1, 2))
+        with pytest.raises(ValueError):
+            T.shear(1)
+        with pytest.raises(ValueError):
+            T.swap_xy()
+
     def test_content_primitive(self):
         p = MultiPoly.const(VARS_XY, Fraction(-4, 3)) * X + \
             MultiPoly.const(VARS_XY, Fraction(-2, 3)) * Y
@@ -368,6 +391,30 @@ class TestResultant:
             theirs = sylvester(sympy.Poly(to_sympy(p), _SY),
                                sympy.Poly(to_sympy(q), _SY), _SY).det()
             assert sympy.simplify(ours - theirs) == 0, (p.render(), q.render())
+
+    def test_contents_scale_the_sylvester_determinant(self):
+        # Res(c*P, d*Q) = c^deg Q * d^deg P * Res(P, Q), in either variable,
+        # with negative and non-integer contents on both sides
+        from sympy.polys.subresultants_qq_zz import sylvester
+        rng = random.Random(9)
+        contents = [Fraction(-1), Fraction(-3, 2), Fraction(2, 7), Fraction(-5, 3), Fraction(4)]
+        for trial in range(20):
+            p = rand_poly(rng, VARS_XY, 3) * rng.choice(contents)
+            q = rand_poly(rng, VARS_XY, 3) * rng.choice(contents)
+            var, sym = ("y", _SY) if trial % 2 else ("x", _SX)
+            if p.deg_in(var) < 1 or q.deg_in(var) < 1:
+                continue
+            ours = to_sympy(resultant(p, q, var))
+            theirs = sylvester(sympy.Poly(to_sympy(p), sym),
+                               sympy.Poly(to_sympy(q), sym), sym).det(method="berkowitz")
+            assert sympy.expand(ours - theirs) == 0, (p.render(), q.render(), var)
+        # coefficients constant in the other variable, and one variable
+        p = Fraction(-3, 2) * (Y ** 2 - 2)
+        q = Fraction(2, 5) * (3 * Y + 1)
+        assert resultant(p, q, "y").const_value() == Fraction(-3, 2) * Fraction(2, 5) ** 2 * -17
+        two = MultiPoly.const(VARS_T, 2)
+        assert resultant(Fraction(-1, 3) * (T * T - two), Fraction(-7) * (T + 1), "t") \
+            .const_value() == Fraction(-1, 3) * 49 * -1
 
     def test_vanishing_leading_coefficients_match_sylvester(self):
         # leading coefficients vanish at x = 0, 1, 2, so those points are skipped

@@ -97,3 +97,40 @@ def test_no_uncalled_private_functions():
                     named.add(name)
     dead = sorted(where + " " + name for name, where in defined.items() if name not in named)
     assert not dead, dead
+
+
+def _is_empty_container(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set", "list")
+            and not value.args and not value.keywords)
+
+
+def test_no_caches_that_outlive_a_call():
+    # a container created empty at module or class level, or a functools
+    # cache, keeps state from one call to the next; a speed-up must come
+    # from doing less work per call, not from remembering earlier calls
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        found.extend(f"{path.name}:{stmt.lineno} empty container"
+                     for body in bodies for stmt in body
+                     if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                     and _is_empty_container(stmt.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = {node.attr}
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} functools.{name}"
+                         for name in names & caches)
+    assert not found, found

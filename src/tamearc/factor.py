@@ -122,13 +122,7 @@ def _extract_hints(p, hint_factors):
         h = h.primitive()
         if h.is_const():
             raise InputError(f"factor hint {h.render()!r} is constant")
-        mult = 0
-        while True:
-            q = work.div_exact(h)
-            if q is None:
-                break
-            work = q
-            mult += 1
+        work, mult = work.divide_out(h)
         if mult == 0:
             raise InputError(
                 f"factor hint {h.render()!r} does not divide {p.render()!r}")

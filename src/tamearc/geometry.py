@@ -24,6 +24,8 @@ from .errors import (
 from .factor import (
     INTERNAL_DEGREE_BOUND,
     PROVED,
+    _extract_hints,
+    _hinted,
     factor_plane_curve,
     factor_univariate,
 )
@@ -260,7 +262,7 @@ class ResidueFunc:
         p = self.curve.poly
         if p.divides(self.rep.num) or p.divides(self.rep.den):
             raise NotAUnitAlongY(
-                f"{self.rep.render()} is not a unit along V({p.render()})")
+                f"{self.rep.render()} is not a unit along {self.curve.render()}")
 
     def _vanishes(self, h):
         return h.is_zero() or (not self.curve.at_infinity and self.curve.poly.divides(h))
@@ -294,23 +296,7 @@ def valuation(f, Y):
         raise DivisionByZero("the zero function has no valuation")
     if Y.at_infinity:
         return Y_inf_valuation(f)
-    p = Y.poly
-    count = 0
-    work = f.num
-    while True:
-        q = work.div_exact(p)
-        if q is None:
-            break
-        work = q
-        count += 1
-    work = f.den
-    while True:
-        q = work.div_exact(p)
-        if q is None:
-            break
-        work = q
-        count -= 1
-    return count
+    return f.num.divide_out(Y.poly)[1] - f.den.divide_out(Y.poly)[1]
 
 
 def Y_inf_valuation(f):
@@ -321,7 +307,8 @@ def prime_divisors(poly, X, hints=None):
     """[(PrimeDivisor, multiplicity)] of the irreducible factors of poly on X.
 
     This is the one place where functions become primes, so every caller
-    sees the same normalized equation of each component.
+    sees the same normalized equation of each component; divide_by_primes
+    reaches the same primes by division and calls it for the rest.
     """
     if X.kind == "P1":
         fac = factor_univariate(poly, hints=hints)
@@ -329,6 +316,29 @@ def prime_divisors(poly, X, hints=None):
         fac = factor_plane_curve(poly, hints=hints)
     return [(PrimeDivisor(X, term.poly, term.certificate), term.multiplicity)
             for term in fac.factors]
+
+
+def divide_by_primes(poly, X, primes, hints=None):
+    """prime_divisors of poly on X, found by exact division where possible.
+
+    The hint factors named for poly are divided out first and keep their
+    tag.  Each of the finite primes given, which are irreducible (proved, or
+    user-asserted under a hint), is then divided out exactly, and only what
+    is left is factored, without hints, as the factorizers would have
+    factored it after the hint step.  A product of known primes is
+    therefore never factored.
+    """
+    work, entries = _extract_hints(poly, _hinted(hints, poly))
+    out = [(PrimeDivisor(X, h, tag), m) for h, m, tag, _ in entries]
+    for prime in primes:
+        if work.is_const():
+            break
+        work, m = work.divide_out(prime.poly)
+        if m:
+            out.append((prime, m))
+    if not work.is_const():
+        out.extend(prime_divisors(work, X))
+    return out
 
 
 def div_codim1(f, X, hints=None):
@@ -354,8 +364,7 @@ def p1_residue(f, Y):
     num = udivmod(f.num.dense_fractions("t"), u)[1]
     den = udivmod(f.den.dense_fractions("t"), u)[1]
     if not num or not den:
-        raise NotAUnitAlongY(
-            f"{f.render()} is not a unit at V({Y.poly.render()})")
+        raise NotAUnitAlongY(f"{f.render()} is not a unit at {Y.render()}")
     return RatFunc(MultiPoly.from_dense(VARS_T, "t", _f_mul(num, uinvmod(den, u), u)))
 
 

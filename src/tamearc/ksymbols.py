@@ -237,18 +237,18 @@ class GGArc:
             raise ScopeError("arcs at infinity are outside the affine chart")
         if valuation(self.unit.body, self.curve) != 0:
             raise NotAUnitAlongY(
-                f"{self.unit.body.render()} is not a unit along V({p.render()})")
+                f"{self.unit.body.render()} is not a unit along {self.curve.render()}")
         mixed = self.unit.body.num * self.unit.body.den
         if poly_gcd(p, mixed).degree() > 0:
             raise InputError(
                 "arc unit shares a curve component with the supporting divisor")
         if not self.datum.is_zero() and valuation(self.datum, self.curve) < 0:
             raise EpsDatumIrregular(
-                f"datum {self.datum.render()} has a pole along V({p.render()})")
+                f"datum {self.datum.render()} has a pole along {self.curve.render()}")
         if not self.unit.eps.is_zero() and valuation(self.unit.eps, self.curve) < 0:
             raise EpsDatumIrregular(
                 f"unit eps part {self.unit.eps.render()} has a pole along "
-                f"V({p.render()})")
+                f"{self.curve.render()}")
 
     def render(self):
         return (f"arc({self.curve.render()}, datum {self.datum.render()}, "
@@ -271,7 +271,7 @@ def _component_arcs(this, other, family_sign, hints):
             datum = (RatFunc(p) * F1) / (RatFunc.from_const(F.vars, m) * F)
             if not datum.is_zero() and valuation(datum, prime) < 0:
                 raise EpsDatumIrregular(
-                    f"eps datum for component V({p.render()}) is irregular: "
+                    f"eps datum for component {prime.render()} is irregular: "
                     f"nu({F1.render()}) < {abs(m) - 1} along the component")
             sign = family_sign if m > 0 else -family_sign
             for _ in range(abs(m)):

@@ -296,6 +296,17 @@ class MultiPoly:
     def divides(self, other):
         return other.div_exact(self) is not None
 
+    def divide_out(self, divisor):
+        """(q, m) with self = q * divisor^m and divisor not dividing q."""
+        if self.is_zero() or divisor.is_const():
+            raise ValueError("divide_out needs a nonzero polynomial and a non-constant divisor")
+        work, m = self, 0
+        while True:
+            q = work.div_exact(divisor)
+            if q is None:
+                return work, m
+            work, m = q, m + 1
+
     def derivative(self, var):
         i = self.vars.index(var)
         out = {}

@@ -7,15 +7,22 @@ one.  A class in H^1 along a curve V(p) is stored as form / p^k modulo
 forms regular along the curve; the reduced (p, k, form) shape, with every
 coefficient denominator coprime to p and at least one coefficient not
 divisible by p, makes the zero test sound and complete at this level.
+
+The diagram check needs no factorization of its own.  Every denominator of
+tangent2 is a product of the primes that d_eps has already found, so its
+primes come from hint factors and exact division by the arcs' primes
+(`geometry.divide_by_primes`).  Along each prime the check then reduces one
+form, tangent2 minus the unreduced forms of the arcs on that prime, instead
+of reducing each side and their difference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
-from .geometry import A2, PrimeDivisor, prime_divisors, valuation, variety_of
+from .geometry import A2, PrimeDivisor, divide_by_primes, valuation, variety_of
 from .gersten import Certificate, _prime_tags, _sorted_inputs
 from .ksymbols import d_eps, specialize_arcs, tame
 from .poly import RatFunc, VARS_T, VARS_XY
@@ -124,23 +131,15 @@ class LocalCohClass:
 
     @classmethod
     def of(cls, curve, beta):
-        """Reduce a raw form to the canonical class along the curve."""
-        if beta.is_zero():
-            return cls(curve, 0, DiffForm.zero(beta.vars))
-        k = 0
-        for c in beta.coeffs:
-            if not c.is_zero():
-                k = max(k, -valuation(c, curve))
+        """Reduce a raw form to the canonical class along the curve.
+
+        k is the exact pole order, so some coefficient of beta * p^k has
+        valuation 0 and the stored form is already in canonical shape.
+        """
+        k = max((-valuation(c, curve) for c in beta.coeffs if not c.is_zero()), default=0)
         if k <= 0:
             return cls(curve, 0, DiffForm.zero(beta.vars))
-        p = RatFunc(curve.poly)
-        form = beta.scale(p ** k)
-        while k > 0 and all(c.is_zero() or valuation(c, curve) > 0 for c in form.coeffs):
-            form = form.scale(p ** -1)
-            k -= 1
-        if k == 0:
-            return cls(curve, 0, DiffForm.zero(beta.vars))
-        return cls(curve, k, form)
+        return cls(curve, k, beta.scale(RatFunc(curve.poly) ** k))
 
     def is_zero(self):
         return self.order == 0
@@ -161,11 +160,6 @@ class LocalCohClass:
             raise InputError("classes along different curves")
         return LocalCohClass.of(self.curve, self.as_form() - other.as_form())
 
-    def scale_sign(self, sign):
-        if sign == 1 or self.order == 0:
-            return self
-        return LocalCohClass(self.curve, self.order, self.form.scale(Fraction(sign)))
-
     def render(self):
         if self.order == 0:
             return "0"
@@ -174,13 +168,17 @@ class LocalCohClass:
         return f"[{self.form.render()}] / {denom}"
 
 
-def _polar_primes(beta, hints):
-    """Irreducible factors of the coefficient denominators, as primes."""
+def _polar_primes(beta, known, hints):
+    """Irreducible factors of the coefficient denominators, as primes.
+
+    Each denominator loses its hint factors, then the known primes by exact
+    division; only what is left is factored.
+    """
     primes = {}
     for c in beta.coeffs:
         if c.is_zero() or c.den.is_const():
             continue
-        for prime, _ in prime_divisors(c.den, variety_of(beta.vars), hints):
+        for prime, _ in divide_by_primes(c.den, variety_of(beta.vars), known, hints):
             primes[prime] = None
     return sorted(primes, key=lambda p: p.sort_key())
 
@@ -188,46 +186,57 @@ def _polar_primes(beta, hints):
 def boundary_forms(beta, hints=None):
     """Polar decomposition of a form: its class along each polar prime."""
     out = []
-    for prime in _polar_primes(beta, hints):
+    for prime in _polar_primes(beta, (), hints):
         cls = LocalCohClass.of(prime, beta)
         if not cls.is_zero():
             out.append((prime, cls))
     return out
 
 
-def tangent3(a):
-    """Local tangent class of an arc: sign * [((g1*dp - f1*dg)/g) / p] along V(p)."""
+def arc_form(a):
+    """The unreduced signed tangent form of an arc: sign * ((g1*dp - f1*dg)/g) / p."""
     p = RatFunc(a.curve.poly)
     g, g1 = a.unit.body, a.unit.eps
     beta = (d_form(p).scale(g1) - d_form(g).scale(a.datum)).scale(g ** -1)
-    cls = LocalCohClass.of(a.curve, beta.scale(p ** -1))
-    return a.curve, cls.scale_sign(a.sign)
+    form = beta.scale(p ** -1)
+    return form if a.sign == 1 else -form
+
+
+def tangent3(a):
+    """Local tangent class of an arc: the class of arc_form along V(p)."""
+    return a.curve, LocalCohClass.of(a.curve, arc_form(a))
 
 
 def diagram_check(s, hints=None):
     """Certify the commuting square: forms boundary of tangent2 vs tangent3 of d_eps.
 
+    The polar primes of tangent2 are found by dividing its denominators by
+    the arcs' primes, and along each prime P the check reduces one form,
+    tangent2 minus the arc forms on P, once.  That class is zero exactly
+    when the boundary class equals the summed tangent3 classes, since each
+    side differs from its canonical class by a form regular along P.  A
+    nonzero difference at a prime with no arc renders as the boundary class
+    there; at an arc's prime it may render as another representative of
+    the same class than reducing each side first would give.
+
     Also checks the eps = 0 face: the specialized arcs multiply to the tame
     symbol of the specialized symbol.
     """
     beta = tangent2(s)
-    left = dict(boundary_forms(beta, hints=hints))
     arcs = d_eps(s, hints=hints)
-    right = {}
-    for a in arcs:
-        curve, cls = tangent3(a)
-        right[curve] = right[curve] + cls if curve in right else cls
+    arc_sums = {}
+    # d_eps emits |m| equal arcs for a component of multiplicity m
+    for a, n in Counter(arcs).items():
+        form = arc_form(a)
+        if n != 1:
+            form = form.scale(RatFunc.from_const(s.vars, n))
+        arc_sums[a.curve] = arc_sums[a.curve] + form if a.curve in arc_sums else form
+    # a prime both polar and under an arc keeps the tag it got as a polar prime
+    primes = set(_polar_primes(beta, list(arc_sums), hints)) | set(arc_sums)
 
     mismatches = []
-    for prime in sorted(set(left) | set(right), key=lambda p: p.sort_key()):
-        lcls = left.get(prime)
-        rcls = right.get(prime)
-        if lcls is None:
-            diff = rcls.scale_sign(-1)
-        elif rcls is None:
-            diff = lcls
-        else:
-            diff = lcls - rcls
+    for prime in sorted(primes, key=lambda p: p.sort_key()):
+        diff = LocalCohClass.of(prime, (beta - arc_sums[prime]) if prime in arc_sums else beta)
         if not diff.is_zero():
             mismatches.append(f"{prime.render()}: {diff.render()}")
 
@@ -245,7 +254,7 @@ def diagram_check(s, hints=None):
         verdict=not mismatches and face_ok,
         inputs=_sorted_inputs([("symbol", s.render())]),
         witness=tuple(witness),
-        provenance=(("factor tags", _prime_tags(set(left) | set(right))),
+        provenance=(("factor tags", _prime_tags(primes)),
                     ("arc count", str(len(arcs)))),
     )
 

@@ -247,6 +247,50 @@ class TestCli:
         assert r.returncode == 0
         assert "provenance factor tags: user-asserted" in r.stdout.decode().splitlines()
 
+    def test_p1_hinted_arc_prime_divides_the_tangent2_denominator(self):
+        # the tangent2 denominator (t - 2)(t - 3)(t^9 + t + 1) has no hint of
+        # its own; dividing it by the arcs' primes leaves nothing to factor
+        r = run_cli(
+            "diagram-check", "--variety", "P1",
+            "--f", "(t^9 + t + 1 + eps)/((t-1)^9)", "--g", "(t - 2)/(t-3)",
+            "--factor-hint", "t^9 + t + 1=t^9 + t + 1")
+        assert r.returncode == 0
+        lines = r.stdout.decode().splitlines()
+        assert "verdict: pass" in lines
+        assert "provenance factor tags: proved, user-asserted" in lines
+
+    @pytest.mark.parametrize("f, symbol, form, difference", [
+        ("x + eps/y", "x + eps*(1/y)", "((-1)/(x*y^2 - x*y))*dy",
+         "V(y): [((-1)/(x*y - x))*dy] / (y)"),
+        ("x + eps/(x-1)", "x + eps*(1/(x - 1))", "((-1)/(x^2*y - x^2 - x*y + x))*dy",
+         "V(x - 1): [((-1)/(x*y - x))*dy] / (x - 1)"),
+    ])
+    def test_diagram_fail_certificates_pinned(self, f, symbol, form, difference):
+        # f1 has a pole on no arc's prime, so the difference there renders
+        # as the boundary class of tangent2 alone
+        r = run_cli("diagram-check", "--f", f, "--g", "y - 1")
+        assert r.returncode == 1
+        assert r.stdout.decode().splitlines() == [
+            "claim: DiagramCommutes",
+            "verdict: fail",
+            f"input symbol: {{{symbol}, y - 1}}",
+            f"witness tangent2 form: {form}",
+            f"witness class differences: {difference}",
+            "witness eps=0 face: agrees",
+            "provenance factor tags: proved",
+            "provenance arc count: 2",
+        ]
+
+    def test_p1_errors_name_the_point_by_value(self):
+        r = run_cli("d-eps", "--variety", "P1",
+                    "--f", "(t-1)*(t-1)/((t+1)*(t+1)) + eps", "--g", "(t - 2)/(t+3)")
+        assert r.returncode == 2
+        assert r.stdout.decode().splitlines() == [
+            "error: EpsDatumIrregular",
+            "message: eps datum for component 1 is irregular: "
+            "nu(1) < 1 along the component",
+        ]
+
     def test_tangent_cocycle_fail_exits_1(self):
         r = run_cli("tangent-cocycle", "--arc", "x | 1 | y | +1")
         assert r.returncode == 1

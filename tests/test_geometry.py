@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamearc.errors import DivisionByZero, NotAUnitAlongY
+from tamearc.factor import FactorHints
 from tamearc.geometry import (
     A2,
     P1,
@@ -14,6 +15,7 @@ from tamearc.geometry import (
     ResidueFunc,
     div_codim1,
     div_on_curve,
+    divide_by_primes,
     intersection_cycle,
     prime_divisors,
     valuation,
@@ -107,6 +109,38 @@ class TestPrimeDivisors:
         p = T ** 9 + T + 1
         [(prime, mult)] = prime_divisors(p, P1, [p])
         assert (prime.poly, mult, prime.certificate) == (p, 1, "user-asserted")
+
+
+    def test_division_by_known_primes_matches_factoring(self):
+        rng = random.Random(91)
+        curves = [X - MultiPoly.const(VARS_XY, c) for c in (-2, 0, 3)]
+        curves += [Y - X ** 2 - MultiPoly.const(VARS_XY, c) for c in (-1, 4)]
+        curves += [X * Y - MultiPoly.const(VARS_XY, 1), Y ** 2 - X ** 3]
+        for _ in range(30):
+            chosen = rng.sample(curves, rng.randint(1, 4))
+            p = MultiPoly.const(VARS_XY, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for c in chosen:
+                p = p * c ** rng.randint(1, 3)
+            want = sorted(prime_divisors(p, A2), key=lambda e: e[0].sort_key())
+            known = [prime for prime, _ in want if rng.random() < 0.6]
+            known.append(PrimeDivisor(A2, X + Y))  # divides nothing
+            got = sorted(divide_by_primes(p, A2, known), key=lambda e: e[0].sort_key())
+            assert got == want
+            assert {prime.certificate for prime, _ in got} == {"proved"}
+
+    def test_hint_factors_come_before_known_primes(self):
+        # a hint named for the polynomial keeps its tag even when a known
+        # (proved) prime would divide the same factor
+        p = (T ** 9 + T + 1) * (T - 1) ** 2
+        line = PrimeDivisor(P1, T - 1)
+        hints = FactorHints()
+        hints.add(p, [T ** 9 + T + 1, T - 1])
+        got = divide_by_primes(p, P1, [line], hints)
+        assert [(q.render(), m, q.certificate) for q, m in got] == [
+            ("V(t^9 + t + 1)", 1, "user-asserted"), ("1", 2, "user-asserted")]
+        got = divide_by_primes(p, P1, [PrimeDivisor(P1, T ** 9 + T + 1, "user-asserted")])
+        assert sorted((q.render(), m, q.certificate) for q, m in got) == [
+            ("1", 2, "proved"), ("V(t^9 + t + 1)", 1, "user-asserted")]
 
 
 class TestRestrict:

@@ -102,6 +102,15 @@ class TestMultiPoly:
         assert q is not None and q * (X + Y) == p
         assert (X * X + Y).div_exact(X + Y) is None
 
+    def test_divide_out(self):
+        a, b = X + Y, X - MultiPoly.const(VARS_XY, 2)
+        p = MultiPoly.const(VARS_XY, Fraction(-3, 2)) * a ** 3 * b
+        q, m = p.divide_out(a)
+        assert m == 3 and q * a ** 3 == p and not a.divides(q)
+        assert p.divide_out(X) == (p, 0)
+        with pytest.raises(ValueError):
+            p.divide_out(MultiPoly.const(VARS_XY, 2))
+
     def test_div_exact_packing_does_not_wrap(self):
         # packed with stride 2, y and x * x are both z^2
         assert Y.div_exact(X) is None

@@ -1,12 +1,15 @@
 """Differential forms, local cohomology classes, and the tangent maps."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tamearc import geometry, ksymbols, tangent
 from tamearc.errors import InputError
-from tamearc.geometry import A2, PrimeDivisor
+from tamearc.factor import FactorHints
+from tamearc.geometry import A2, PrimeDivisor, valuation
 from tamearc.ksymbols import DualMilnorSymbol, GGArc, d_eps
 from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import (
@@ -138,6 +141,24 @@ class TestLocalCohClass:
         c = LocalCohClass.of(V_X, form(ZERO_XY, (x ** -1) * y))
         assert not (a - c).is_zero()
 
+    def test_order_is_the_exact_pole_order(self):
+        # some coefficient of beta * p^order has valuation 0, so the class
+        # needs no second pass to strip a factor of p
+        rng = random.Random(64)
+        line = x - RatFunc.from_const(VARS_XY, 2)
+        curve = PrimeDivisor(A2, line.num)
+        for _ in range(40):
+            beta = form(rand_ratfunc(rng, VARS_XY, 2) * line ** -rng.randint(0, 3),
+                        rand_ratfunc(rng, VARS_XY, 2) * line ** -rng.randint(0, 3))
+            cls = LocalCohClass.of(curve, beta)
+            poles = max(-valuation(c, curve) for c in beta.coeffs if not c.is_zero())
+            if poles <= 0:
+                assert cls.is_zero()
+                continue
+            assert cls.order == poles
+            vals = [valuation(c, curve) for c in cls.form.coeffs if not c.is_zero()]
+            assert min(vals) == 0
+
     def test_as_form_round_trip(self):
         beta = form(y * x ** -2, ZERO_XY)
         cls = LocalCohClass.of(V_X, beta)
@@ -189,6 +210,17 @@ class TestTangent3:
         assert diff.is_zero()
 
 
+def _recording(fn, calls):
+    """fn, appending to calls the module of the first caller outside geometry."""
+    def wrapper(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "tamearc.geometry":
+            frame = frame.f_back
+        calls.append(frame.f_globals["__name__"])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def rand_admissible_dual(rng):
     """Dual symbol with squarefree coprime bodies from the rational pool."""
     f, g = coprime_pool_pair(rng)
@@ -236,6 +268,19 @@ class TestDiagramCheck:
             cert = diagram_check(s)
             assert cert.verdict, (s.render(), trial)
 
+    def test_polar_prime_keeps_the_tag_of_its_arc(self):
+        # x - y divides the tangent2 denominator, which has no hint; it is
+        # found by division by the arc's prime, whose irreducibility the
+        # hint for x^2 - y^2 asserts, so nothing proves it here
+        f = x ** 2 - y ** 2
+        hints = FactorHints()
+        hints.add(f.num, [(x - y).num])
+        s = DualMilnorSymbol.of(DualRatFunc(f, ONE_XY),
+                                DualRatFunc(y - RatFunc.from_const(VARS_XY, 3), ZERO_XY))
+        cert = diagram_check(s, hints)
+        assert cert.verdict
+        assert dict(cert.provenance)["factor tags"] == "proved, user-asserted"
+
     def test_p1_pool_with_non_monic_lines(self):
         # a component such as V(2*t - 1) gets its datum and its dp from the
         # same equation t - 1/2, so the square commutes as for monic lines
@@ -251,6 +296,32 @@ class TestDiagramCheck:
                                         DualRatFunc(g, rand_p1_eps(rng)))
                 assert diagram_check(s).verdict, (seed, done, s.render())
                 done += 1
+
+    def test_polar_primes_need_no_factoring(self, monkeypatch):
+        # every prime of a tangent2 denominator lies under an arc, so
+        # dividing by the arcs' primes leaves nothing for prime_divisors
+        calls = []
+        for module in (geometry, ksymbols, tangent):
+            if hasattr(module, "prime_divisors"):
+                monkeypatch.setattr(module, "prime_divisors",
+                                    _recording(module.prime_divisors, calls))
+        rng = random.Random(66)
+        for _ in range(15):
+            assert diagram_check(rand_admissible_dual(rng)).verdict
+        assert calls and "tamearc.tangent" not in calls
+
+    def test_arc_form_built_once_per_distinct_arc(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(tangent, "arc_form",
+                            _recording(tangent.arc_form, built))
+        line = x - ONE_XY
+        f = DualRatFunc(line ** 3 * y, line ** 2)
+        g = DualRatFunc(y - RatFunc.from_const(VARS_XY, 2), x)
+        s = DualMilnorSymbol.of(f, g)
+        arcs = d_eps(s)
+        assert len(arcs) == 5 and len(set(arcs)) == 3
+        assert diagram_check(s).verdict
+        assert len(built) == 3
 
     def test_oracle_agreement_both_paths(self):
         # boundary_forms(tangent2(s)) must match summed tangent3 classes per prime

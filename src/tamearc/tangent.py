@@ -18,7 +18,6 @@ of reducing each side and their difference.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -183,10 +182,10 @@ def _polar_primes(beta, known, hints):
     return sorted(primes, key=lambda p: p.sort_key())
 
 
-def boundary_forms(beta, hints=None):
+def boundary_forms(beta):
     """Polar decomposition of a form: its class along each polar prime."""
     out = []
-    for prime in _polar_primes(beta, (), hints):
+    for prime in _polar_primes(beta, (), None):
         cls = LocalCohClass.of(prime, beta)
         if not cls.is_zero():
             out.append((prime, cls))
@@ -225,11 +224,8 @@ def diagram_check(s, hints=None):
     beta = tangent2(s)
     arcs = d_eps(s, hints=hints)
     arc_sums = {}
-    # d_eps emits |m| equal arcs for a component of multiplicity m
-    for a, n in Counter(arcs).items():
+    for a in arcs:
         form = arc_form(a)
-        if n != 1:
-            form = form.scale(RatFunc.from_const(s.vars, n))
         arc_sums[a.curve] = arc_sums[a.curve] + form if a.curve in arc_sums else form
     # a prime both polar and under an arc keeps the tag it got as a polar prime
     primes = set(_polar_primes(beta, list(arc_sums), hints)) | set(arc_sums)

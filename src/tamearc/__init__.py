@@ -13,6 +13,7 @@ from .errors import (
     EpsDegree,
     ExprSyntaxError,
     FactorIncomplete,
+    InexactDivision,
     InputError,
     NotAUnit,
     NotAUnitAlongY,

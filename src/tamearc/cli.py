@@ -42,11 +42,25 @@ from .ksymbols import (
 from .poly import DualRatFunc, RatFunc
 from .tangent import diagram_check, tangent2, tangent3, tangent_cocycle
 
-COMMANDS = (
-    "tame", "div", "div-on-curve", "cycle-check", "tame-certify",
-    "complex-check", "weil-check", "tangent2", "d-eps", "tangent3",
-    "diagram-check", "tangent-cocycle",
-)
+# the argument keys of each command, read by the flags and the job files alike
+_ARG_KEYS = {
+    "tame": ("f", "g"),
+    "div": ("f",),
+    "div-on-curve": ("f", "curve"),
+    "cycle-check": ("component",),
+    "tame-certify": ("component", "f", "g"),
+    "complex-check": ("f", "g"),
+    "weil-check": ("f", "g"),
+    "tangent2": ("f", "g"),
+    "d-eps": ("f", "g"),
+    "tangent3": ("curve", "datum", "unit", "sign"),
+    "diagram-check": ("f", "g"),
+    "tangent-cocycle": ("arc",),
+}
+COMMANDS = tuple(_ARG_KEYS)
+# keys that may repeat; each occurrence adds one item
+_LIST_KEYS = ("component", "arc")
+_FORMATS = ("text", "structured")
 
 # commands that run on one variety only; the rest run on both
 _ONLY_ON = {
@@ -157,6 +171,9 @@ def run_job(job):
     """Dispatch a job to the library and collect a deterministic report."""
     if job.command not in COMMANDS:
         raise InputError(f"unknown command {job.command!r}")
+    for key, _ in job.args:
+        if key not in _ARG_KEYS[job.command]:
+            raise InputError(f"{job.command} takes no key {key!r}")
     only = _ONLY_ON.get(job.command, job.variety)
     if job.variety != only:
         raise InputError(f"{job.command} runs on {only}")
@@ -300,9 +317,6 @@ def _emit_error(exc, format):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_LIST_KEYS = ("component", "arc")
-
-
 def parse_job_file(path):
     """Read a job from a 'key: value' text file; component/arc keys repeat."""
     command = None
@@ -311,7 +325,11 @@ def parse_job_file(path):
     fmt = None
     args = {}
     hints = []
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read the job file: {exc.strerror}") from None
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -328,8 +346,13 @@ def parse_job_file(path):
                     raise InputError(f"{path}:{lineno}: variety must be A2 or P1")
                 variety = val
             elif key == "seed":
-                seed = int(val)
+                try:
+                    seed = int(val)
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: seed must be an integer") from None
             elif key == "format":
+                if val not in _FORMATS:
+                    raise InputError(f"{path}:{lineno}: format must be text or structured")
                 fmt = val
             elif key == "factor-hint":
                 hints.append(val)
@@ -352,30 +375,14 @@ def _build_parser():
         description="Exact tame symbols, divisors, deformation arcs, and "
                     "identity certificates on the affine plane and the line.")
     parser.add_argument("--job", help="run a job from a key: value file")
-    parser.add_argument("--format", choices=("text", "structured"),
-                        default="text")
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     sub = parser.add_subparsers(dest="command")
-    specs = {
-        "tame": ("f", "g"),
-        "div": ("f",),
-        "div-on-curve": ("f", "curve"),
-        "cycle-check": ("component",),
-        "tame-certify": ("component", "f", "g"),
-        "complex-check": ("f", "g"),
-        "weil-check": ("f", "g"),
-        "tangent2": ("f", "g"),
-        "d-eps": ("f", "g"),
-        "tangent3": ("curve", "datum", "unit", "sign"),
-        "diagram-check": ("f", "g"),
-        "tangent-cocycle": ("arc",),
-    }
-    for name, keys in specs.items():
+    for name, keys in _ARG_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--variety", choices=("A2", "P1"),
                        default=_ONLY_ON.get(name, "A2"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
+        p.add_argument("--format", choices=_FORMATS, default="text")
         p.add_argument("--factor-hint", action="append", default=[],
                        metavar="POLY=FACTOR,...")
         for key in keys:
@@ -402,14 +409,12 @@ def main(argv=None):
             return 2
         else:
             args = []
-            for key in ("f", "g", "curve", "datum", "unit", "sign"):
-                val = getattr(ns, key.replace("-", "_"), None)
+            for key in _ARG_KEYS[ns.command]:
+                val = getattr(ns, key)
+                if key in _LIST_KEYS:
+                    val = tuple(val) or None
                 if val is not None:
                     args.append((key, val))
-            for key in _LIST_KEYS:
-                val = getattr(ns, key, None)
-                if val:
-                    args.append((key, tuple(val)))
             job = Job(command=ns.command, variety=ns.variety,
                       args=tuple(sorted(args)), seed=ns.seed,
                       factor_hints=tuple(ns.factor_hint))

@@ -13,6 +13,10 @@ class InputError(TameArcError):
     pass
 
 
+class InexactDivision(TameArcError):
+    """A division that the algebra makes exact left a remainder: a kernel fault."""
+
+
 class DivisionByZero(InputError):
     pass
 

@@ -4,8 +4,8 @@ Both factorizers divide out the hint factors named for the polynomial
 itself, then split the rest once by Yun's squarefree decomposition (Yun,
 SYMSAC 1976); a plane curve first loses its content in y, which is
 factored as a polynomial in x.  Each squarefree part is factored once.  A
-univariate part stays in integers: its rational roots are divided out,
-then a modular lift with exhaustive recombination splits the rest.  A
+univariate part stays in integers: one of degree 1 is irreducible, and
+any other is split by a modular lift with exhaustive recombination.  A
 plane part of degree 1 in y is irreducible, and a higher one is split by a
 power-series lift at a good specialization, again with exhaustive
 recombination (see `_split_primitive_y` for the two irreducibility
@@ -390,43 +390,6 @@ def _recombine_int(work, lifted, big):
     return None
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _rational_roots(f):
-    """All rational roots of a dense squarefree integer polynomial."""
-    roots = []
-    if f and f[0] == 0:
-        roots.append(_ZERO)
-        f = f[1:]
-    n = udeg(f)
-    if n < 1:
-        return roots
-    seen = set()
-    for p in _divisors(f[0]):
-        for q in _divisors(f[-1]):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if r in seen:
-                    continue
-                seen.add(r)
-                # den^n f(r) for r = num/den in lowest terms
-                num, den = r.numerator, r.denominator
-                if sum(c * num ** i * den ** (n - i) for i, c in enumerate(f)) == 0:
-                    roots.append(r)
-    return sorted(roots)
-
-
 def _yun(f, var):
     """Squarefree decomposition of f in var: f = c · prod g_i^i with g_i primitive.
 
@@ -449,23 +412,11 @@ def _factor_squarefree(f):
     """Irreducible factors of a squarefree dense integer-primitive list with lc > 0.
 
     Complete; returns (dense integer-primitive factor, note) pairs, all proved.
-    A quotient by a primitive factor stays primitive (Gauss's lemma).
     """
-    out = []
-    for r in _rational_roots(f):
-        lin = [-r.numerator, r.denominator]
-        f = _idiv_exact(f, lin)
-        out.append((lin, "rational root"))
-    d = udeg(f)
-    if d < 1:
-        return out
-    if d <= 3:
-        # a factor of degree 1 would be a rational root
-        out.append((f, f"degree {d} with no rational root"))
-        return out
+    if udeg(f) == 1:
+        return [(f, "degree 1")]
     factors, note = _zassenhaus(f)
-    out.extend((g, note) for g in factors)
-    return out
+    return [(g, note) for g in factors]
 
 
 def _active_variable(p):
@@ -478,9 +429,11 @@ def _active_variable(p):
 def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
-    A squarefree part of degree above `bound` raises DegreeBound, as the
-    recombination search is exponential in that degree alone; Yun's split
-    is not, so a power such as (t - 1)^9 factors.  Verified hint factors are
+    Each squarefree part of Yun's split goes to the modular lift, unless it
+    has degree 1.  A part of degree above `bound` raises DegreeBound, as
+    the recombination search is exponential in that degree alone; Yun's
+    split is not, so a power such as (t - 1)^9 factors, and the size of
+    the coefficients costs only lift precision.  Verified hint factors are
     divided out first, so pre-factored input can bypass the bound.
     """
     if p.is_zero():
@@ -591,7 +544,7 @@ def _pick_specialization(p):
 
 def _lc_series(p, k):
     dense = [_ZERO] * k
-    for exps, coef in p.dense_in("y")[-1].terms.items():
+    for exps, coef in p.lc_in("y").terms.items():
         if exps[0] < k:
             dense[exps[0]] = coef
     return MultiPoly.from_dense(p.vars, "x", utrim(dense))

@@ -37,7 +37,7 @@ from .poly import (
     RatFunc,
     VARS_T,
     poly_gcd,
-    uresultant,
+    resultant,
 )
 
 
@@ -157,7 +157,7 @@ def p1_component_norm(prime, val):
     """Norm of a residue-field value at a point of P1 down to Q."""
     if prime.at_infinity:
         return val.rep.const_value()
-    return uresultant(prime.poly.dense_fractions("t"), val.rep.num.dense_fractions("t"))
+    return resultant(prime.poly, val.rep.num, "t").const_value()
 
 
 def _prime_orders(f, g, variety, hints):

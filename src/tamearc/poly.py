@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd as _int_gcd, isqrt
 
-from .errors import DivisionByZero, NotAUnit
+from .errors import DivisionByZero, InexactDivision, NotAUnit
 
 VARS_T = ("t",)
 VARS_XY = ("x", "y")
@@ -177,6 +177,12 @@ class MultiPoly:
 
     def lc(self):
         return self.lead()[1]
+
+    def lc_in(self, var):
+        """The leading coefficient in var, a polynomial in the other variables."""
+        i, d = self.vars.index(var), self.deg_in(var)
+        top = {e[:i] + (0,) + e[i + 1:]: v for e, v in self.ints.items() if e[i] == d}
+        return _normalize(self.vars, self.cont, top)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
@@ -565,53 +571,6 @@ def uinvmod(a, u):
     return utrim(uscale(t0, 1 / r0[0]))
 
 
-def uresultant(f, g):
-    """Scalar resultant of dense univariate polynomials over Q."""
-    f, g = utrim(list(f)), utrim(list(g))
-    if not f or not g:
-        if not f and not g:
-            return _ZERO
-        other = f or g
-        return _ONE if len(other) == 1 else _ZERO
-    acc = _ONE
-    while True:
-        m, n = udeg(f), udeg(g)
-        if n == 0:
-            return acc * g[0] ** m
-        if m == 0:
-            return acc * f[0] ** n
-        if m < n:
-            if (m * n) % 2:
-                acc = -acc
-            f, g = g, f
-            continue
-        r = udivmod(f, g)[1]
-        if not r:
-            return _ZERO
-        k = udeg(r)
-        if (m * n) % 2:
-            acc = -acc
-        acc *= g[-1] ** (m - k)
-        f, g = g, r
-
-
-def _newton(points, values):
-    """Dense coefficients of the interpolating polynomial through (points, values).
-
-    Divided differences give the Newton form, which Horner's rule expands;
-    both take O(n^2) operations.
-    """
-    n = len(points)
-    diffs = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (points[i] - points[i - j])
-    coeffs = []
-    for i in range(n - 1, -1, -1):
-        coeffs = uadd(umul(coeffs, [-points[i], _ONE]), [diffs[i]])
-    return coeffs
-
-
 # integer kernel: exact division, and gcds by the heuristic GCDHEU with a
 # primitive-PRS fallback
 #
@@ -810,18 +769,17 @@ def content_in(p, var):
 
 
 def _prem(f, g, var):
-    """Pseudo-remainder of f by g in the main variable var."""
+    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g in var, for deg f >= deg g."""
     df, dg = f.deg_in(var), g.deg_in(var)
-    if df < dg:
-        return f
-    glc = g.dense_in(var)[-1]
+    glc = g.lc_in(var)
     vx = MultiPoly.variable(var)
-    r = f
+    r, e = f, df - dg + 1
     while not r.is_zero() and r.deg_in(var) >= dg:
         dr = r.deg_in(var)
-        rlc = r.dense_in(var)[-1]
+        rlc = r.lc_in(var)
         r = r * glc - g * rlc * vx ** (dr - dg)
-    return r
+        e -= 1
+    return r * glc ** e if e else r
 
 
 def _gcd_prs(a, b):
@@ -883,55 +841,54 @@ def poly_gcd(a, b):
     return _gcd_cofactors(a, b)[0]
 
 
-# resultant over MultiPoly
+# resultant over MultiPoly, by the subresultant PRS
 
 def resultant(p, q, var):
-    """Sylvester resultant eliminating var; zero iff p, q share a var-positive factor."""
+    """Sylvester resultant eliminating var; zero iff p, q share a var-positive factor.
+
+    Collins's subresultant PRS as in Cohen, GTM 138, Algorithm 3.3.7: every
+    division by g * h^delta and by h^(delta - 1) is exact over the integer
+    polynomials in the other variable.  The chain ends at its first term of
+    degree 0 in var, which is an operand when that operand has degree 0.
+    """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
     p._check(q)
     dp, dq = p.deg_in(var), q.deg_in(var)
     if dp <= 0 and dq <= 0:
         return MultiPoly.const(p.vars, 1)
-    if dp <= 0:
-        return p ** dq
-    if dq <= 0:
-        return q ** dp
-    # Res(c*P, d*Q) = c^dq * d^dp * Res(P, Q): the integer parts are evaluated
-    i = p.vars.index(var)
-    pc, qc = _coefficient_rows(p.ints, i, dp), _coefficient_rows(q.ints, i, dq)
+    # Res(c*P, d*Q) = c^dq * d^dp * Res(P, Q) for the rational contents c, d
     scale = p.cont ** dq * q.cont ** dp
+    a, b = p.primitive(), q.primitive()
+    if dp < dq:
+        a, b = b, a
+        if dp % 2 and dq % 2:
+            scale = -scale
+    g = h = MultiPoly.const(p.vars, 1)
+    while b.deg_in(var) > 0:
+        da, db = a.deg_in(var), b.deg_in(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            scale = -scale
+        a, b = b, _exact_quotient(_prem(a, b, var), g * h ** delta)
+        g = a.lc_in(var)
+        if delta:
+            h = _exact_quotient(g ** delta, h ** (delta - 1))
+    # b is constant in var, zero when p and q share a factor
+    da = a.deg_in(var)
+    return _exact_quotient(b ** da, h ** (da - 1)) * scale
 
-    def res_at(a):
-        return scale * uresultant([Fraction(_ihorner(c, a)) for c in pc],
-                                  [Fraction(_ihorner(c, a)) for c in qc])
 
-    if all(len(c) <= 1 for c in pc + qc):
-        return MultiPoly.const(p.vars, res_at(0))
-    other = p.vars[1 - i]
-    # Res has degree at most deg p * deg q in other; specialization commutes
-    # with Res wherever neither leading coefficient in var vanishes
-    bound = p.degree() * q.degree() + 1
-    points, values = [], []
-    a = 0
-    while len(points) < bound:
-        if _ihorner(pc[-1], a) and _ihorner(qc[-1], a):
-            points.append(a)
-            values.append(res_at(a))
-        a += 1
-    return MultiPoly.from_dense(p.vars, other, _newton(points, values))
-
-
-def _coefficient_rows(ints, i, d):
-    """The coefficients of var_i^0 .. var_i^d of {exps: int}, as dense int lists."""
-    rows = [[] for _ in range(d + 1)]
-    for e, v in ints.items():
-        row = rows[e[i]]
-        m = e[1 - i] if len(e) == 2 else 0
-        if len(row) <= m:
-            row.extend([0] * (m + 1 - len(row)))
-        row[m] = v
-    return rows
+def _exact_quotient(num, den):
+    """num / den for a division the subresultant theorem makes exact."""
+    # a constant always divides; a chain from operands with constant leading
+    # coefficients in var (sheared curves) starts with constant g and h
+    if den.is_const():
+        return num * (1 / den.cont)
+    quot = num.div_exact(den)
+    if quot is None:
+        raise InexactDivision(f"{den.render()} does not divide {num.render()}")
+    return quot
 
 
 class RatFunc:

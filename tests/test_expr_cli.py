@@ -335,6 +335,48 @@ class TestCli:
         r = run_cli(job=job)
         assert r.returncode == 2
 
+    @staticmethod
+    def _job_error(path, capsysbinary):
+        # exit 2 with the InputError report; exit 1 is kept for failed identities
+        status = cli.main(["--job", str(path)])
+        out = capsysbinary.readouterr().out.decode()
+        assert status == 2, out
+        assert out.startswith("error: InputError\nmessage: "), out
+        return out.splitlines()[1]
+
+    def test_job_file_seed_must_be_an_integer(self, tmp_path, capsysbinary):
+        job = tmp_path / "job.txt"
+        job.write_text("command: tame\nseed: abc\nf: x\ng: y\n")
+        assert self._job_error(job, capsysbinary) == \
+            f"message: {job}:2: seed must be an integer"
+
+    def test_missing_job_file(self, tmp_path, capsysbinary):
+        job = tmp_path / "absent.txt"
+        assert self._job_error(job, capsysbinary).startswith(
+            f"message: {job}: cannot read the job file")
+
+    def test_job_file_format_must_be_known(self, tmp_path, capsysbinary):
+        job = tmp_path / "job.txt"
+        job.write_text("command: tame\nf: x\ng: y\nformat: xml\n")
+        assert self._job_error(job, capsysbinary) == \
+            f"message: {job}:4: format must be text or structured"
+
+    def test_job_file_unknown_key(self, tmp_path, capsysbinary):
+        job = tmp_path / "job.txt"
+        job.write_text("command: tame\nf: x\nfoo: bar\ng: y\n")
+        assert self._job_error(job, capsysbinary) == \
+            "message: tame takes no key 'foo'"
+
+    def test_p1_roots_with_large_constants(self):
+        # the factorizer's work does not grow with the size of the constant term
+        r = run_cli("div", "--variety", "P1", "--f",
+                    "(t-123456789012)*(t+98765432109876)*(t^2+3)", timeout=10)
+        assert r.returncode == 0
+        assert r.stdout.decode().splitlines() == [
+            "cycle: [123456789012] + [-98765432109876] + [V(t^2 + 3)] - 4*[INF]",
+            "total degree: 0",
+        ]
+
     def test_byte_determinism(self):
         args = ("diagram-check", "--f", "x + eps", "--g", "y + eps",
                 "--format", "structured")

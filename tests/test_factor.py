@@ -90,18 +90,28 @@ class TestUnivariate:
 
     def test_matches_sympy_randomized(self):
         rng = random.Random(21)
-        done = 0
-        while done < 30:
+        products = []
+        while len(products) < 30:
             parts = [rand_poly(rng, VARS_T, 2, terms=3) for _ in range(3)]
             if any(q.is_zero() or q.degree() == 0 for q in parts):
                 continue
             p = parts[0] * parts[1] * parts[2]
-            if p.degree() > DEFAULT_DEGREE_BOUND:
+            if p.degree() <= DEFAULT_DEGREE_BOUND:
+                products.append(p)
+        # rational roots with numerators of 10 to 15 digits, times a quadratic
+        while len(products) < 40:
+            p = rand_poly(rng, VARS_T, 2, terms=3)
+            if p.degree() < 1:
                 continue
+            for _ in range(2):
+                digits = rng.randint(10, 15)
+                num = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+                p = p * (T - Fraction(num, rng.randint(1, 999)))
+            products.append(p)
+        for p in products:
             fac = factor_univariate(p)
             assert fac.verify(p)
             assert our_factor_count(fac) == sympy_factor_count(p), p.render()
-            done += 1
 
 
     @pytest.mark.parametrize("v", [T, X])

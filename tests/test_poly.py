@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import tamearc.poly
-from tamearc.errors import DivisionByZero, NotAUnit
+from tamearc.errors import DivisionByZero, InexactDivision, NotAUnit
 from tamearc.poly import (
     DualRatFunc,
     MultiPoly,
@@ -392,13 +392,27 @@ class TestResultant:
         # the Sylvester matrix determinant is the unambiguous reference
         from sympy.polys.subresultants_qq_zz import sylvester
         rng = random.Random(7)
+        pairs = [
+            # 5832*x^3 - 11664*x - 6480: a defective step (delta = 2) after h != 1
+            (2 * Y ** 5 - 3 * X * Y ** 3 - 2 * Y ** 4, -2 * Y ** 4 + 3 * X * Y ** 2 - 3, "y"),
+            # 1 - x: both degrees odd, so the sign flips
+            (Y ** 3 + X, Y + 1, "y"),
+            # a constant operand, on either side
+            (3 * X + 1, Y ** 2 + X, "y"),
+            (Y ** 3 - X * Y + 2, MultiPoly.const(VARS_XY, Fraction(-2, 3)), "y"),
+            (T ** 4 - 3 * T + 1, MultiPoly.const(VARS_T, 5), "t"),
+        ]
         for _ in range(25):
-            p, q = rand_poly(rng, VARS_XY, 3), rand_poly(rng, VARS_XY, 3)
-            if p.deg_in("y") < 1 or q.deg_in("y") < 1:
+            pairs.append((rand_poly(rng, VARS_XY, 3), rand_poly(rng, VARS_XY, 3), "y"))
+        for _ in range(15):
+            pairs.append((rand_poly(rng, VARS_T, 5), rand_poly(rng, VARS_T, 4), "t"))
+        for p, q, var in pairs:
+            if p.is_zero() or q.is_zero() or max(p.deg_in(var), q.deg_in(var)) < 1:
                 continue
-            ours = to_sympy(resultant(p, q, "y"))
-            theirs = sylvester(sympy.Poly(to_sympy(p), _SY),
-                               sympy.Poly(to_sympy(q), _SY), _SY).det()
+            sym = _SY if var == "y" else _ST
+            ours = to_sympy(resultant(p, q, var))
+            theirs = sylvester(sympy.Poly(to_sympy(p), sym),
+                               sympy.Poly(to_sympy(q), sym), sym).det()
             assert sympy.simplify(ours - theirs) == 0, (p.render(), q.render())
 
     def test_contents_scale_the_sylvester_determinant(self):
@@ -425,14 +439,28 @@ class TestResultant:
         assert resultant(Fraction(-1, 3) * (T * T - two), Fraction(-7) * (T + 1), "t") \
             .const_value() == Fraction(-1, 3) * 49 * -1
 
+    def test_inexact_division_raises_a_typed_error(self, monkeypatch):
+        # a wrong remainder makes the division by g * h^delta inexact at the
+        # second step, where g = h = x; that is a kernel fault, raised by type
+        monkeypatch.setattr(tamearc.poly, "_prem", lambda f, g, var: X * Y + 1)
+        with pytest.raises(InexactDivision):
+            resultant(Y ** 3 + 1, X * Y ** 2 + 1, "y")
+
     def test_vanishing_leading_coefficients_match_sylvester(self):
         # leading coefficients vanish at x = 0, 1, 2, so those points are skipped
         from sympy.polys.subresultants_qq_zz import sylvester
         lc = X * (X - 1) * (X - 2)
         rng = random.Random(8)
+        pairs = [
+            # a common factor of positive y-degree: the remainder sequence
+            # reaches zero partway, after a nonzero remainder
+            ((X * Y - 1) * (Y ** 2 + X), (X * Y - 1) * (lc * Y + 3)),
+            ((X * Y - 1) * (lc * Y ** 2 + 1), (X * Y - 1) * (X * Y ** 2 - 2 * Y + X)),
+        ]
         for _ in range(6):
-            p = lc * Y ** 2 + rand_poly(rng, VARS_XY, 1)
-            q = (X - 1) * lc * Y ** 3 + rand_poly(rng, VARS_XY, 2)
+            pairs.append((lc * Y ** 2 + rand_poly(rng, VARS_XY, 1),
+                          (X - 1) * lc * Y ** 3 + rand_poly(rng, VARS_XY, 2)))
+        for p, q in pairs:
             ours = to_sympy(resultant(p, q, "y"))
             theirs = sylvester(sympy.Poly(to_sympy(p), _SY),
                                sympy.Poly(to_sympy(q), _SY), _SY).det(method="berkowitz")

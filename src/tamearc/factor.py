@@ -7,7 +7,8 @@ factored as a polynomial in x.  Each squarefree part is factored once.  A
 univariate part stays in integers: one of degree 1 is irreducible, and
 any other is split by a modular lift with exhaustive recombination.  A
 plane part of degree 1 in y is irreducible, and a higher one is split by a
-power-series lift at a good specialization, again with exhaustive
+power-series lift at a good specialization, on MultiPoly truncated in x
+with `poly.invmod` and `poly.rem` in y, again with exhaustive
 recombination (see `_split_primitive_y` for the two irreducibility
 arguments).  Every factor found is therefore tagged "proved".  A factor
 that a caller supplied is checked to divide, but its irreducibility is
@@ -19,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, prod
 from random import Random
 
-from .errors import DegreeBound, FactorIncomplete, InputError
+from .errors import DegreeBound, FactorIncomplete, InexactDivision, InputError
 from .poly import (
     VARS_T,
     MultiPoly,
@@ -30,14 +31,9 @@ from .poly import (
     _idiv_exact,
     _pack,
     content_in,
+    invmod,
     poly_gcd,
-    udeg,
-    udivmod,
-    uinvmod,
-    umul,
-    uscale,
-    usub,
-    utrim,
+    rem,
 )
 
 PROVED = "proved"
@@ -46,7 +42,6 @@ ASSERTED = "user-asserted"
 DEFAULT_DEGREE_BOUND = 8
 INTERNAL_DEGREE_BOUND = 64
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -62,9 +57,6 @@ class FactorTerm:
 class Factorization:
     unit: Fraction
     factors: tuple
-
-    def pairs(self):
-        return [(t.poly, t.multiplicity) for t in self.factors]
 
     def product(self):
         if not self.factors:
@@ -138,6 +130,16 @@ def _hinted(hints, p):
 
 
 # arithmetic in F_q[t], dense lowest-first integer lists
+
+def utrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def udeg(f):
+    return len(f) - 1
+
 
 def _zred(f, q):
     return utrim([c % q for c in f])
@@ -218,7 +220,7 @@ def _zinv(a, b, q):
         r0, r1 = r1, r
         s0, s1 = s1, _zsub(s0, _zmul(qt, s1, q), q)
     inv = pow(r0[-1], -1, q)
-    return _zred(uscale(s0, inv), q)
+    return _zred([c * inv for c in s0], q)
 
 
 def _odd_primes():
@@ -466,48 +468,23 @@ def _trunc_x(p, k):
     return MultiPoly(p.vars, {e: c for e, c in p.terms.items() if e[0] < k})
 
 
-def _series_inverse(c_dense, k):
-    """Power-series inverse of c(x) mod x^k; needs c_dense[0] != 0."""
-    inv = [_ZERO] * k
-    inv[0] = 1 / c_dense[0]
-    for i in range(1, k):
-        acc = _ZERO
-        for j in range(1, i + 1):
-            cj = c_dense[j] if j < len(c_dense) else _ZERO
-            acc += cj * inv[i - j]
-        inv[i] = -acc / c_dense[0]
-    return utrim(inv)
-
-
-def _y_dense_at_zero(p):
-    """Dense rational coefficients in y of p(0, y)."""
-    return utrim([c.eval_all({"x": 0, "y": 0}) for c in p.dense_in("y")])
-
-
-def _from_y_dense(vars, coeffs):
-    return MultiPoly.from_dense(vars, "y", coeffs)
-
-
-def _hensel_pair_series(target, u, v, s, k):
-    """Lift target ≡ u·v from mod x to mod x^k; everything monic in y."""
-    u0 = _y_dense_at_zero(u)
-    v0 = _y_dense_at_zero(v)
+def _hensel_pair_series(target, u0, v0, k):
+    """Lift target ≡ u0·v0 from mod x to mod x^k; u0, v0 in y alone, all monic in y."""
+    s = invmod(u0, v0, "y")
+    u, v = u0, v0
     for j in range(1, k):
-        diff = _trunc_x(target - u * v, j + 1)
-        if diff.is_zero():
+        diff = target - u * v
+        e = MultiPoly(target.vars, {(0, ey): c for (ex, ey), c in diff.terms.items() if ex == j})
+        if e.is_zero():
             continue
-        e = [_ZERO] * (len(u0) + len(v0))
-        for exps, c in diff.terms.items():
-            if exps[0] == j:
-                e[exps[1]] += c
-        e = utrim(e)
-        if not e:
-            continue
-        b = udivmod(umul(s, e), v0)[1]
-        a = udivmod(usub(e, umul(b, u0)), v0)[0]
+        b = rem(s * e, v0, "y")
+        # b*u0 = s*u0*e = e mod v0, so the division is exact
+        a = (e - b * u0).div_exact(v0)
+        if a is None:
+            raise InexactDivision(f"{v0.render()} does not divide the lift correction")
         xj = MultiPoly(target.vars, {(j, 0): _ONE})
-        u = u + xj * _from_y_dense(target.vars, a)
-        v = v + xj * _from_y_dense(target.vars, b)
+        u = u + xj * a
+        v = v + xj * b
     return u, v
 
 
@@ -516,16 +493,7 @@ def _hensel_tree_series(target, pool, k):
         return [target]
     half = len(pool) // 2
     left, right = pool[:half], pool[half:]
-    u0 = [_ONE]
-    for f in left:
-        u0 = umul(u0, f)
-    v0 = [_ONE]
-    for f in right:
-        v0 = umul(v0, f)
-    s = uinvmod(u0, v0)
-    u = _from_y_dense(target.vars, u0)
-    v = _from_y_dense(target.vars, v0)
-    u, v = _hensel_pair_series(target, u, v, s, k)
+    u, v = _hensel_pair_series(target, prod(left), prod(right), k)
     return _hensel_tree_series(u, left, k) + _hensel_tree_series(v, right, k)
 
 
@@ -543,11 +511,7 @@ def _pick_specialization(p):
 
 
 def _lc_series(p, k):
-    dense = [_ZERO] * k
-    for exps, coef in p.lc_in("y").terms.items():
-        if exps[0] < k:
-            dense[exps[0]] = coef
-    return MultiPoly.from_dense(p.vars, "x", utrim(dense))
+    return _trunc_x(p.lc_in("y"), k)
 
 
 def _split_primitive_y(p):
@@ -582,17 +546,15 @@ def _split_primitive_y(p):
     shifted = p.shear(0, x0)
     dy = shifted.deg_in("y")
     k = 2 * shifted.deg_in("x") + 1
-    c_series = _lc_series(shifted, k)
-    inv_poly = MultiPoly.from_dense(p.vars, "x",
-                                    _series_inverse(c_series.dense_fractions("x") or [_ONE], k))
-    target = _trunc_x(shifted * inv_poly, k)
+    x_k = MultiPoly(p.vars, {(k, 0): _ONE})
+    target = _trunc_x(shifted * invmod(_lc_series(shifted, k), x_k, "x"), k)
     terms = {e: c for e, c in target.terms.items() if e[1] < dy}
     terms[(0, dy)] = _ONE
     target = MultiPoly(p.vars, terms)
-    pool = sorted(
-        [c / t.poly.dense_fractions("t")[-1] for c in t.poly.dense_fractions("t")]
-        for t in u_fact.factors
-    )
+    # sorted as the monic coefficient lists, lowest degree first
+    pool = sorted((MultiPoly.from_dense(p.vars, "y", t.poly.dense_fractions("t"))
+                   * (1 / t.poly.lc()) for t in u_fact.factors),
+                  key=lambda f: f.dense_fractions("y"))
     lifted = _hensel_tree_series(target, pool, k)
     entries = []
     work = shifted

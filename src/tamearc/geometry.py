@@ -4,7 +4,9 @@ Intersection cycles on plane curves are computed through a sheared resultant:
 after a change of coordinates x -> x + lam*y that puts both curves in shape
 position, the order of each irreducible factor of Res_y equals the local
 intersection multiplicity at the single fiber point, which is recovered
-exactly from the fiber gcd.  Every cycle is recomputed under an independent
+exactly from the fiber gcd.  The residue field F = Q[x]/(u) of a fiber and
+the polynomials over it are MultiPoly reduced by `poly.rem`, and inverses
+in F come from `poly.invmod`.  Every cycle is recomputed under an independent
 second projection; disagreement is an error, never a silent answer.  A
 Gersten check (`div_on_curves`) intersects each unordered pair of curves
 once, and both projections still run for that pair.
@@ -34,15 +36,10 @@ from .poly import (
     RatFunc,
     VARS_T,
     VARS_XY,
+    _prem,
+    invmod,
+    rem,
     resultant,
-    uadd,
-    udeg,
-    udivmod,
-    uinvmod,
-    umul,
-    uscale,
-    usub,
-    utrim,
 )
 
 _ZERO = Fraction(0)
@@ -360,63 +357,30 @@ def p1_residue(f, Y):
         if Y_inf_valuation(f) != 0:
             raise NotAUnitAlongY(f"{f.render()} is not a unit at INF")
         return RatFunc.from_const(VARS_T, f.num.lc() / f.den.lc())
-    u = Y.poly.dense_fractions("t")
-    num = udivmod(f.num.dense_fractions("t"), u)[1]
-    den = udivmod(f.den.dense_fractions("t"), u)[1]
-    if not num or not den:
+    u = Y.poly
+    num, den = rem(f.num, u, "t"), rem(f.den, u, "t")
+    if num.is_zero() or den.is_zero():
         raise NotAUnitAlongY(f"{f.render()} is not a unit at {Y.render()}")
-    return RatFunc(MultiPoly.from_dense(VARS_T, "t", _f_mul(num, uinvmod(den, u), u)))
+    return RatFunc(rem(num * invmod(den, u, "t"), u, "t"))
 
 
-# arithmetic in F = Q[theta]/(u), dense lowest-first Fraction lists
+# the residue field F = Q[x]/(u) of a point of the x-axis, u monic
+# irreducible in x; an element of F, or of F[y], is a MultiPoly in (x, y)
+# reduced by rem(., u, "x")
 
-def _f_mul(a, b, u):
-    return udivmod(umul(a, b), u)[1]
+def _fiber_gcd(a, b, u):
+    """A gcd in F[y] of a and b, up to a unit of F.
 
-
-# polynomials in w over F, as lists of F-elements (lowest first)
-
-def _fw_trim(A):
-    while A and not utrim(list(A[-1])):
-        A.pop()
-    return A
-
-
-def _fw_divmod(A, B, u):
-    A = [list(c) for c in A]
-    inv = uinvmod(B[-1], u)
-    quot = [[] for _ in range(max(0, len(A) - len(B) + 1))]
-    while len(A) >= len(B):
-        c = _f_mul(A[-1], inv, u)
-        shift = len(A) - len(B)
-        quot[shift] = c
-        for i, b in enumerate(B):
-            A[shift + i] = utrim(usub(A[shift + i], _f_mul(c, b, u)))
-        A = _fw_trim(A)
-        if not A:
-            break
-    return _fw_trim(quot), A
-
-
-def _fw_gcd(A, B, u):
-    A = _fw_trim([utrim(list(c)) for c in A])
-    B = _fw_trim([utrim(list(c)) for c in B])
-    while B:
-        A, B = B, _fw_divmod(A, B, u)[1]
-    inv = uinvmod(A[-1], u)
-    return [_f_mul(c, inv, u) for c in A]
-
-
-def _fw_deriv(A):
-    return _fw_trim([uscale(A[i], Fraction(i)) for i in range(1, len(A))])
-
-
-def _to_fw(p, u):
-    """Reduce a bivariate polynomial to F[w]: coefficients in y, each mod u."""
-    out = []
-    for c in p.dense_in("y"):
-        out.append(udivmod(c.dense_fractions("x"), u)[1])
-    return _fw_trim(out)
+    A coefficient divisible by u reduces to 0, so deg_in("y") of a reduced
+    polynomial is its degree over F; pseudo-remainders over Q[x] reduce
+    to the remainders over F times units of F.
+    """
+    a, b = rem(a, u, "x"), rem(b, u, "x")
+    if a.deg_in("y") < b.deg_in("y"):
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, rem(_prem(a, b, "y"), u, "x").primitive()
+    return a
 
 
 # canonical presentation of a closed point from residue-field data
@@ -425,9 +389,7 @@ def _solve_linear(columns, target):
     """Solve sum c_i * columns[i] = target over Q; None if inconsistent."""
     rows = len(target)
     n = len(columns)
-    M = [[columns[j][i] if i < len(columns[j]) else _ZERO for j in range(n)]
-         + [target[i] if i < len(target) else _ZERO]
-         for i in range(rows)]
+    M = [[column[i] for column in columns] + [target[i]] for i in range(rows)]
     pivots = []
     r = 0
     for col in range(n):
@@ -455,21 +417,25 @@ def _solve_linear(columns, target):
 
 
 def _vec(a, k):
-    a = list(a)
-    return a + [_ZERO] * (k - len(a))
+    """The coordinates of a reduced element of F in the basis 1, x, ..., x^(k-1)."""
+    terms = a.terms
+    return [terms.get((i, 0), _ZERO) for i in range(k)]
 
 
 def canonical_point(u, a_val, b_val):
-    """Closed point of A2 with x = a_val, y = b_val in F = Q[theta]/(u).
+    """Closed point of A2 with x = a_val, y = b_val in F = Q[x]/(u).
 
-    Returns the unique presentation (u0 monic irreducible in x, v0 monic in y
-    with coefficients reduced mod u0), provided Q(a_val, b_val) = F.
+    u is monic irreducible in x, and a_val, b_val are elements of F,
+    reduced.  Returns the unique presentation (u0 monic irreducible in x,
+    v0 monic in y with coefficients reduced mod u0), provided
+    Q(a_val, b_val) = F.
     """
-    k = udeg(u)
+    k = u.deg_in("x")
     # minimal polynomial of a_val over Q
-    pows = [[_ONE]]
+    one = MultiPoly.const(VARS_XY, 1)
+    pows = [one]
     for _ in range(k):
-        pows.append(_f_mul(pows[-1], a_val, u))
+        pows.append(rem(pows[-1] * a_val, u, "x"))
     k0 = None
     u0_coeffs = None
     for d in range(1, k + 1):
@@ -482,15 +448,15 @@ def canonical_point(u, a_val, b_val):
                               [-c for c in u0_coeffs] + [_ONE])
     # minimal polynomial of b_val over Q(a_val), coefficients in the x-basis
     j_max = k // k0
-    b_pows = [[_ONE]]
+    b_pows = [one]
     for _ in range(j_max):
-        b_pows.append(_f_mul(b_pows[-1], b_val, u))
+        b_pows.append(rem(b_pows[-1] * b_val, u, "x"))
     for J in range(1, j_max + 1):
         columns = []
         labels = []
         for j in range(J):
             for i in range(k0):
-                columns.append(_vec(_f_mul(b_pows[j], pows[i], u), k))
+                columns.append(_vec(rem(b_pows[j] * pows[i], u, "x"), k))
                 labels.append((i, j))
         sol = _solve_linear(columns, _vec(b_pows[J], k))
         if sol is None:
@@ -534,15 +500,18 @@ def _intersection_points(p, h, seed, swap):
         out = {}
         good = True
         for term in factor_univariate(R, bound=INTERNAL_DEGREE_BOUND).factors:
-            u = term.poly.dense_fractions("x")
-            u = [c / u[-1] for c in u]
-            G = _fw_gcd(_to_fw(p2, u), _to_fw(h2, u), u)
-            sqf = _fw_divmod(G, _fw_gcd(G, _fw_deriv(G), u), u)[0] if len(G) > 2 else G
-            if len(sqf) != 2:
+            u = term.poly * (1 / term.poly.lc())
+            # shape position: the fiber gcd is g_n * (y - c)^n over F, n >= 1,
+            # which holds when gcd(G, dG/dy) has degree n - 1
+            G = _fiber_gcd(p2, h2, u)
+            n = G.deg_in("y")
+            if n < 1 or _fiber_gcd(G, G.derivative("y"), u).deg_in("y") != n - 1:
                 good = False
                 break
-            c_val = utrim([-v for v in _f_mul(sqf[0], uinvmod(sqf[1], u), u)])
-            a_val = udivmod(uadd(uscale(c_val, lam), [_ZERO, _ONE]), u)[1]
+            g = G.dense_in("y")
+            # g_(n-1) = -n * c * g_n
+            c_val = rem(g[n - 1] * invmod(g[n], u, "x"), u, "x") * Fraction(-1, n)
+            a_val = rem(c_val * lam + MultiPoly.variable("x"), u, "x")
             b_val = c_val
             if swap:
                 a_val, b_val = b_val, a_val

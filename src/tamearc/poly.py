@@ -16,8 +16,12 @@ the integral substitutions `shear` and `swap_xy` take one content gcd
 (`_normalize`).  The public constructor validates its
 input and normalizes it the same way.
 
-Rational functions are kept in a unique normal form (reduced, denominator
-with content 1), and gcds run on the integer parts.
+Division with remainder by a polynomial in one variable (`divmod_in`,
+`rem`) and the one extended Euclid over Q (`invmod`) also run on the
+integer parts; residue fields Q[x]/(u), polynomials over them and
+truncated power series are MultiPoly reduced by `rem`.  Rational functions
+are kept in a unique normal form (reduced, denominator with content 1),
+and gcds run on the integer parts.
 """
 
 from __future__ import annotations
@@ -497,78 +501,75 @@ def _normalize(vars, scale, ints):
     return _from_primitive(vars, scale * g, ints)
 
 
-# dense univariate helpers over Fraction (lowest-degree-first lists)
+# division with remainder by a polynomial in one variable, and inverses
 
-def utrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def divmod_in(f, g, var):
+    """(q, r) with f = q*g + r and deg_var r < deg_var g, for a nonzero g in var alone.
 
-
-def udeg(f):
-    return len(f) - 1
-
-
-def umul(f, g):
-    if not f or not g:
-        return []
-    out = [_ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
+    The other variable may occur in f.  Pseudo-division on the integer
+    parts (Cohen, GTM 138, Algorithm 3.1.2): the rows of f by degree in
+    var are reduced from the top, each step scaling the lower rows and the
+    quotient by the constant lc(g), so that lc(g)^steps * f = q*g + r over
+    Z; one content then normalizes each of q and r.
+    """
+    f._check(g)
+    if g.is_zero():
+        raise DivisionByZero(f"division of {f.render()} by zero")
+    i = f.vars.index(var)
+    if any(e[j] for e in g.ints for j in range(len(e)) if j != i):
+        raise ValueError(f"divisor {g.render()} involves a variable other than {var}")
+    n, d = g.deg_in(var), f.deg_in(var)
+    if d < n:
+        return MultiPoly.zero(f.vars), f
+    low = [(e[i], v) for e, v in g.ints.items() if e[i] < n]
+    lc = g.ints[tuple(n if j == i else 0 for j in range(len(f.vars)))]
+    rows = [{} for _ in range(d + 1)]
+    for e, v in f.ints.items():
+        rows[e[i]][e] = v
+    quot = [{} for _ in range(d - n + 1)]
+    steps = 0
+    for k in range(d, n - 1, -1):
+        top = {e: v for e, v in rows[k].items() if v}
+        if not top:
             continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return utrim(out)
+        if lc != 1:
+            rows[:k] = [{e: v * lc for e, v in row.items()} for row in rows[:k]]
+            quot[k - n + 1:] = [{e: v * lc for e, v in row.items()} for row in quot[k - n + 1:]]
+        steps += 1
+        shift = k - n
+        quot[shift] = {e[:i] + (shift,) + e[i + 1:]: v for e, v in top.items()}
+        for j, c in low:
+            row = rows[shift + j]
+            get = row.get
+            for e, v in top.items():
+                e = e[:i] + (shift + j,) + e[i + 1:]
+                row[e] = get(e, 0) - v * c
+    scale = f.cont / lc ** steps
+    q = _normalize(f.vars, scale / g.cont, {e: v for row in quot for e, v in row.items()})
+    r = _normalize(f.vars, scale, {e: v for row in rows[:n] for e, v in row.items()})
+    return q, r
 
 
-def uadd(f, g):
-    out = [_ZERO] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    return utrim(out)
+def rem(f, g, var):
+    """f mod g for a nonzero g in var alone (see divmod_in)."""
+    return divmod_in(f, g, var)[1]
 
 
-def uscale(f, c):
-    if c == 0:
-        return []
-    return [a * c for a in f]
+def invmod(a, u, var):
+    """s with s*a = 1 mod u and deg_var s < deg_var u, for a, u in var alone.
 
-
-def usub(f, g):
-    return uadd(f, [-b for b in g])
-
-
-def udivmod(f, g):
-    """Polynomial division over Q; returns (quotient, remainder)."""
-    if not g:
-        raise ZeroDivisionError("univariate division by zero")
-    f = list(f)
-    q = [_ZERO] * max(0, len(f) - len(g) + 1)
-    glc = g[-1]
-    while len(f) >= len(g) and utrim(f):
-        shift = len(f) - len(g)
-        c = f[-1] / glc
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] -= c * b
-        f = utrim(f)
-    return utrim(q), f
-
-
-def uinvmod(a, u):
-    """The inverse of a modulo u over Q, of degree below u's; a need not be reduced."""
-    r0, r1 = list(u), list(a)
-    t0, t1 = [], [_ONE]
-    while utrim(list(r1)):
-        q, r = udivmod(r0, r1)
+    The one extended Euclid over Q.  DivisionByZero when gcd(a, u) is not
+    constant.
+    """
+    r0, r1 = u, rem(a, u, var)
+    t0, t1 = MultiPoly.zero(u.vars), MultiPoly.const(u.vars, 1)
+    while not r1.is_zero():
+        q, r = divmod_in(r0, r1, var)
         r0, r1 = r1, r
-        t0, t1 = t1, usub(t0, umul(q, t1))
-    if udeg(r0) != 0:
+        t0, t1 = t1, t0 - q * t1
+    if r0.deg_in(var) > 0:
         raise DivisionByZero("non-invertible element in the residue field")
-    return utrim(uscale(t0, 1 / r0[0]))
+    return t0 * (1 / r0.cont)
 
 
 # integer kernel: exact division, and gcds by the heuristic GCDHEU with a

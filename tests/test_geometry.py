@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamearc.errors import DivisionByZero, NotAUnitAlongY
+from tamearc.expr import parse_poly
 from tamearc.factor import FactorHints
 from tamearc.geometry import (
     A2,
@@ -177,7 +178,6 @@ class TestRestrict:
 class TestIntersection:
     def test_frozen_multiplicities(self):
         for (ps, hs, pt), mult in frozen.INTERSECTION_MULTIPLICITY.items():
-            from tamearc.expr import parse_poly
             p = parse_poly(ps, VARS_XY)
             h = parse_poly(hs, VARS_XY)
             points = intersection_cycle(p, h)
@@ -217,6 +217,31 @@ class TestIntersection:
         assert point.v0 == Y ** 2 - MultiPoly.const(VARS_XY, 2)
 
 
+class TestFiber:
+    # in shape position the fiber gcd over the residue field F of a point is
+    # g_n * (y - c)^n; these pairs meet in points of degree 2
+    @staticmethod
+    def rendered(p, h):
+        return {pt.render(): n for pt, n in intersection_cycle(parse_poly(p, VARS_XY),
+                                                               parse_poly(h, VARS_XY)).items()}
+
+    def test_tangent_lines_over_a_quadratic_field(self):
+        assert self.rendered("x^2 - 2", "(y - x)^2 + x^2 - 2") == {"(x^2 - 2, -x + y)": 2}
+        assert self.rendered("x^2 - 2", "(y - x)^3 + x^2 - 2") == {"(x^2 - 2, -x + y)": 3}
+
+    def test_fiber_gcd_of_degree_two_over_a_quadratic_field(self):
+        # both curves are singular at the conjugate points (+-sqrt 2, +-sqrt 2),
+        # so in shape position the fiber gcd there is g_2 * (y - c)^2, c != 0
+        p = "(y - x)^2 + (x^2 - 2)^2"
+        h = "(y - x)^2 - (x^2 - 2)^2*(x + 3)"
+        assert self.rendered(p, h) == {"(x^2 - 2, -x + y)": 4, "(x + 4, y^2 + 8*y + 212)": 1}
+
+    def test_first_shear_not_in_shape_position(self):
+        # at lam = 0 the fiber over x = 1 holds the two points (1, 1) and (1, -1)
+        assert self.rendered("y^2 - 1", "x^2 + y^2 - 2") == {
+            "(1, -1)": 1, "(-1, -1)": 1, "(1, 1)": 1, "(-1, 1)": 1}
+
+
 def rand_curve(rng):
     """An irreducible line, conic or cubic with small integer coefficients."""
     a, b, c = (rng.randint(-3, 3) for _ in range(3))
@@ -239,9 +264,12 @@ class TestIntersectionSymmetry:
         pairs = [(X ** 2 + Y ** 2 - 3 * one, Y - X),       # one point of degree 2
                  (Y - X ** 2 + 2 * one, Y),                 # one point of degree 2
                  (Y - X ** 3 + 2 * one, Y),                 # one point of degree 3
-                 (Y ** 2 - X ** 3 - X - one, X - Y)]
+                 (Y ** 2 - X ** 3 - X - one, X - Y),
+                 (X ** 2 - 2 * one, (Y - X) ** 2 + X ** 2 - 2 * one),
+                 (X ** 2 - 2 * one, (Y - X) ** 3 + X ** 2 - 2 * one),
+                 (Y ** 2 - one, X ** 2 + Y ** 2 - 2 * one)]
         rng = random.Random(93)
-        while len(pairs) < 40:
+        while len(pairs) < 43:
             p, h = rand_curve(rng), rand_curve(rng)
             if poly_gcd(p, h).degree() == 0:
                 pairs.append((p, h))

@@ -18,12 +18,11 @@ from tamearc.poly import (
     VARS_XY,
     _gcd_cofactors,
     _gcd_prs,
+    divmod_in,
+    invmod,
     poly_gcd,
+    rem,
     resultant,
-    udivmod,
-    uinvmod,
-    umul,
-    usub,
 )
 
 import frozen
@@ -310,7 +309,59 @@ class TestGcd:
             assert sympy.cancel(ours / theirs).is_constant(), (p.render(), q.render())
 
 
-class TestUinvmod:
+class TestDivmodIn:
+    @staticmethod
+    def check(f, g, var, gen):
+        q, r = divmod_in(f, g, var)
+        theirs = sympy.div(to_sympy(f), to_sympy(g), gen)
+        assert (sympy.expand(to_sympy(q) - theirs[0]), sympy.expand(to_sympy(r) - theirs[1])) \
+            == (0, 0), (f.render(), g.render(), var)
+        assert rem(f, g, var) == r
+
+    def test_matches_sympy_in_t(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            f, g = rand_poly(rng, VARS_T, 7, 6), rand_poly(rng, VARS_T, 3)
+            if not g.is_zero():
+                self.check(f, g, "t", _ST)
+
+    def test_matches_sympy_in_xy_with_a_divisor_in_one_variable(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            f = rand_poly(rng, VARS_XY, 6, 8)
+            gx = rand_poly(rng, VARS_T, 3).subst({"t": X})
+            gy = rand_poly(rng, VARS_T, 3).subst({"t": Y})
+            for g, var, gen in ((gx, "x", _SX), (gy, "y", _SY)):
+                if not g.is_zero():
+                    self.check(f, g, var, gen)
+
+    def test_rational_contents_and_a_non_monic_integer_divisor(self):
+        one = MultiPoly.const(VARS_XY, 1)
+        f = Fraction(2, 3) * X ** 5 * Y + Fraction(-7, 4) * X ** 2 * Y ** 3 + Fraction(1, 5) * one
+        for g in (3 * X ** 2 - 2 * one, Fraction(5, 7) * X ** 3 + Fraction(1, 2) * X):
+            self.check(f, g, "x", _SX)
+            self.check(f, g.swap_xy(), "y", _SY)
+        self.check(Fraction(3, 2) * T ** 4 - T, 4 * T ** 2 + 6 * T - 3, "t", _ST)
+
+    def test_zero_and_lower_degree_dividends(self):
+        g = 2 * X ** 2 + X
+        zero = MultiPoly.zero(VARS_XY)
+        assert divmod_in(zero, g, "x") == (zero, zero)
+        f = Fraction(1, 3) * X * Y ** 4 - Y
+        assert divmod_in(f, g, "x") == (zero, f)
+        self.check(f, g, "x", _SX)
+
+    def test_errors(self):
+        f = X ** 3 + Y
+        with pytest.raises(DivisionByZero):
+            divmod_in(f, MultiPoly.zero(VARS_XY), "x")
+        with pytest.raises(ValueError):
+            divmod_in(f, X + Y, "x")
+        with pytest.raises(ValueError):
+            rem(f, X * Y, "y")
+
+
+class TestInvmod:
     def test_inverse_or_division_by_zero(self):
         rng = random.Random(9)
         outcomes = set()
@@ -325,14 +376,13 @@ class TestUinvmod:
                 continue
             coprime = sympy.gcd(sympy.Poly(to_sympy(a), _ST),
                                 sympy.Poly(to_sympy(u), _ST)).degree() == 0
-            ad, ud = a.dense_fractions("t"), u.dense_fractions("t")
             if coprime:
-                s = uinvmod(ad, ud)
-                assert len(s) < len(ud)
-                assert udivmod(usub(umul(ad, s), [Fraction(1)]), ud)[1] == []
+                s = invmod(a, u, "t")
+                assert s.deg_in("t") < u.deg_in("t")
+                assert sympy.rem(to_sympy(a * s) - 1, to_sympy(u), _ST) == 0
             else:
                 with pytest.raises(DivisionByZero):
-                    uinvmod(ad, ud)
+                    invmod(a, u, "t")
             outcomes.add(coprime)
         assert outcomes == {True, False}
 

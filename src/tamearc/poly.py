@@ -509,8 +509,9 @@ def divmod_in(f, g, var):
     The other variable may occur in f.  Pseudo-division on the integer
     parts (Cohen, GTM 138, Algorithm 3.1.2): the rows of f by degree in
     var are reduced from the top, each step scaling the lower rows and the
-    quotient by the constant lc(g), so that lc(g)^steps * f = q*g + r over
-    Z; one content then normalizes each of q and r.
+    quotient by the integer lc of g's integer part, so that lc^steps times
+    f's integer part is Q*G + R over Z, G being g's integer part; one
+    content then normalizes each of q and r.
     """
     f._check(g)
     if g.is_zero():

@@ -7,7 +7,6 @@ explicit seeds for the generic-shear choice in intersection computations.
 
 from .errors import (
     CapabilityError,
-    DegreeBound,
     DivisionByZero,
     EpsDatumIrregular,
     EpsDegree,

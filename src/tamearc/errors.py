@@ -55,10 +55,6 @@ class CapabilityError(TameArcError):
     pass
 
 
-class DegreeBound(CapabilityError):
-    """Univariate factorization degree above the configured bound."""
-
-
 class FactorIncomplete(CapabilityError):
     """A composite factor could not be split; supply a factor hint."""
 

@@ -11,7 +11,7 @@ Division binds tighter than '*' and chains left, and an exponent applies to
 the whole division chain.  The leading minus is a convenience so that every
 rendered value parses back.  'eps' is a reserved token with eps^2 = 0; a
 product or quotient may carry eps in at most one operand, which enforces the
-degree bound at parse time.
+eps-degree bound at parse time.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ itself, then split the rest once by Yun's squarefree decomposition (Yun,
 SYMSAC 1976); a plane curve first loses its content in y, which is
 factored as a polynomial in x.  Each squarefree part is factored once.  A
 univariate part stays in integers: one of degree 1 is irreducible, and
-any other is split by a modular lift with exhaustive recombination.  A
-plane part of degree 1 in y is irreducible, and a higher one is split by a
-power-series lift at a good specialization, on MultiPoly truncated in x
-with `poly.invmod` and `poly.rem` in y, again with exhaustive
+any other is split by a modular lift and a recombination of the lifted
+factors.  A plane part of degree 1 in y is irreducible, and a higher one
+is split by a power-series lift at a good specialization, on MultiPoly
+truncated in x with `poly.invmod` and `poly.rem` in y, and the same
 recombination (see `_split_primitive_y` for the two irreducibility
-arguments).  Every factor found is therefore tagged "proved".  A factor
-that a caller supplied is checked to divide, but its irreducibility is
-trusted, so it is tagged "user-asserted".
+arguments).  Recombination tries subsets of the lifted factors, which is
+exponential in their number, so each search is exhaustive within
+RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.  Every
+factor found is therefore tagged "proved".  A factor that a caller
+supplied is checked to divide, but its irreducibility is trusted, so it is
+tagged "user-asserted".
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import combinations
 from math import gcd as _int_gcd, isqrt, prod
 from random import Random
 
-from .errors import DegreeBound, FactorIncomplete, InexactDivision, InputError
+from .errors import FactorIncomplete, InexactDivision, InputError
 from .poly import (
     VARS_T,
     MultiPoly,
@@ -39,8 +42,8 @@ from .poly import (
 PROVED = "proved"
 ASSERTED = "user-asserted"
 
-DEFAULT_DEGREE_BOUND = 8
-INTERNAL_DEGREE_BOUND = 64
+# 13 lifted factors need 4,095 subsets, so a search over at most 13 is exhaustive
+RECOMBINATION_BUDGET = 4096
 
 _ONE = Fraction(1)
 
@@ -88,9 +91,6 @@ class FactorHints:
 
     def lookup(self, p):
         return self._table.get(p.primitive(), ())
-
-    def __bool__(self):
-        return bool(self._table)
 
 
 def _finish(p, found):
@@ -320,7 +320,7 @@ def _zassenhaus(g):
     """Complete factorization of a primitive squarefree integer polynomial.
 
     Returns (factors, note); factors are dense integer-primitive lists.  The
-    recombination is exhaustive, so the result is a proof either way.
+    recombination is exhaustive or raises, so the result is a proof either way.
     """
     n = udeg(g)
     lc = g[-1]
@@ -370,6 +370,23 @@ def _zassenhaus(g):
     return found, f"lift and recombination mod {q}"
 
 
+def _subsets(n):
+    """The subsets of range(n) with at most n // 2 elements, smallest first.
+
+    Past RECOMBINATION_BUDGET subsets it raises FactorIncomplete, so a
+    search cut short never passes for an exhaustive one.
+    """
+    tried = 0
+    for size in range(1, n // 2 + 1):
+        for subset in combinations(range(n), size):
+            if tried == RECOMBINATION_BUDGET:
+                raise FactorIncomplete(
+                    f"recombination of {n} lifted factors needs more than "
+                    f"{RECOMBINATION_BUDGET} subsets; supply a factor hint")
+            tried += 1
+            yield subset
+
+
 def _recombine_int(work, lifted, big):
     """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
 
@@ -378,17 +395,16 @@ def _recombine_int(work, lifted, big):
     The centered leading coefficient is that of work, as big > 2 lc(work).
     """
     wlc = work[-1]
-    for size in range(1, len(lifted) // 2 + 1):
-        for subset in combinations(range(len(lifted)), size):
-            prod = [wlc]
-            for i in subset:
-                prod = _zmul(prod, lifted[i], big)
-            cand = [_center(c, big) for c in prod]
-            cont = _int_gcd(*cand)
-            cand = [c // cont for c in cand]
-            quot = _idiv_exact(work, cand)
-            if quot is not None:
-                return subset, cand, quot
+    for subset in _subsets(len(lifted)):
+        prod = [wlc]
+        for i in subset:
+            prod = _zmul(prod, lifted[i], big)
+        cand = [_center(c, big) for c in prod]
+        cont = _int_gcd(*cand)
+        cand = [c // cont for c in cand]
+        quot = _idiv_exact(work, cand)
+        if quot is not None:
+            return subset, cand, quot
     return None
 
 
@@ -428,15 +444,14 @@ def _active_variable(p):
     return live[0] if live else None
 
 
-def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
+def factor_univariate(p, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
     Each squarefree part of Yun's split goes to the modular lift, unless it
-    has degree 1.  A part of degree above `bound` raises DegreeBound, as
-    the recombination search is exponential in that degree alone; Yun's
-    split is not, so a power such as (t - 1)^9 factors, and the size of
-    the coefficients costs only lift precision.  Verified hint factors are
-    divided out first, so pre-factored input can bypass the bound.
+    has degree 1; its recombination raises FactorIncomplete past
+    RECOMBINATION_BUDGET subsets, and the size of the coefficients costs
+    only lift precision.  Verified hint factors are divided out first, so
+    pre-factored input needs no recombination.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -444,14 +459,7 @@ def factor_univariate(p, bound=DEFAULT_DEGREE_BOUND, hints=None):
     if var is None:
         return Factorization(p.const_value(), ())
     work, entries = _extract_hints(p, _hinted(hints, p))
-    parts = _yun(work, var)
-    for sqf, _ in parts:
-        d = sqf.deg_in(var)
-        if d > bound:
-            raise DegreeBound(
-                f"degree {d} exceeds the factorization bound {bound}; "
-                "supply a factor hint")
-    for sqf, mult in parts:
+    for sqf, mult in _yun(work, var):
         # sqf has content 1 and one live variable, so stride 1 lists its coefficients
         for fac, note in _factor_squarefree(_pack(sqf.ints, 1)):
             poly = MultiPoly.from_dense(p.vars, var, fac)
@@ -536,10 +544,11 @@ def _split_primitive_y(p):
     of at most half the factors, smallest first, each checked by exact
     division, so it finds a or its cofactor, and the first hit has no
     proper factor.  When the search finds nothing, `work` is irreducible
-    (Lecerf, Math. Comp. 2006, has sharper precision bounds).
+    (Lecerf, Math. Comp. 2006, has sharper precision bounds).  A search
+    that would pass RECOMBINATION_BUDGET subsets raises instead.
     """
     x0, u = _pick_specialization(p)
-    u_fact = factor_univariate(u, bound=INTERNAL_DEGREE_BOUND)
+    u_fact = factor_univariate(u)
     if len(u_fact.factors) == 1 and u_fact.factors[0].multiplicity == 1:
         return [(p.primitive(), 1, PROVED,
                  f"specialization x = {x0} stays irreducible")]
@@ -581,22 +590,21 @@ def _recombine(work, lifted, k):
     work, made primitive in y, divides work exactly.
     """
     c_poly = _lc_series(work, k)
-    for size in range(1, len(lifted) // 2 + 1):
-        for subset in combinations(range(len(lifted)), size):
-            prod = MultiPoly.const(work.vars, 1)
-            for i in subset:
-                prod = _trunc_x(prod * lifted[i], k)
-            cand = _trunc_x(c_poly * prod, k)
-            cand = cand.div_exact(content_in(cand, "y")).primitive()
-            quot = work.div_exact(cand)
-            if quot is not None:
-                return subset, cand, quot
+    for subset in _subsets(len(lifted)):
+        prod = MultiPoly.const(work.vars, 1)
+        for i in subset:
+            prod = _trunc_x(prod * lifted[i], k)
+        cand = _trunc_x(c_poly * prod, k)
+        cand = cand.div_exact(content_in(cand, "y")).primitive()
+        quot = work.div_exact(cand)
+        if quot is not None:
+            return subset, cand, quot
     return None
 
 
 def _univariate_entries(p):
     return [(t.poly, t.multiplicity, t.certificate, t.evidence)
-            for t in factor_univariate(p, bound=INTERNAL_DEGREE_BOUND).factors]
+            for t in factor_univariate(p).factors]
 
 
 def factor_plane_curve(p, hints=None):

@@ -24,7 +24,6 @@ from .errors import (
     ProjectionDisagreement,
 )
 from .factor import (
-    INTERNAL_DEGREE_BOUND,
     PROVED,
     _extract_hints,
     _hinted,
@@ -499,7 +498,7 @@ def _intersection_points(p, h, seed, swap):
             return {}
         out = {}
         good = True
-        for term in factor_univariate(R, bound=INTERNAL_DEGREE_BOUND).factors:
+        for term in factor_univariate(R).factors:
             u = term.poly * (1 / term.poly.lc())
             # shape position: the fiber gcd is g_n * (y - c)^n over F, n >= 1,
             # which holds when gcd(G, dG/dy) has degree n - 1

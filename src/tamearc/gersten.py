@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .factor import DEFAULT_DEGREE_BOUND
 from .geometry import A2, P1, div_on_curves
 from .ksymbols import K1Cycle, MilnorSymbol, div_k1, p1_component_norm, tame
 
@@ -162,5 +161,5 @@ def weil_check_p1(f, g, hints=None):
         inputs=_sorted_inputs([("f", f.render()), ("g", g.render())]),
         witness=(("component norms", "; ".join(norms) if norms else "none"),
                  ("norm product", str(product))),
-        provenance=(("factor bound", str(DEFAULT_DEGREE_BOUND)),),
+        provenance=(("factor tags", _prime_tags(p for p, _ in image.terms)),),
     )

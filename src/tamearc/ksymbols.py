@@ -25,6 +25,7 @@ from .geometry import (
     PrimeDivisor,
     ResidueFunc,
     Y_inf_valuation,
+    div_codim1,
     div_on_curves,
     prime_divisors,
     signed_sum,
@@ -161,22 +162,10 @@ def p1_component_norm(prime, val):
 
 
 def _prime_orders(f, g, variety, hints):
-    """Map prime -> (nu(f), nu(g)) from the four factorizations."""
-    orders = {}
-
-    def _absorb(func, slot):
-        for part, sign in ((func.num, 1), (func.den, -1)):
-            for prime, mult in prime_divisors(part, variety, hints):
-                m, n = orders.get(prime, (0, 0))
-                delta = sign * mult
-                orders[prime] = (m + delta, n) if slot == 0 else (m, n + delta)
-
-    _absorb(f, 0)
-    _absorb(g, 1)
-    if variety.kind == "P1":
-        m, n = Y_inf_valuation(f), Y_inf_valuation(g)
-        if m or n:
-            orders[PrimeDivisor.infinity()] = (m, n)
+    """Map prime -> (nu(f), nu(g)) over the primes of div(f) and div(g)."""
+    orders = {prime: (m, 0) for prime, m in div_codim1(f, variety, hints).terms}
+    for prime, n in div_codim1(g, variety, hints).terms:
+        orders[prime] = (orders.get(prime, (0, 0))[0], n)
     return orders
 
 
@@ -196,8 +185,6 @@ def tame(s, X=None, hints=None):
         orders = _prime_orders(f, g, variety, hints)
         for prime in sorted(orders, key=lambda p: p.sort_key()):
             m, n = orders[prime]
-            if m == 0 and n == 0:
-                continue
             h = _tame_component(f, g, m, n)
             try:
                 components.append((prime, ResidueFunc(prime, h) ** coeff))

@@ -121,6 +121,11 @@ class TestGrammar:
             assert back == val, val.render()
 
 
+# y*(y-1)*...*(y-(n-1)) + x is irreducible and splits into n lines at x = 0
+_LINES_14 = "y*" + "*".join(f"(y-{i})" for i in range(1, 14)) + " + x"
+_LINES_20 = "y*" + "*".join(f"(y-{i})" for i in range(1, 20)) + " + x"
+
+
 def run_cli(*args, job=None, timeout=None):
     cmd = [sys.executable, "-m", "tamearc.cli"]
     if job is not None:
@@ -195,9 +200,17 @@ class TestCli:
         assert r.returncode == 2
 
     def test_capability_error_exits_3(self):
-        r = run_cli("div", "--f", "t^9 + t + 1", "--variety", "P1")
+        # recombining 20 lines exceeds the budget
+        r = run_cli("div", "--f", _LINES_20, timeout=20)
         assert r.returncode == 3
-        assert "error: DegreeBound" in r.stdout.decode()
+        assert "error: FactorIncomplete" in r.stdout.decode()
+
+    def test_degree_nine_factors_on_both_varieties(self):
+        for f, variety, cycle in (("t^9 + t + 1", "P1", "[V(t^9 + t + 1)] - 9*[INF]"),
+                                  ("x^9 + x + 1", "A2", "[V(x^9 + x + 1)]")):
+            r = run_cli("div", "--f", f, "--variety", variety)
+            assert r.returncode == 0, variety
+            assert f"cycle: {cycle}" in r.stdout.decode().splitlines()
 
     def test_bound_applies_to_squarefree_parts(self):
         # degree 9, but every squarefree part has degree 1 or 3
@@ -208,10 +221,18 @@ class TestCli:
         assert r.returncode == 0
 
     def test_factor_hint_rescues_bound(self):
-        r = run_cli("div", "--f", "t^9 + t + 1", "--variety", "P1",
+        # recombining 14 lines exceeds the budget, and the hint skips it
+        r = run_cli("div", "--f", _LINES_14, "--factor-hint", f"{_LINES_14}={_LINES_14}")
+        assert r.returncode == 0
+        assert "cycle: [V(" in r.stdout.decode()
+
+    def test_hinted_weil_check_names_its_tags(self):
+        r = run_cli("weil-check", "--f", "t^9 + t + 1", "--g", "t - 2",
                     "--factor-hint", "t^9 + t + 1=t^9 + t + 1")
         assert r.returncode == 0
-        assert "cycle:" in r.stdout.decode()
+        lines = r.stdout.decode().splitlines()
+        assert "verdict: pass" in lines
+        assert "provenance factor tags: proved, user-asserted" in lines
 
     def test_d_eps_arc_listing(self):
         r = run_cli("d-eps", "--f", "x + eps", "--g", "y")
@@ -441,7 +462,7 @@ _P1_BYTE_PINS = [
      b"witness component norms: 3 -> 13/25; -7/2 -> -32/19773; "
      b"V(t^2 + t + 1) -> 1521; V(t^3 - 2) -> -25; INF -> 1/32\n"
      b"witness norm product: 1\n"
-     b"provenance factor bound: 8\n"),
+     b"provenance factor tags: proved\n"),
     (["div-on-curve", "--f", "1/(t - 1)", "--variety", "P1"],
      b"cycle: -[1] + [INF]\n"
      b"total degree: 0\n"),

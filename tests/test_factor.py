@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 import tamearc.factor
-from tamearc.errors import DegreeBound, InputError
+from tamearc.errors import FactorIncomplete, InputError
 from tamearc.factor import (
     ASSERTED,
-    DEFAULT_DEGREE_BOUND,
-    INTERNAL_DEGREE_BOUND,
     PROVED,
     FactorHints,
     factor_plane_curve,
@@ -68,11 +67,15 @@ class TestUnivariate:
         assert len(fac.factors) == 1 and fac.factors[0].certificate == PROVED
 
     def test_degree_bound(self):
+        # degree alone never refuses a polynomial: recombination is what costs
         p = T ** 9 + T + 1
-        with pytest.raises(DegreeBound):
-            factor_univariate(p)
-        fac = factor_univariate(p, bound=9)
+        fac = factor_univariate(p)
+        assert [(t.poly, t.multiplicity, t.certificate) for t in fac.factors] == [
+            (p, 1, PROVED)]
+        p = T ** 65 + T + 1
+        fac = factor_univariate(p)
         assert fac.verify(p)
+        assert our_factor_count(fac) == sympy_factor_count(p) == [(2, 1), (63, 1)]
 
     def test_hint_bypasses_bound(self):
         p = (T ** 5 - T - 1) * (T ** 4 + T + 1)
@@ -96,7 +99,7 @@ class TestUnivariate:
             if any(q.is_zero() or q.degree() == 0 for q in parts):
                 continue
             p = parts[0] * parts[1] * parts[2]
-            if p.degree() <= DEFAULT_DEGREE_BOUND:
+            if p.degree() <= 8:
                 products.append(p)
         # rational roots with numerators of 10 to 15 digits, times a quadratic
         while len(products) < 40:
@@ -125,10 +128,65 @@ class TestUnivariate:
                 continue
             a, b, c = (q.subst({"t": v}) for q in parts)
             p = a * b ** 2 * c ** 4
-            fac = factor_univariate(p, bound=INTERNAL_DEGREE_BOUND)
+            fac = factor_univariate(p)
             assert fac.verify(p)
             assert our_factor_count(fac) == sympy_factor_count(p), p.render()
             done += 1
+
+
+def swinnerton_dyer(n):
+    """S_n in t: irreducible of degree 2^n, with factors of degree <= 2 mod every prime."""
+    coeffs = sympy.Poly(swinnerton_dyer_poly(n, _ST), _ST).all_coeffs()
+    return MultiPoly.from_dense(VARS_T, "t", [int(c) for c in reversed(coeffs)])
+
+
+def lines_plus_x(n):
+    """prod_{i<n} (y - i) + x: irreducible, and n lines at the specialization x = 0."""
+    lines = MultiPoly.const(VARS_XY, 1)
+    for i in range(n):
+        lines = lines * (Y - MultiPoly.const(VARS_XY, i))
+    return lines + X
+
+
+class TestRecombinationBudget:
+    """Each subset search is exhaustive within the budget and raises past it."""
+
+    def test_univariate_search_raises_past_the_budget(self, monkeypatch):
+        # S_4 splits into 8 quadratics mod 11; its one search tries the 162
+        # subsets of at most 4 of them
+        s4 = swinnerton_dyer(4)
+        monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 162)
+        fac = factor_univariate(s4)
+        assert [(t.poly, t.certificate) for t in fac.factors] == [(s4, PROVED)]
+        monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 161)
+        with pytest.raises(FactorIncomplete, match="of 8 lifted factors") as exc:
+            factor_univariate(s4)
+        assert "_recombine_int" in [entry.name for entry in exc.traceback]
+        assert "supply a factor hint" in str(exc.value)
+
+    def test_plane_search_raises_past_the_budget(self, monkeypatch):
+        # seven one-subset searches split the specialization into 8 lines,
+        # then the series recombination tries all 162 subsets of at most 4
+        p = lines_plus_x(8)
+        monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 162)
+        fac = factor_plane_curve(p)
+        assert [(t.poly, t.certificate) for t in fac.factors] == [(p, PROVED)]
+        monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 161)
+        with pytest.raises(FactorIncomplete, match="of 8 lifted factors") as exc:
+            factor_plane_curve(p)
+        assert "_recombine" in [entry.name for entry in exc.traceback]
+
+    def test_thirteen_lifted_factors_stay_exhaustive(self):
+        # 4,095 subsets of at most 6 of 13 factors fit in the default budget
+        p = lines_plus_x(13)
+        fac = factor_plane_curve(p)
+        assert [(t.poly, t.certificate) for t in fac.factors] == [(p, PROVED)]
+        assert "admits no polynomial recombination" in fac.factors[0].evidence
+
+    def test_s5_exits_with_factor_incomplete(self):
+        # S_5 has at least 16 factors mod every prime, and 16 need 39,202 subsets
+        with pytest.raises(FactorIncomplete, match="of 16 lifted factors"):
+            factor_univariate(swinnerton_dyer(5))
 
 
 class TestPlaneCurve:

@@ -117,7 +117,7 @@ def rand_mixed_p1(rng):
     points of degree 2 and 3 (the irreducible t^2 + a and t^3 - b).
 
     Numerator and denominator have degree at most 4, so a product of two
-    stays within the default factorization bound.
+    has degree at most 8.
     """
     def c(v):
         return RatFunc.from_const(VARS_T, v)

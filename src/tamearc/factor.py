@@ -4,8 +4,9 @@ Both factorizers divide out the hint factors named for the polynomial
 itself, then split the rest once by Yun's squarefree decomposition (Yun,
 SYMSAC 1976); a plane curve first loses its content in y, which is
 factored as a polynomial in x.  Each squarefree part is factored once.  A
-univariate part stays in integers: one of degree 1 is irreducible, and
-any other is split by a modular lift and a recombination of the lifted
+univariate part stays in integers: one of degree 1 is irreducible, one
+of degree 2 is decided by whether its discriminant is a square, and any
+other is split by a modular lift and a recombination of the lifted
 factors.  A plane part of degree 1 in y is irreducible, and a higher one
 is split by a power-series lift at a good specialization, on MultiPoly
 truncated in x with `poly.invmod` and `poly.rem` in y, and the same
@@ -430,9 +431,21 @@ def _factor_squarefree(f):
     """Irreducible factors of a squarefree dense integer-primitive list with lc > 0.
 
     Complete; returns (dense integer-primitive factor, note) pairs, all proved.
+    A quadratic a*t^2 + b*t + c splits over Q exactly when D = b^2 - 4ac is
+    a square r^2, and then 4a*f = (2a*t + b - r)(2a*t + b + r); by Gauss's
+    lemma the primitive parts of the two factors multiply to f.
     """
     if udeg(f) == 1:
         return [(f, "degree 1")]
+    if udeg(f) == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        r = isqrt(disc) if disc >= 0 else -1
+        if r * r != disc:
+            return [(f, "degree 2, discriminant not a square")]
+        lines = ([b - r, 2 * a], [b + r, 2 * a])
+        return [([v // _int_gcd(*g) for v in g], "degree 2, discriminant a square")
+                for g in lines]
     factors, note = _zassenhaus(f)
     return [(g, note) for g in factors]
 
@@ -448,9 +461,9 @@ def factor_univariate(p, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
     Each squarefree part of Yun's split goes to the modular lift, unless it
-    has degree 1; its recombination raises FactorIncomplete past
-    RECOMBINATION_BUDGET subsets, and the size of the coefficients costs
-    only lift precision.  Verified hint factors are divided out first, so
+    has degree 1 or 2 (see `_factor_squarefree`); its recombination raises
+    FactorIncomplete past RECOMBINATION_BUDGET subsets, and the size of the
+    coefficients costs only lift precision.  Verified hint factors are divided out first, so
     pre-factored input needs no recombination.
     """
     if p.is_zero():

@@ -8,8 +8,10 @@ exactly from the fiber gcd.  The residue field F = Q[x]/(u) of a fiber and
 the polynomials over it are MultiPoly reduced by `poly.rem`, and inverses
 in F come from `poly.invmod`.  Every cycle is recomputed under an independent
 second projection; disagreement is an error, never a silent answer.  A
-Gersten check (`div_on_curves`) intersects each unordered pair of curves
-once, and both projections still run for that pair.
+Gersten check (`div_on_curves`) reaches the primes of each residue by
+exact division by the check's own curves (`divide_by_primes`), factoring
+only a remainder, and intersects each unordered pair of curves once; both
+projections still run for that pair.
 """
 
 from __future__ import annotations
@@ -322,7 +324,14 @@ def divide_by_primes(poly, X, primes, hints=None):
     user-asserted under a hint), is then divided out exactly, and only what
     is left is factored, without hints, as the factorizers would have
     factored it after the hint step.  A product of known primes is
-    therefore never factored.
+    therefore never factored, and a constant is never factored at all.
+    With no primes given the result is prime_divisors(poly, X, hints).
+
+    A known prime keeps its own tag, so a hint for the polynomial that a
+    prime was first found in serves every later polynomial that it divides.
+    A given "prime" that is reducible (a caller's curve) is divided out as
+    a whole; the callers only sum intersection multiplicities over the
+    result, and those are additive, I(p, a*b) = I(p, a) + I(p, b).
     """
     work, entries = _extract_hints(poly, _hinted(hints, poly))
     out = [(PrimeDivisor(X, h, tag), m) for h, m, tag, _ in entries]
@@ -337,13 +346,18 @@ def divide_by_primes(poly, X, primes, hints=None):
     return out
 
 
-def div_codim1(f, X, hints=None):
-    """The divisor of zeros and poles of f on X, as a Cycle of prime divisors."""
+def div_codim1(f, X, hints=None, primes=()):
+    """The divisor of zeros and poles of f on X, as a Cycle of prime divisors.
+
+    The primes given, known irreducible, are reached by exact division
+    (divide_by_primes); only what is left of f's numerator and
+    denominator is factored.
+    """
     if f.is_zero():
         raise DivisionByZero("the zero function has no divisor")
     pairs = [(prime, sign * m)
              for part, sign in ((f.num, 1), (f.den, -1))
-             for prime, m in prime_divisors(part, X, hints)]
+             for prime, m in divide_by_primes(part, X, primes, hints)]
     nu = Y_inf_valuation(f) if X.kind == "P1" else 0
     if nu:
         pairs.append((PrimeDivisor.infinity(), nu))
@@ -548,18 +562,29 @@ def div_on_curve(g, seed=0, hints=None):
 def div_on_curves(funcs, seed=0, hints=None):
     """The sum of div_on_curve over ResidueFuncs on curves in A2.
 
-    The intersection cycle of two curves does not depend on their order, so
+    A residue (-1)^(mn) f^n / g^m of a tame symbol is a product of the
+    curves of f and g, which are the curves of the functions given, so each
+    numerator and denominator is divided by those curves first, and only a
+    remainder is factored (divide_by_primes).  A remainder is left when a
+    component was dropped as trivial, or when a caller's functions are not
+    a tame image.  Intersection multiplicity is additive,
+    I(p, a*b) = I(p, a) + I(p, b), so the cycle is the same as from the
+    full factorization even when a caller's curve is reducible.  The
+    intersection cycle of two curves does not depend on their order, so
     each unordered pair is intersected once, into a table that lives for
     this call only.
     """
-    met = {}
-    pairs = []
+    funcs = list(funcs)
     for g in funcs:
         if g.curve.variety.kind != "A2":
             raise ValueError("div_on_curve of a ResidueFunc needs a curve in A2")
+    known = [g.curve for g in funcs]
+    met = {}
+    pairs = []
+    for g in funcs:
         p = g.curve.poly
         for part, sign in ((g.rep.num, 1), (g.rep.den, -1)):
-            for prime, m in prime_divisors(part, A2, hints):
+            for prime, m in divide_by_primes(part, A2, known, hints):
                 key = frozenset((p, prime.poly))
                 if key not in met:
                     met[key] = intersection_cycle(p, prime.poly, seed)

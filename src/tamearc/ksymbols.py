@@ -161,10 +161,10 @@ def p1_component_norm(prime, val):
     return resultant(prime.poly, val.rep.num, "t").const_value()
 
 
-def _prime_orders(f, g, variety, hints):
+def _prime_orders(f, g, variety, hints, primes):
     """Map prime -> (nu(f), nu(g)) over the primes of div(f) and div(g)."""
-    orders = {prime: (m, 0) for prime, m in div_codim1(f, variety, hints).terms}
-    for prime, n in div_codim1(g, variety, hints).terms:
+    orders = {prime: (m, 0) for prime, m in div_codim1(f, variety, hints, primes).terms}
+    for prime, n in div_codim1(g, variety, hints, primes).terms:
         orders[prime] = (orders.get(prime, (0, 0))[0], n)
     return orders
 
@@ -177,12 +177,16 @@ def _tame_component(f, g, m, n):
     return h
 
 
-def tame(s, X=None, hints=None):
-    """Tame symbol of a Milnor symbol: a K1Cycle over the primes of X."""
+def tame(s, X=None, hints=None, primes=()):
+    """Tame symbol of a Milnor symbol: a K1Cycle over the primes of X.
+
+    primes are irreducible primes already known to the caller; the entries'
+    divisors reach them by exact division, and only the rest is factored.
+    """
     variety = X if X is not None else variety_of(s.vars)
     components = []
     for f, g, coeff in s.terms:
-        orders = _prime_orders(f, g, variety, hints)
+        orders = _prime_orders(f, g, variety, hints, primes)
         for prime in sorted(orders, key=lambda p: p.sort_key()):
             m, n = orders[prime]
             h = _tame_component(f, g, m, n)

@@ -11,9 +11,10 @@ divisible by p, makes the zero test sound and complete at this level.
 The diagram check needs no factorization of its own.  Every denominator of
 tangent2 is a product of the primes that d_eps has already found, so its
 primes come from hint factors and exact division by the arcs' primes
-(`geometry.divide_by_primes`).  Along each prime the check then reduces one
-form, tangent2 minus the unreduced forms of the arcs on that prime, instead
-of reducing each side and their difference.
+(`geometry.divide_by_primes`), and so do those of the bodies whose tame
+symbol the eps = 0 face reads.  Along each prime the check then reduces
+one form, tangent2 minus the unreduced forms of the arcs on that prime,
+instead of reducing each side and their difference.
 """
 
 from __future__ import annotations
@@ -219,7 +220,10 @@ def diagram_check(s, hints=None):
     the same class than reducing each side first would give.
 
     Also checks the eps = 0 face: the specialized arcs multiply to the tame
-    symbol of the specialized symbol.
+    symbol of the specialized symbol.  That tame symbol reaches the arcs'
+    primes by exact division too, since the bodies it reads are the ones
+    d_eps has factored; factoring them again with the same deterministic
+    factorizer would check nothing more.
     """
     beta = tangent2(s)
     arcs = d_eps(s, hints=hints)
@@ -238,7 +242,7 @@ def diagram_check(s, hints=None):
 
     variety = variety_of(s.vars)
     spec_cycle = specialize_arcs(arcs, variety)
-    tame_cycle = tame(s.specialize(), variety, hints=hints)
+    tame_cycle = tame(s.specialize(), variety, hints=hints, primes=list(arc_sums))
     face_ok = spec_cycle.same_cycle(tame_cycle)
 
     witness = [("tangent2 form", beta.render()),

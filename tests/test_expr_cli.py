@@ -226,6 +226,17 @@ class TestCli:
         assert r.returncode == 0
         assert "cycle: [V(" in r.stdout.decode()
 
+    def test_hint_serves_the_residues_built_from_its_polynomial(self):
+        # the residue (F*(y - 20))^2 on V(x - 1) has no hint of its own; it is
+        # divided by the curves of f, one of them hinted, so nothing recombines
+        f = f"({_LINES_14})*(y-20)"
+        r = run_cli("complex-check", "--f", f, "--g", "(x-1)^2",
+                    "--factor-hint", f"{f}={_LINES_14}", timeout=20)
+        assert r.returncode == 0
+        lines = r.stdout.decode().splitlines()
+        assert "verdict: pass" in lines
+        assert "provenance factor tags: proved, user-asserted" in lines
+
     def test_hinted_weil_check_names_its_tags(self):
         r = run_cli("weil-check", "--f", "t^9 + t + 1", "--g", "t - 2",
                     "--factor-hint", "t^9 + t + 1=t^9 + t + 1")

@@ -16,7 +16,7 @@ from tamearc.factor import (
     factor_plane_curve,
     factor_univariate,
 )
-from tamearc.poly import MultiPoly, VARS_T, VARS_XY
+from tamearc.poly import MultiPoly, VARS_T, VARS_XY, poly_gcd
 
 from test_poly import T, X, Y, rand_poly, to_sympy, _ST, _SX, _SY
 
@@ -116,6 +116,37 @@ class TestUnivariate:
             assert fac.verify(p)
             assert our_factor_count(fac) == sympy_factor_count(p), p.render()
 
+    def test_quadratics_by_discriminant_match_sympy(self):
+        # a squarefree quadratic splits exactly when its discriminant is a
+        # square; the factors are the integer-primitive lines with lc > 0
+        p = 6 * T ** 2 - T - 1
+        fac = factor_univariate(p)
+        assert fac.unit == 1
+        assert [(t.poly, t.multiplicity, t.certificate) for t in fac.factors] == [
+            (2 * T - 1, 1, PROVED), (3 * T + 1, 1, PROVED)]
+        rng = random.Random(31)
+        quadratics = [4 * T ** 2 - 9, 2 * T ** 2 - 3, -6 * T ** 2 + T + 1]
+        while len(quadratics) < 60:
+            a = rng.choice([2, 3, 4, 6, 9, 12, -2, -5])
+            if rng.random() < 0.5:
+                # a square discriminant: a product of two lines, scaled
+                lines = [rng.randint(1, 7) * T + rng.randint(-9, 9) for _ in range(2)]
+                p = lines[0] * lines[1] * Fraction(a, rng.randint(1, 5))
+            else:
+                p = a * T ** 2 + rng.randint(-12, 12) * T + rng.randint(-12, 12)
+            if p.degree() == 2 and poly_gcd(p, p.derivative("t")).degree() == 0:
+                quadratics.append(p)
+        square = 0
+        for p in quadratics:
+            fac = factor_univariate(p)
+            coeff, factors = sympy.factor_list(to_sympy(p), _ST)
+            assert fac.unit == Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
+            ours = sorted(str(sympy.expand(to_sympy(t.poly))) for t in fac.factors)
+            theirs = sorted(str(sympy.expand(f)) for f, _ in factors)
+            assert ours == theirs, p.render()
+            assert all(t.multiplicity == 1 and t.certificate == PROVED for t in fac.factors)
+            square += len(fac.factors) == 2
+        assert 10 < square < 50
 
     @pytest.mark.parametrize("v", [T, X])
     def test_multiplicities_one_two_four_match_sympy(self, v):

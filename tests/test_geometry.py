@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tamearc import geometry
 from tamearc.errors import DivisionByZero, NotAUnitAlongY
 from tamearc.expr import parse_poly
 from tamearc.factor import FactorHints
@@ -16,6 +17,7 @@ from tamearc.geometry import (
     ResidueFunc,
     div_codim1,
     div_on_curve,
+    div_on_curves,
     divide_by_primes,
     intersection_cycle,
     prime_divisors,
@@ -288,11 +290,21 @@ class TestDivOnCurve:
         terms = {pt.render(): n for pt, n in cycle.terms}
         assert terms == {"1": 1, "-1": 1, "0": -1, "INF": -1}
 
-    def test_p1_residue_func_rejected(self):
+    def test_p1_residue_func_rejected(self, monkeypatch):
         # a ResidueFunc on a P1 point has no curve in A2 to intersect with
         rf = ResidueFunc(PrimeDivisor(P1, T ** 2 + 1), t)
         with pytest.raises(ValueError):
             div_on_curve(rf)
+
+        # in a mixed list, every variety is checked before any division
+        def divided(*args, **kwargs):
+            raise AssertionError("a function was divided before the P1 one was seen")
+
+        monkeypatch.setattr(geometry, "divide_by_primes", divided)
+        monkeypatch.setattr(geometry, "prime_divisors", divided)
+        on_a2 = ResidueFunc(V_X, y + RatFunc.from_const(VARS_XY, 1))
+        with pytest.raises(ValueError):
+            div_on_curves(iter([on_a2, rf]))
 
     def test_p1_has_no_closed_point(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,27 @@ class TestComplexSquareZero:
         assert complex_check_q2(f, g, seed=102) == first
         assert len(calls) == 2 * len(pairs) and set(calls) == pairs
 
+    def test_residues_reach_their_primes_by_division(self, monkeypatch):
+        # each residue of tame({f, g}) is a product of the curves of f and
+        # g, so div_k1 factors nothing: the check factors only the
+        # numerators and denominators of f and g, each once
+        calls = []
+        inner = geometry.factor_plane_curve
+
+        def counted(p, hints=None):
+            calls.append(p.primitive())
+            return inner(p, hints)
+
+        monkeypatch.setattr(geometry, "factor_plane_curve", counted)
+        rng = random.Random(102)
+        for _ in range(8):
+            f, g = coprime_pool_pair(rng)
+            calls.clear()
+            assert complex_check_q2(f, g).verdict
+            own = {p.primitive() for p in (f.num, f.den, g.num, g.den)}
+            assert calls and set(calls) <= own, (f.render(), g.render())
+            assert len(calls) == len(set(calls))
+
 
 class TestWeilReciprocity:
     def test_pinned(self):

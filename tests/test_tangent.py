@@ -310,6 +310,28 @@ class TestDiagramCheck:
             assert diagram_check(rand_admissible_dual(rng)).verdict
         assert calls and "tamearc.tangent" not in calls
 
+    def test_bodies_are_factored_once(self, monkeypatch):
+        # d_eps factors each body numerator and denominator, and the tame
+        # symbol of the eps = 0 face reaches the same primes by division
+        calls = []
+        inner = geometry.factor_plane_curve
+
+        def counted(p, hints=None):
+            calls.append(p.primitive())
+            return inner(p, hints)
+
+        monkeypatch.setattr(geometry, "factor_plane_curve", counted)
+        rng = random.Random(105)
+        for _ in range(6):
+            s = rand_admissible_dual(rng)
+            calls.clear()
+            assert diagram_check(s).verdict
+            (u, v, _), = s.terms
+            bodies = {p.primitive() for w in (u, v) for p in (w.body.num, w.body.den)
+                      if not p.is_const()}
+            factored = [p for p in calls if not p.is_const()]
+            assert sorted(factored, key=str) == sorted(bodies, key=str), s.render()
+
     def test_repeated_arcs_certify(self):
         # a component of multiplicity 3 gives three equal arcs on V(x - 1)
         line = x - ONE_XY

@@ -4,12 +4,13 @@ Intersection cycles on plane curves are computed through a sheared resultant:
 after a change of coordinates x -> x + lam*y that puts both curves in shape
 position, the order of each irreducible factor of Res_y equals the local
 intersection multiplicity at the single fiber point, which is recovered
-exactly from the fiber gcd.  The residue field F = Q[x]/(u) of a fiber and
-the polynomials over it are MultiPoly reduced by `poly.rem`, and inverses
-in F come from `poly.invmod`.  Every cycle is recomputed under an independent
-second projection; disagreement is an error, never a silent answer.  A
-Gersten check (`div_on_curves`) reaches the primes of each residue by
-exact division by the check's own curves (`divide_by_primes`), factoring
+exactly from the fiber gcd; both are read from one subresultant chain of the
+sheared pair (`poly.subresultants`).  The residue field F = Q[x]/(u) of a
+fiber and the polynomials over it are MultiPoly reduced by `poly.rem`, and
+inverses in F come from `poly.invmod`.  Every cycle is recomputed under an
+independent second projection; disagreement is an error, never a silent
+answer.  A Gersten check (`div_on_curves`) reaches the primes of each residue
+by exact division by the check's own curves (`divide_by_primes`), factoring
 only a remainder, and intersects each unordered pair of curves once; both
 projections still run for that pair.
 """
@@ -37,10 +38,9 @@ from .poly import (
     RatFunc,
     VARS_T,
     VARS_XY,
-    _prem,
     invmod,
     rem,
-    resultant,
+    subresultants,
 )
 
 _ZERO = Fraction(0)
@@ -381,19 +381,19 @@ def p1_residue(f, Y):
 # irreducible in x; an element of F, or of F[y], is a MultiPoly in (x, y)
 # reduced by rem(., u, "x")
 
-def _fiber_gcd(a, b, u):
-    """A gcd in F[y] of a and b, up to a unit of F.
+def _fiber_gcd(chain, u):
+    """A gcd in F[y], up to a unit of F, of a pair given by its chain in y.
 
-    A coefficient divisible by u reduces to 0, so deg_in("y") of a reduced
-    polynomial is its degree over F; pseudo-remainders over Q[x] reduce
-    to the remainders over F times units of F.
+    The pair's leading coefficients in y must not vanish mod u.  Reduction
+    mod u then keeps the chain, so the gcd is S_j mod u for the least j with
+    s_j != 0 mod u (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry; Gonzalez-Vega and El Kahoui, J. Complexity 1996); a
+    coefficient divisible by u reduces to 0, so deg_in("y") is the degree over F.
     """
-    a, b = rem(a, u, "x"), rem(b, u, "x")
-    if a.deg_in("y") < b.deg_in("y"):
-        a, b = b, a
-    while not b.is_zero():
-        a, b = b, rem(_prem(a, b, "y"), u, "x").primitive()
-    return a
+    for S, s in reversed(chain):
+        if not u.divides(s):
+            return rem(S, u, "x")
+    raise ProjectionDisagreement(f"every s_j of the fiber pair vanishes mod {u.render()}")
 
 
 # canonical presentation of a closed point from residue-field data
@@ -507,7 +507,9 @@ def _intersection_points(p, h, seed, swap):
         h2 = h.shear(lam)
         if p2.deg_in("y") != p.degree() or h2.deg_in("y") != h.degree():
             continue
-        R = resultant(p2, h2, "y")
+        # R = S_0, whose sign does not matter, and the fiber gcds from one chain
+        chain = subresultants(*((p2, h2) if p.degree() >= h.degree() else (h2, p2)), "y")
+        R = chain[-1][0]
         if R.is_const():
             return {}
         out = {}
@@ -515,10 +517,11 @@ def _intersection_points(p, h, seed, swap):
         for term in factor_univariate(R).factors:
             u = term.poly * (1 / term.poly.lc())
             # shape position: the fiber gcd is g_n * (y - c)^n over F, n >= 1,
-            # which holds when gcd(G, dG/dy) has degree n - 1
-            G = _fiber_gcd(p2, h2, u)
+            # which holds when gcd(G, dG/dy), from their chain, has degree n - 1
+            G = _fiber_gcd(chain, u)
             n = G.deg_in("y")
-            if n < 1 or _fiber_gcd(G, G.derivative("y"), u).deg_in("y") != n - 1:
+            if n < 1 or _fiber_gcd(subresultants(G, G.derivative("y"), "y"),
+                                   u).deg_in("y") != n - 1:
                 good = False
                 break
             g = G.dense_in("y")

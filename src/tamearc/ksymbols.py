@@ -256,6 +256,8 @@ def _component_arcs(this, other, family_sign, hints):
     F1 = this.eps
     arcs = []
     for part, part_sign in ((F.num, 1), (F.den, -1)):
+        if part.is_const():
+            continue
         for prime, mult in prime_divisors(part, variety_of(F.vars), hints):
             p = prime.poly
             m = part_sign * mult

@@ -21,7 +21,8 @@ Division with remainder by a polynomial in one variable (`divmod_in`,
 integer parts; residue fields Q[x]/(u), polynomials over them and
 truncated power series are MultiPoly reduced by `rem`.  Rational functions
 are kept in a unique normal form (reduced, denominator with content 1),
-and gcds run on the integer parts.
+and gcds run on the integer parts.  One remainder sequence, the subresultant
+chain (`subresultants`), serves resultants, the gcd fallback and fibre gcds.
 """
 
 from __future__ import annotations
@@ -422,22 +423,11 @@ class MultiPoly:
 
     @classmethod
     def from_dense(cls, vars, var, coeffs):
+        """The polynomial in var alone with int or Fraction coefficients, lowest first."""
         vars = tuple(vars)
         i = vars.index(var)
-        terms = {}
-        for n, c in enumerate(coeffs):
-            if isinstance(c, MultiPoly):
-                for e, k in c.terms.items():
-                    ne = tuple(n if j == i else ej for j, ej in enumerate(e))
-                    if e[i] != 0:
-                        raise ValueError("dense coefficient involves the main variable")
-                    terms[ne] = terms.get(ne, _ZERO) + k
-            else:
-                c = _as_fraction(c)
-                if c != 0:
-                    e = tuple(n if j == i else 0 for j in range(len(vars)))
-                    terms[e] = terms.get(e, _ZERO) + c
-        return cls(vars, terms)
+        return cls(vars, {tuple(n if j == i else 0 for j in range(len(vars))): c
+                          for n, c in enumerate(coeffs)})
 
     def dense_fractions(self, var):
         """Dense Fraction list (lowest first); requires the other variables absent."""
@@ -574,13 +564,13 @@ def invmod(a, u, var):
 
 
 # integer kernel: exact division, and gcds by the heuristic GCDHEU with a
-# primitive-PRS fallback
+# subresultant-chain fallback
 #
 # Integer polynomials are packed into dense int lists, lowest degree first:
 # the coefficient of x^i y^j sits at i + j*stride, so exact division of
 # bivariate polynomials is division in Z[z].
 
-_HEU_POINTS = 6  # evaluation points tried before the PRS fallback
+_HEU_POINTS = 6  # evaluation points tried before the subresultant fallback
 
 
 def _pack(ints, stride):
@@ -770,6 +760,60 @@ def content_in(p, var):
     return cont
 
 
+def _gcd_prs(a, b):
+    """Gcd of nonzero a, b by the subresultant chain in the last variable either involves.
+
+    This is the fallback of _gcd_cofactors.  The contents in that variable
+    are constants or polynomials in the other one; poly_gcd joins them.  When
+    the chain ends in S_0 = 0, the term before it, made primitive, is the gcd.
+    """
+    var = next((v for v in reversed(a.vars) if a.deg_in(v) > 0 or b.deg_in(v) > 0),
+               a.vars[-1])
+    ca, cb = content_in(a, var), content_in(b, var)
+    f, g = a.div_exact(ca), b.div_exact(cb)
+    if f.deg_in(var) < g.deg_in(var):
+        f, g = g, f
+    gcd = MultiPoly.const(a.vars, 1)
+    if g.deg_in(var) > 0:
+        chain = subresultants(f, g, var)
+        if chain[-1][0].is_zero():
+            last = chain[-2][0]
+            gcd = last.div_exact(content_in(last, var))
+    return (gcd.primitive() * poly_gcd(ca, cb)).primitive()
+
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) with g = gcd(a, b) primitive, lc > 0; all zero for (0, 0).
+
+    For nonconstant a, b the cofactors keep their contents (Gauss's lemma).
+    """
+    a._check(b)
+    if a.is_zero() or b.is_zero():
+        zero = MultiPoly.zero(a.vars)
+        if a.is_zero() and b.is_zero():
+            return zero, zero, zero
+        p = a if b.is_zero() else b
+        c = MultiPoly.const(a.vars, p.content())
+        return (p.primitive(), zero, c) if a.is_zero() else (p.primitive(), c, zero)
+    if a.is_const() or b.is_const():
+        return MultiPoly.const(a.vars, 1), a, b
+    out = _heu_gcd(a.ints, b.ints, len(a.vars))
+    if out is None:
+        g = _gcd_prs(a, b)
+        return g, a.div_exact(g), b.div_exact(g)
+    h, qa, qb = out
+    vars = a.vars
+    return (_from_primitive(vars, _ONE, h), _from_primitive(vars, a.cont, qa),
+            _from_primitive(vars, b.cont, qb))
+
+
+def poly_gcd(a, b):
+    """A gcd, primitive with positive leading coefficient; gcd(0, 0) = 0."""
+    return _gcd_cofactors(a, b)[0]
+
+
+# the subresultant chain over MultiPoly, the one remainder sequence
+
 def _prem(f, g, var):
     """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g in var, for deg f >= deg g."""
     df, dg = f.deg_in(var), g.deg_in(var)
@@ -784,74 +828,43 @@ def _prem(f, g, var):
     return r * glc ** e if e else r
 
 
-def _gcd_prs(a, b):
-    """Gcd of nonzero a, b by primitive PRS in the last variable either involves.
+def subresultants(p, q, var):
+    """[(S_j, s_j)], highest j first: the subresultant chain in var of p, q's primitive parts.
 
-    This is the fallback of _gcd_cofactors.  The contents in that variable
-    are constants or polynomials in the other one; poly_gcd joins them.
+    For nonzero p, q with deg_var p >= max(deg_var q, 1).  Exactly the j <
+    deg_var p with s_j = lc_var(S_j) != 0 are listed, each S_j up to sign;
+    an equal-degree pair lists (q, 1) first.  The last term is (S_0, S_0),
+    the resultant, sign included: zero exactly when the parts share a
+    factor in var, and the term before it is then their gcd times a factor
+    free of var.  Collins's PRS (Cohen, GTM 138, Algorithm 3.3.7) divides
+    exactly over the integer polynomials in the other variable; after a
+    step h = s_(deg a), and a step of delta >= 2 leaves a defective a, whose
+    S_(deg a) is h * a / lc(a).  The chain ends at its first remainder of
+    degree 0 in var, which is q when q has degree 0.
     """
-    var = next((v for v in reversed(a.vars) if a.deg_in(v) > 0 or b.deg_in(v) > 0),
-               a.vars[-1])
-    ca, cb = content_in(a, var), content_in(b, var)
-    f, g = a.div_exact(ca), b.div_exact(cb)
-    if f.deg_in(var) < g.deg_in(var):
-        f, g = g, f
-    while g.deg_in(var) > 0:
-        r = _prem(f, g, var)
-        if r.is_zero():
-            break
-        f, g = g, r.div_exact(content_in(r, var)).primitive()
-    else:
-        g = MultiPoly.const(a.vars, 1)
-    return (g.primitive() * poly_gcd(ca, cb)).primitive()
+    a, b = p.primitive(), q.primitive()
+    g = h = MultiPoly.const(p.vars, 1)
+    sign, chain = 1, []
+    while b.deg_in(var) > 0:
+        da, db = a.deg_in(var), b.deg_in(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        a, b = b, _exact_quotient(_prem(a, b, var), g * h ** delta)
+        g = a.lc_in(var)
+        if delta:
+            h = _exact_quotient(g ** delta, h ** (delta - 1))
+        chain.append((_exact_quotient(h * a, g) if delta > 1 else a, h))
+    # b is constant in var, zero when p and q share a factor
+    da = a.deg_in(var)
+    res = _exact_quotient(b ** da, h ** (da - 1)) * sign
+    return chain + [(res, res)]
 
-
-def _gcd_parts(a, b):
-    """(h, ca, qa, cb, qb) with a = ca*qa*h and b = cb*qb*h, for nonconstant a, b.
-
-    h, qa and qb are integer-primitive {exps: int} with lc > 0, and h is the
-    gcd; so ca and cb are the contents of a and b (Gauss's lemma).
-    """
-    out = _heu_gcd(a.ints, b.ints, len(a.vars))
-    if out is None:
-        g = _gcd_prs(a, b)
-        return g.ints, a.cont, a.div_exact(g).ints, b.cont, b.div_exact(g).ints
-    h, qa, qb = out
-    return h, a.cont, qa, b.cont, qb
-
-
-def _gcd_cofactors(a, b):
-    """(g, a/g, b/g) with g = gcd(a, b) primitive, lc > 0; all zero for (0, 0)."""
-    a._check(b)
-    if a.is_zero() or b.is_zero():
-        zero = MultiPoly.zero(a.vars)
-        if a.is_zero() and b.is_zero():
-            return zero, zero, zero
-        p = a if b.is_zero() else b
-        c = MultiPoly.const(a.vars, p.content())
-        return (p.primitive(), zero, c) if a.is_zero() else (p.primitive(), c, zero)
-    if a.is_const() or b.is_const():
-        return MultiPoly.const(a.vars, 1), a, b
-    h, ca, qa, cb, qb = _gcd_parts(a, b)
-    vars = a.vars
-    return (_from_primitive(vars, _ONE, h), _from_primitive(vars, ca, qa),
-            _from_primitive(vars, cb, qb))
-
-
-def poly_gcd(a, b):
-    """A gcd, primitive with positive leading coefficient; gcd(0, 0) = 0."""
-    return _gcd_cofactors(a, b)[0]
-
-
-# resultant over MultiPoly, by the subresultant PRS
 
 def resultant(p, q, var):
     """Sylvester resultant eliminating var; zero iff p, q share a var-positive factor.
 
-    Collins's subresultant PRS as in Cohen, GTM 138, Algorithm 3.3.7: every
-    division by g * h^delta and by h^(delta - 1) is exact over the integer
-    polynomials in the other variable.  The chain ends at its first term of
-    degree 0 in var, which is an operand when that operand has degree 0.
+    S_0 of the subresultant chain, scaled by the contents of p and q.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -861,24 +874,11 @@ def resultant(p, q, var):
         return MultiPoly.const(p.vars, 1)
     # Res(c*P, d*Q) = c^dq * d^dp * Res(P, Q) for the rational contents c, d
     scale = p.cont ** dq * q.cont ** dp
-    a, b = p.primitive(), q.primitive()
     if dp < dq:
-        a, b = b, a
+        p, q = q, p
         if dp % 2 and dq % 2:
             scale = -scale
-    g = h = MultiPoly.const(p.vars, 1)
-    while b.deg_in(var) > 0:
-        da, db = a.deg_in(var), b.deg_in(var)
-        delta = da - db
-        if da % 2 and db % 2:
-            scale = -scale
-        a, b = b, _exact_quotient(_prem(a, b, var), g * h ** delta)
-        g = a.lc_in(var)
-        if delta:
-            h = _exact_quotient(g ** delta, h ** (delta - 1))
-    # b is constant in var, zero when p and q share a factor
-    da = a.deg_in(var)
-    return _exact_quotient(b ** da, h ** (da - 1)) * scale
+    return subresultants(p, q, var)[-1][0] * scale
 
 
 def _exact_quotient(num, den):
@@ -907,15 +907,13 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             den = MultiPoly.const(vars, 1)
-        elif num.is_const() or den.is_const():
-            c = den.cont
-            if c != 1:
-                num = _from_primitive(vars, num.cont / c, num.ints)
-                den = _from_primitive(vars, _ONE, den.ints)
-        else:
-            _, ca, qa, cb, qb = _gcd_parts(num, den)
-            num = _from_primitive(vars, ca / cb, qa)
-            den = _from_primitive(vars, _ONE, qb)
+        elif not (num.is_const() or den.is_const()):
+            # the cofactors keep the contents of num and den
+            _, num, den = _gcd_cofactors(num, den)
+        c = den.cont
+        if c != 1:
+            num = _from_primitive(vars, num.cont / c, num.ints)
+            den = _from_primitive(vars, _ONE, den.ints)
         _set_num(self, num)
         _set_den(self, den)
         _set_rhash(self, None)
@@ -1012,12 +1010,6 @@ class RatFunc:
     def derivative(self, var):
         n = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
         return RatFunc(n, self.den * self.den)
-
-    def eval_all(self, values):
-        d = self.den.eval_all(values)
-        if d == 0:
-            raise DivisionByZero("evaluation hits a pole")
-        return self.num.eval_all(values) / d
 
     def sort_key(self):
         return (self.num.sort_key(), self.den.sort_key())

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamearc import geometry
-from tamearc.errors import DivisionByZero, NotAUnitAlongY
+from tamearc.errors import DivisionByZero, NotAUnitAlongY, ProjectionDisagreement
 from tamearc.expr import parse_poly
 from tamearc.factor import FactorHints
 from tamearc.geometry import (
@@ -23,7 +23,7 @@ from tamearc.geometry import (
     prime_divisors,
     valuation,
 )
-from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY, poly_gcd
+from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY, poly_gcd, subresultants
 
 import frozen
 import oracles
@@ -242,6 +242,22 @@ class TestFiber:
         # at lam = 0 the fiber over x = 1 holds the two points (1, 1) and (1, -1)
         assert self.rendered("y^2 - 1", "x^2 + y^2 - 2") == {
             "(1, -1)": 1, "(-1, -1)": 1, "(1, 1)": 1, "(-1, 1)": 1}
+
+    def test_fiber_gcd_is_read_from_the_chain(self):
+        # Res_y(y^2 - x, x*y + y - 10) = -(x - 4)*(x^2 + 6*x + 25): over each
+        # factor the curves meet where S_1 = (x + 1)*y - 10 vanishes, and over
+        # x = -3, off the resultant, the gcd is the constant S_0
+        chain = subresultants(Y ** 2 - X, X * Y + Y - 10, "y")
+        assert geometry._fiber_gcd(chain, X - 4).render() == "5*y - 10"
+        assert geometry._fiber_gcd(chain, X ** 2 + 6 * X + 25).render() == "x*y + y - 10"
+        assert geometry._fiber_gcd(chain, X + 3).render() == "112"
+
+    def test_fiber_gcd_without_a_surviving_coefficient_raises(self):
+        # the leading coefficient x of x*y + 2 vanishes mod x, and with it
+        # every s_j: a typed error, never a wrong gcd
+        chain = subresultants(X * Y ** 2 + 1, X * Y + 2, "y")
+        with pytest.raises(ProjectionDisagreement):
+            geometry._fiber_gcd(chain, X)
 
 
 def rand_curve(rng):

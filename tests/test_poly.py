@@ -23,6 +23,7 @@ from tamearc.poly import (
     poly_gcd,
     rem,
     resultant,
+    subresultants,
 )
 
 import frozen
@@ -515,6 +516,124 @@ class TestResultant:
             theirs = sylvester(sympy.Poly(to_sympy(p), _SY),
                                sympy.Poly(to_sympy(q), _SY), _SY).det(method="berkowitz")
             assert sympy.expand(ours - theirs) == 0, (p.render(), q.render())
+
+
+def determinant_subresultants(p, q, sym):
+    """{j: S_j} of p, q in sym by determinants, for j < deg q (j <= deg q if deg p > deg q).
+
+    S_j is the determinant polynomial of the rows x^(n-j-1)*p, ..., p,
+    x^(m-j-1)*q, ..., q of the Sylvester matrix, m = deg p >= n = deg q.
+    """
+    from sympy.polys.subresultants_qq_zz import sylvester
+    P, Q = sympy.Poly(to_sympy(p), sym), sympy.Poly(to_sympy(q), sym)
+    m, n = P.degree(), Q.degree()
+    # n rows of p, then m rows of q, each highest power first
+    M = sylvester(P, Q, sym, method=1)
+    out = {}
+    for j in range(n + 1 if m > n else n):
+        sub = M.extract(list(range(j, n)) + list(range(n + j, n + m)), list(range(j, m + n)))
+        left = sub[:, :m + n - 2 * j - 1]
+        # the column of sym^i sits i places from the right
+        out[j] = sympy.expand(sum(left.row_join(sub[:, m + n - j - 1 - i]).det(method="berkowitz")
+                                  * sym ** i for i in range(j + 1)))
+    return out
+
+
+def chain_pairs():
+    """Pairs for the chain tests: (p, q, var) with deg_var p >= deg_var q >= 1."""
+    pairs = [
+        # equal degrees
+        (2 * T ** 3 - T + 5, T ** 3 + 2 * T + 1, "t"),
+        (X * Y ** 2 + 1, Y ** 2 - X, "y"),
+        # defective chains: t^5 + 2 = t + 2 mod t^3 + t, a drop of two degrees,
+        # and a first step of delta = 3
+        (T ** 5 + 2, T ** 3 + T, "t"),
+        (T ** 5 + T + 1, 3 * T ** 2 + 1, "t"),
+        (Y ** 5 + X, Y ** 3 + Y, "y"),
+        (2 * Y ** 5 - 3 * X * Y ** 3 - 2 * Y ** 4, -2 * Y ** 4 + 3 * X * Y ** 2 - 3, "y"),
+        # common factors
+        ((T ** 2 - 2) * (T + 1), (T ** 2 - 2) * (2 * T - 3), "t"),
+        ((X * Y - 1) * (Y ** 2 + X), (X * Y - 1) * (X * Y + 3), "y"),
+        ((X + Y) ** 2 * (X - 2 * Y), (X + Y) * (Y ** 2 + 1), "y"),
+        # eliminating x
+        (X ** 3 + Y * X + 1, Y * X ** 2 - 1, "x"),
+        (Fraction(-3, 2) * (Y ** 3 + X), Fraction(2, 5) * (Y + 1), "y"),
+    ]
+    rng = random.Random(15)
+    for vars, var, deg in ((VARS_XY, "y", 3), (VARS_T, "t", 5)):
+        for _ in range(12):
+            c = rand_poly(rng, vars, 1) if rng.random() < 0.4 else MultiPoly.const(vars, 1)
+            p, q = rand_poly(rng, vars, deg) * c, rand_poly(rng, vars, deg - 1) * c
+            if p.deg_in(var) < q.deg_in(var):
+                p, q = q, p
+            if not q.is_zero() and q.deg_in(var) >= 1:
+                pairs.append((p, q, var))
+    return pairs
+
+
+class TestSubresultants:
+    def test_matches_the_determinant_definition(self):
+        syms = {"t": _ST, "x": _SX, "y": _SY}
+        defective = 0
+        for p, q, var in chain_pairs():
+            sym = syms[var]
+            a, b = p.primitive(), q.primitive()
+            dets = determinant_subresultants(a, b, sym)
+            *body, (S0, s0) = subresultants(p, q, var)
+            # S_0 is the resultant of the primitive parts, sign included
+            assert S0 == s0 and sympy.expand(to_sympy(S0) - dets[0]) == 0, (p.render(), q.render())
+            if p.deg_in(var) == q.deg_in(var):
+                assert body[0][0] == b and body[0][1] == MultiPoly.const(p.vars, 1)
+                body = body[1:]
+            lcs = {j: sympy.Poly(S, sym).coeff_monomial(sym ** j) for j, S in dets.items()}
+            listed = [S.deg_in(var) for S, _ in body]
+            assert listed == sorted((j for j in dets if j and lcs[j] != 0), reverse=True)
+            degrees = [max(p.deg_in(var), q.deg_in(var))] + listed
+            defective += any(d0 - d1 >= 2 for d0, d1 in zip(degrees, degrees[1:]))
+            for S, s in body:
+                j = S.deg_in(var)
+                assert s == S.lc_in(var)
+                ours = to_sympy(s)
+                assert sympy.expand(ours - lcs[j]) == 0 or sympy.expand(ours + lcs[j]) == 0
+                assert sympy.expand(to_sympy(S) * lcs[j] - dets[j] * ours) == 0
+        assert defective >= 4
+
+    def test_specializes_to_the_gcd_at_integer_points(self):
+        # at x0 where both leading coefficients in y survive, S_j(x0, y) for
+        # the least j with s_j(x0) != 0 is the gcd of p(x0, y) and q(x0, y)
+        pairs = [
+            # y^3 + (x - 1)*y + 5 = (x - 2)*y + 5 mod y^2 + 1: s_1 vanishes at 2
+            (Y ** 3 + (X - 1) * Y + 5, Y ** 2 + 1),
+            # the remainder x*y^2 + (x + 1)*y + 2*x mod y^3 - y: s_2 vanishes
+            # at 0, above the gcd y of degree 1 there
+            (Y ** 4 + (X - 1) * Y ** 2 + Y + X * (Y + 2), Y ** 3 - Y),
+            # equal to (y^2 + 1)*(y - 3) at x = 1: s_1 and s_0 vanish there
+            ((Y ** 2 + 1 + (X - 1) * Y) * (Y - 3) + (X - 1) * (2 * Y + 1), Y ** 2 + 1),
+        ]
+        rng = random.Random(16)
+        for _ in range(30):
+            c = rand_poly(rng, VARS_XY, 1) if rng.random() < 0.4 else MultiPoly.const(VARS_XY, 1)
+            p, q = rand_poly(rng, VARS_XY, 3) * c, rand_poly(rng, VARS_XY, 2) * c
+            if p.deg_in("y") < q.deg_in("y"):
+                p, q = q, p
+            if not q.is_zero() and q.deg_in("y") >= 1:
+                pairs.append((p, q))
+        above = 0
+        for p, q in pairs:
+            chain = subresultants(p, q, "y")
+            for x0 in range(-3, 4):
+                at = {"x": MultiPoly.const(VARS_XY, x0), "y": Y}
+                if p.lc_in("y").subst(at).is_zero() or q.lc_in("y").subst(at).is_zero():
+                    continue
+                live = [not s.subst(at).is_zero() for _, s in chain]
+                k = len(live) - 1 - live[::-1].index(True)
+                above += not all(live[:k])
+                ours = to_sympy(chain[k][0].subst(at))
+                theirs = sympy.gcd(to_sympy(p.subst(at)), to_sympy(q.subst(at)))
+                assert sympy.degree(ours, _SY) == sympy.degree(theirs, _SY), (p.render(), q.render(), x0)
+                assert sympy.rem(ours, theirs, _SY) == 0, (p.render(), q.render(), x0)
+        # the constructed pairs have a vanishing s_j above the least survivor
+        assert above >= 2
 
 
 class TestRatFunc:

@@ -99,6 +99,26 @@ def test_no_uncalled_private_functions():
     assert not dead, dead
 
 
+def test_one_remainder_sequence():
+    # resultants, the gcd fallback and the fibre gcds all read the one
+    # subresultant chain; a second loop over _prem would be a copy that can drift
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for stmt in tree.body
+                   if isinstance(stmt, ast.FunctionDef) and stmt.name == "subresultants"
+                   and path.name == "poly.py"
+                   for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names}
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else set())
+            if "_prem" in names and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def _is_empty_container(value):
     if isinstance(value, ast.Dict):
         return not value.keys

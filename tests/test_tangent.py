@@ -311,8 +311,9 @@ class TestDiagramCheck:
         assert calls and "tamearc.tangent" not in calls
 
     def test_bodies_are_factored_once(self, monkeypatch):
-        # d_eps factors each body numerator and denominator, and the tame
-        # symbol of the eps = 0 face reaches the same primes by division
+        # d_eps factors each nonconstant body numerator and denominator, and
+        # the tame symbol of the eps = 0 face reaches the same primes by
+        # division; a constant is never factored
         calls = []
         inner = geometry.factor_plane_curve
 
@@ -329,8 +330,8 @@ class TestDiagramCheck:
             (u, v, _), = s.terms
             bodies = {p.primitive() for w in (u, v) for p in (w.body.num, w.body.den)
                       if not p.is_const()}
-            factored = [p for p in calls if not p.is_const()]
-            assert sorted(factored, key=str) == sorted(bodies, key=str), s.render()
+            assert not [p for p in calls if p.is_const()], s.render()
+            assert sorted(calls, key=str) == sorted(bodies, key=str), s.render()
 
     def test_repeated_arcs_certify(self):
         # a component of multiplicity 3 gives three equal arcs on V(x - 1)

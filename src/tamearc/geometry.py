@@ -23,6 +23,7 @@ from random import Random
 
 from .errors import (
     DivisionByZero,
+    InputError,
     NotAUnitAlongY,
     ProjectionDisagreement,
 )
@@ -498,7 +499,11 @@ def _shear_candidates(seed):
 
 
 def _intersection_points(p, h, seed, swap):
-    """Intersection cycle of V(p) and V(h) as {ClosedPoint: multiplicity}."""
+    """Intersection cycle of V(p) and V(h) as {ClosedPoint: multiplicity}.
+
+    InputError when the curves share a component: then the resultant is zero.
+    """
+    given = p, h
     if swap:
         p = p.swap_xy()
         h = h.swap_xy()
@@ -510,6 +515,9 @@ def _intersection_points(p, h, seed, swap):
         # R = S_0, whose sign does not matter, and the fiber gcds from one chain
         chain = subresultants(*((p2, h2) if p.degree() >= h.degree() else (h2, p2)), "y")
         R = chain[-1][0]
+        if R.is_zero():
+            raise InputError("V({}) and V({}) share a component".format(
+                *(q.render() for q in given)))
         if R.is_const():
             return {}
         out = {}

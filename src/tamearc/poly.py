@@ -21,8 +21,13 @@ Division with remainder by a polynomial in one variable (`divmod_in`,
 integer parts; residue fields Q[x]/(u), polynomials over them and
 truncated power series are MultiPoly reduced by `rem`.  Rational functions
 are kept in a unique normal form (reduced, denominator with content 1),
-and gcds run on the integer parts.  One remainder sequence, the subresultant
-chain (`subresultants`), serves resultants, the gcd fallback and fibre gcds.
+and gcds run on the integer parts.  Sums, differences, products and
+quotients reach that form by Henrici's rule, from gcds of the operands'
+numerators and denominators, never of the unreduced result, and with none
+when a denominator is 1; the public constructor `RatFunc(num, den)` and
+`derivative` take the full gcd of num and den.  One remainder sequence,
+the subresultant chain (`subresultants`), serves resultants, the gcd
+fallback and fibre gcds.
 """
 
 from __future__ import annotations
@@ -326,34 +331,6 @@ class MultiPoly:
             if k:
                 out[e[:i] + (k - 1,) + e[i + 1:]] = v * k
         return _normalize(self.vars, self.cont, out)
-
-    def subst(self, assignments):
-        """Substitute variables by polynomials (all over the same target vars)."""
-        target = None
-        for v in self.vars:
-            if v not in assignments:
-                raise ValueError(f"substitution missing variable {v!r}")
-            if target is None:
-                target = assignments[v].vars
-            elif assignments[v].vars != target:
-                raise ValueError("substitution images have mixed variable sets")
-        result = MultiPoly.zero(target)
-        pow_cache = {v: {0: MultiPoly.const(target, 1)} for v in self.vars}
-
-        def power(v, n):
-            cache = pow_cache[v]
-            while n not in cache:
-                k = max(cache)
-                cache[k + 1] = cache[k] * assignments[v]
-            return cache[n]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.const(target, c)
-            for v, n in zip(self.vars, e):
-                if n:
-                    term = term * power(v, n)
-            result = result + term
-        return result
 
     def shear(self, a, b=0):
         """p(x + a*y + b, y) for integers a, b, on a polynomial in x, y.
@@ -943,8 +920,33 @@ class RatFunc:
         return self.num.const_value() / self.den.const_value()
 
     def __add__(self, other):
+        """a/b + c/d by Henrici's rule: gcds of the operands, never of the sum.
+
+        Both operands are reduced, gcd(a, b) = gcd(c, d) = 1.  With g =
+        gcd(b, d), b = g*b1 and d = g*d1, the sum is t/(g*b1*d1) for t =
+        a*d1 + c*b1.  A prime factor of b1 could divide t only by dividing
+        a*d1, but it divides neither a nor d1 (coprime to b1); the same holds
+        for d1.  So only g can share a factor with t, and with h = gcd(t, g)
+        the sum is (t/h)/(b1*d1*(g/h)).  Nothing is shared when b or d is 1,
+        or g is.  Each denominator factor is primitive with lc > 0, and so is
+        their product (Gauss's lemma; graded lex is a monomial order), so the
+        result is in normal form (Henrici, J. ACM 3, 1956; Knuth, TAOCP 2,
+        4.5.1).
+        """
         other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_const():
+            return _reduced(a * d + c, d)
+        if d.is_const():
+            return _reduced(a + c * b, b)
+        g, b1, d1 = _gcd_cofactors(b, d)
+        t = a * d1 + c * b1
+        if t.is_zero():
+            return _reduced(t, MultiPoly.const(t.vars, 1))
+        if g.is_const():
+            return _reduced(t, b * d1)
+        _, t1, g1 = _gcd_cofactors(t, g)
+        return _reduced(t1, b1 * d1 * g1)
 
     __radd__ = __add__
 
@@ -958,8 +960,22 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        """a/b * c/d by Henrici's rule: (a1*c1)/(b1*d1) from the cross gcds.
+
+        a1, d1 are a, d without gcd(a, d) and c1, b1 are c, b without
+        gcd(c, b).  A prime factor of b1 divides neither a (gcd(a, b) = 1)
+        nor c1, and one of d1 divides neither c nor a1, so the product is
+        reduced; b1*d1 is primitive with lc > 0 by Gauss's lemma.
+        """
         other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero():
+            return self
+        if c.is_zero():
+            return other
+        _, a1, d1 = _gcd_cofactors(a, d)
+        _, c1, b1 = _gcd_cofactors(c, b)
+        return _reduced(a1 * c1, b1 * d1)
 
     __rmul__ = __mul__
 
@@ -967,7 +983,7 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -1008,6 +1024,7 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
     def derivative(self, var):
+        # the full gcd: d/dx of (x*y + 1)/y is y/y, and y has no x to shortcut on
         n = self.num.derivative(var) * self.den - self.num * self.den.derivative(var)
         return RatFunc(n, self.den * self.den)
 
@@ -1029,7 +1046,8 @@ def _reduced(num, den):
     """RatFunc(num, den) for a pair already in normal form, with no gcd.
 
     Negation and powers keep a reduced fraction reduced, and by Gauss's lemma
-    a power of a primitive polynomial is primitive.
+    a power of a primitive polynomial is primitive; sums and products reach
+    the normal form by Henrici's rule (RatFunc.__add__, __mul__).
     """
     r = _new(RatFunc)
     _set_num(r, num)

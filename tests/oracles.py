@@ -3,7 +3,9 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Run as a script to print the frozen fixture values.
+point. The one exception, `subst`, substitutes into a package polynomial
+through its public ring operations, for tests that need a substitution the
+package does not offer. Run as a script to print the frozen fixture values.
 """
 
 from __future__ import annotations
@@ -138,6 +140,42 @@ def tame_component(f, g, a):
     val = sp.limit(sp.cancel(expr), T, a)
     return sp.nsimplify(val)
 
+
+# substitution into a tamearc polynomial, term by term through its ring operations
+
+
+def subst(p, assignments):
+    """p with each variable replaced by a MultiPoly, all over the same target vars.
+
+    p is a MultiPoly; only its public constructors and ring operations are
+    used, so the package is not imported here.
+    """
+    target = None
+    for v in p.vars:
+        if v not in assignments:
+            raise ValueError(f"substitution missing variable {v!r}")
+        if target is None:
+            target = assignments[v].vars
+        elif assignments[v].vars != target:
+            raise ValueError("substitution images have mixed variable sets")
+    poly = type(p)
+    result = poly.zero(target)
+    pow_cache = {v: {0: poly.const(target, 1)} for v in p.vars}
+
+    def power(v, n):
+        cache = pow_cache[v]
+        while n not in cache:
+            k = max(cache)
+            cache[k + 1] = cache[k] * assignments[v]
+        return cache[n]
+
+    for e, c in p.terms.items():
+        term = poly.const(target, c)
+        for v, n in zip(p.vars, e):
+            if n:
+                term = term * power(v, n)
+        result = result + term
+    return result
 
 def main():
     x, y = sp.symbols("x y")

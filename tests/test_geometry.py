@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tamearc import geometry
-from tamearc.errors import DivisionByZero, NotAUnitAlongY, ProjectionDisagreement
+from tamearc.errors import DivisionByZero, InputError, NotAUnitAlongY, ProjectionDisagreement
 from tamearc.expr import parse_poly
 from tamearc.factor import FactorHints
 from tamearc.geometry import (
@@ -209,6 +209,15 @@ class TestIntersection:
         base = intersection_cycle(circle, X - Y, seed=0)
         for seed in (1, 7, 1234):
             assert intersection_cycle(circle, X - Y, seed=seed) == base
+
+    @pytest.mark.parametrize("ps, hs", [("x*(y - 1)", "x*(y + x)"),
+                                         ("(x + y)*(y - x^2)", "x + y")])
+    def test_curves_sharing_a_component_raise(self, ps, hs):
+        # a shared component makes the resultant zero, not a nonzero constant
+        p, h = parse_poly(ps, VARS_XY), parse_poly(hs, VARS_XY)
+        with pytest.raises(InputError, match="share a component") as err:
+            intersection_cycle(p, h)
+        assert f"V({p.render()}) and V({h.render()})" in str(err.value)
 
     def test_irrational_point_generators(self):
         points = intersection_cycle(X, Y ** 2 - MultiPoly.const(VARS_XY, 2))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import tamearc.poly
 from tamearc.errors import DivisionByZero, InexactDivision, NotAUnit
+from tamearc.expr import parse_poly
 from tamearc.poly import (
     DualRatFunc,
     MultiPoly,
@@ -27,6 +28,7 @@ from tamearc.poly import (
 )
 
 import frozen
+from oracles import subst
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -124,7 +126,7 @@ class TestMultiPoly:
 
     def test_subst_shear(self):
         p = X * Y
-        sheared = p.subst({"x": X + 2 * Y, "y": Y})
+        sheared = subst(p, {"x": X + 2 * Y, "y": Y})
         assert sheared == X * Y + 2 * Y ** 2
 
     def test_shear_and_swap_match_subst(self):
@@ -136,10 +138,10 @@ class TestMultiPoly:
         polys += [X - Y, Y - X ** 2, MultiPoly.const(VARS_XY, Fraction(-3, 2)),
                   MultiPoly.zero(VARS_XY)]
         for p in polys:
-            assert p.swap_xy() == p.subst({"x": Y, "y": X}), p.render()
+            assert p.swap_xy() == subst(p, {"x": Y, "y": X}), p.render()
             for lam in _SHEAR_BASE:
                 for b in (0, 3, -2):
-                    want = p.subst({"x": X + lam * Y + MultiPoly.const(VARS_XY, b), "y": Y})
+                    want = subst(p, {"x": X + lam * Y + MultiPoly.const(VARS_XY, b), "y": Y})
                     assert p.shear(lam, b) == want, (p.render(), lam, b)
 
     def test_shear_needs_integers_in_x_y(self):
@@ -298,7 +300,7 @@ class TestGcd:
         # reaches the fallback
         for p, q in sympy_univariate_pairs():
             # the x-only copies run the same PRS, in x
-            for a, b, gen in ((p, q, _ST), (p.subst({"t": X}), q.subst({"t": X}), _SX)):
+            for a, b, gen in ((p, q, _ST), (subst(p, {"t": X}), subst(q, {"t": X}), _SX)):
                 ours = to_sympy(_gcd_prs(a, b))
                 theirs = sympy.gcd(sympy.Poly(to_sympy(a), gen),
                                    sympy.Poly(to_sympy(b), gen)).as_expr()
@@ -330,8 +332,8 @@ class TestDivmodIn:
         rng = random.Random(13)
         for _ in range(150):
             f = rand_poly(rng, VARS_XY, 6, 8)
-            gx = rand_poly(rng, VARS_T, 3).subst({"t": X})
-            gy = rand_poly(rng, VARS_T, 3).subst({"t": Y})
+            gx = subst(rand_poly(rng, VARS_T, 3), {"t": X})
+            gy = subst(rand_poly(rng, VARS_T, 3), {"t": Y})
             for g, var, gen in ((gx, "x", _SX), (gy, "y", _SY)):
                 if not g.is_zero():
                     self.check(f, g, var, gen)
@@ -623,13 +625,13 @@ class TestSubresultants:
             chain = subresultants(p, q, "y")
             for x0 in range(-3, 4):
                 at = {"x": MultiPoly.const(VARS_XY, x0), "y": Y}
-                if p.lc_in("y").subst(at).is_zero() or q.lc_in("y").subst(at).is_zero():
+                if subst(p.lc_in("y"), at).is_zero() or subst(q.lc_in("y"), at).is_zero():
                     continue
-                live = [not s.subst(at).is_zero() for _, s in chain]
+                live = [not subst(s, at).is_zero() for _, s in chain]
                 k = len(live) - 1 - live[::-1].index(True)
                 above += not all(live[:k])
-                ours = to_sympy(chain[k][0].subst(at))
-                theirs = sympy.gcd(to_sympy(p.subst(at)), to_sympy(q.subst(at)))
+                ours = to_sympy(subst(chain[k][0], at))
+                theirs = sympy.gcd(to_sympy(subst(p, at)), to_sympy(subst(q, at)))
                 assert sympy.degree(ours, _SY) == sympy.degree(theirs, _SY), (p.render(), q.render(), x0)
                 assert sympy.rem(ours, theirs, _SY) == 0, (p.render(), q.render(), x0)
         # the constructed pairs have a vanishing s_j above the least survivor
@@ -661,6 +663,13 @@ class TestRatFunc:
         f = RatFunc(X) / RatFunc(Y)
         assert f.derivative("y") == -RatFunc(X) / RatFunc(Y * Y)
 
+    def test_derivative_stays_reduced_when_a_factor_lacks_the_variable(self):
+        # d/dx of (x*y + 1)/y is y/y: a factor without x cancels, which only
+        # the full gcd of RatFunc(num, den) sees, so derivative keeps it
+        d = RatFunc(X * Y + 1, Y).derivative("x")
+        assert d == RatFunc.from_const(VARS_XY, 1)
+        assert d.den == MultiPoly.const(VARS_XY, 1)
+
     def test_neg_and_powers_match_the_gcd_path(self):
         # -r and r**n skip the gcd of RatFunc(num, den); they must give its result
         def fields(f):
@@ -680,6 +689,49 @@ class TestRatFunc:
                     assert fields(r ** -n) == fields(RatFunc(r.den ** n, r.num ** n))
             checked += not r.is_zero()
         assert checked > 40
+
+    def test_field_ops_match_the_gcd_path(self):
+        # + - * / reduce by gcds of the operands (Henrici's rule); every result
+        # must equal the full gcd of the unreduced one, field by field
+        def fields(f):
+            return [(p.vars, p.cont, p.ints) for p in (f.num, f.den)]
+
+        # factors from one small pool per variable set, so operands share them
+        pools = [[parse_poly(text, vars) for text in texts] for vars, texts in (
+            (VARS_T, ["t", "t - 1", "t + 2", "2*t + 1", "t^2 + 1", "t^2 - 3*t + 1"]),
+            (VARS_XY, ["x", "y", "x - y", "x + y + 1", "2*x - 3", "x*y + 1", "y - x^2",
+                       "x^2 + y^2 - 2"]),
+        )]
+        rng = random.Random(16)
+
+        def product(factors, scale, count):
+            p = MultiPoly.const(factors[0].vars, scale)
+            for _ in range(count):
+                p = p * rng.choice(factors)
+            return p
+
+        def operand(factors):
+            num = product(factors, Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)),
+                          rng.randint(0, 2))
+            den = product(factors, Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                          rng.choice((0, 1, 1, 2, 2, 3)))
+            return RatFunc(num, den)
+
+        checked = zeros = consts = den_one = 0
+        while checked < 10000:
+            factors = rng.choice(pools)
+            r = operand(factors)
+            s = -r if rng.random() < 0.1 else operand(factors)
+            a, b, c, d = r.num, r.den, s.num, s.den
+            den_one += b.is_const() + d.is_const()
+            cases = [(r + s, a * d + c * b, b * d), (r - s, a * d - c * b, b * d),
+                     (r * s, a * c, b * d), (s / r, c * b, d * a)]
+            for got, num, den in cases:
+                assert fields(got) == fields(RatFunc(num, den)), (r.render(), s.render())
+                zeros += got.is_zero()
+                consts += got.is_const()
+                checked += 1
+        assert zeros and consts > zeros and den_one
 
     @given(poly_strategy(VARS_T), poly_strategy(VARS_T))
     @settings(max_examples=50, deadline=None)

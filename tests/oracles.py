@@ -177,6 +177,7 @@ def subst(p, assignments):
         result = result + term
     return result
 
+
 def main():
     x, y = sp.symbols("x y")
     X = {(1, 0): Fraction(1)}

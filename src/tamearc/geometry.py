@@ -7,7 +7,15 @@ intersection multiplicity at the single fiber point, which is recovered
 exactly from the fiber gcd; both are read from one subresultant chain of the
 sheared pair (`poly.subresultants`).  The residue field F = Q[x]/(u) of a
 fiber and the polynomials over it are MultiPoly reduced by `poly.rem`, and
-inverses in F come from `poly.invmod`.  Every cycle is recomputed under an
+inverses in F come from `poly.invmod`.  A point is then presented by its
+canonical generators (u0, v0) (`canonical_point`): u0 is the minimal
+polynomial of the x-coordinate, whose characteristic polynomial as an
+element of F of degree k is u0^(k/k0), found as the first dependency among
+its powers in one fraction-free echelon pass (`_solve_linear`) that also
+writes y in their basis; an x-coordinate in a proper subfield takes one
+more k x k solve (the tower law), whose rank certifies that the
+coordinates generate F.  Points of degree 1 and x-coordinates that are x
+or constants take closed forms.  Every cycle is recomputed under an
 independent second projection; disagreement is an error, never a silent
 answer.  A Gersten check (`div_on_curves`) reaches the primes of each residue
 by exact division by the check's own curves (`divide_by_primes`), factoring
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _int_gcd
 from random import Random
 
 from .errors import (
@@ -399,35 +408,59 @@ def _fiber_gcd(chain, u):
 
 # canonical presentation of a closed point from residue-field data
 
-def _solve_linear(columns, target):
-    """Solve sum c_i * columns[i] = target over Q; None if inconsistent."""
-    rows = len(target)
-    n = len(columns)
-    M = [[column[i] for column in columns] + [target[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, rows) if M[i][col] != 0), None)
+def _solve_linear(columns):
+    """The pivots and the dependencies of rational column vectors, fraction-free.
+
+    Each column is scaled to a primitive integer vector, and the matrix is
+    brought to reduced echelon form by Gauss-Jordan elimination over Z: a
+    row r is replaced by p * r - f * top for the pivot row top, with p the
+    pivot and f the entry of r in its column, both divided by their gcd,
+    and the new row is divided by its content.  Rows stay primitive, the
+    integer analogue of a primitive remainder sequence: every division is
+    exact, no Fraction is built inside the loop, and the entries stay the
+    size of the reduced echelon form's rows cleared of denominators.
+    (Bareiss's rule keeps the minors of the scaled matrix instead; on the
+    power basis of a residue-field element with large coefficients those
+    grow far beyond the answer.)  Returns (pivots, relations): pivots
+    lists, in order, the indices of the columns that are not combinations
+    of the columns before them, so the rank is len(pivots); relations maps
+    every other index j to the Fractions c with columns[j] = sum(c[i] *
+    columns[pivots[i]]) over the pivots before j.  The vectors e_j -
+    sum(c[i] * e_pivots[i]) are the reduced echelon basis of the kernel.
+    """
+    scales, vectors = [], []
+    for column in columns:
+        den = 1
+        for c in column:
+            d = c.denominator
+            if d != 1:
+                den = den * d // _int_gcd(den, d)
+        ints = [c.numerator * (den // c.denominator) for c in column]
+        g = _int_gcd(*ints) or 1
+        scales.append(Fraction(g, den))
+        vectors.append([v // g for v in ints])
+    rows = [list(row) for row in zip(*vectors)]
+    pivots, relations = [], {}
+    for col in range(len(columns)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
+            # rows[:r] are reduced: row i is zero on every pivot but its own
+            relations[col] = [Fraction(row[col], row[p]) * scales[col] / scales[p]
+                              for row, p in zip(rows, pivots)]
             continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][col] != 0:
-                factor = M[i][col]
-                M[i] = [a - factor * b for a, b in zip(M[i], M[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                g = _int_gcd(top[col], f)
+                p, f = top[col] // g, f // g
+                row = [p * a - f * b for a, b in zip(row, top)]
+                g = _int_gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if M[i][n] != 0:
-            return None
-    sol = [_ZERO] * n
-    for i, col in enumerate(pivots):
-        sol[col] = M[i][n]
-    return sol
+    return pivots, relations
 
 
 def _vec(a, k):
@@ -439,53 +472,62 @@ def _vec(a, k):
 def canonical_point(u, a_val, b_val):
     """Closed point of A2 with x = a_val, y = b_val in F = Q[x]/(u).
 
-    u is monic irreducible in x, and a_val, b_val are elements of F,
-    reduced.  Returns the unique presentation (u0 monic irreducible in x,
-    v0 monic in y with coefficients reduced mod u0), provided
-    Q(a_val, b_val) = F.
+    u is monic irreducible in x of degree k, and a_val, b_val are elements
+    of F, reduced.  Returns the unique presentation (u0 monic irreducible
+    in x, v0 monic in y with coefficients reduced mod u0), provided
+    Q(a_val, b_val) = F; ProjectionDisagreement otherwise.
+
+    u0 is the minimal polynomial of a_val, of degree k0.  F is a field,
+    so the characteristic polynomial of a_val, Res_x(u, y - a_val), is
+    u0^(k/k0), and u0 itself is the first dependency among 1, a_val,
+    a_val^2, ...: one echelon pass over the k + 1 powers and b_val
+    (_solve_linear) finds it.  When k0 = k the powers below a_val^k are a
+    basis of F, and the same pass writes b_val in it, so v0 = y - that
+    polynomial.  When k0 < k, F has degree J = k/k0 over Q(a_val) by the
+    tower law, and Q(a_val, b_val) = F exactly when the k products
+    b_val^j * a_val^i, j < J, i < k0, are linearly independent; then they
+    are a basis, and one k x k solve writes b_val^J in it, giving v0 of
+    degree J in y.  That rank is checked: a rank below k means the data
+    generate a proper subfield, and presenting them would give a point of
+    the wrong degree.  Closed forms skip the elimination: a point of
+    degree 1 is (x - a, y - b), a_val = x gives (u, y - b_val), and a
+    constant a_val gives u0 = x - a_val.
     """
     k = u.deg_in("x")
-    # minimal polynomial of a_val over Q
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    if k == 1:
+        return ClosedPoint.rational(a_val.const_value(), b_val.const_value())
+    if a_val == x:
+        return ClosedPoint(A2, u0=u, v0=y - b_val)
     one = MultiPoly.const(VARS_XY, 1)
     pows = [one]
-    for _ in range(k):
-        pows.append(rem(pows[-1] * a_val, u, "x"))
-    k0 = None
-    u0_coeffs = None
-    for d in range(1, k + 1):
-        sol = _solve_linear([_vec(pows[i], k) for i in range(d)], _vec(pows[d], k))
-        if sol is not None:
-            k0 = d
-            u0_coeffs = sol
-            break
-    u0 = MultiPoly.from_dense(VARS_XY, "x",
-                              [-c for c in u0_coeffs] + [_ONE])
+    if a_val.is_const():
+        k0, u0 = 1, x - a_val
+    else:
+        for _ in range(k):
+            pows.append(rem(pows[-1] * a_val, u, "x"))
+        _, relations = _solve_linear([_vec(a, k) for a in pows] + [_vec(b_val, k)])
+        k0 = min(relations)
+        u0 = MultiPoly.from_dense(VARS_XY, "x", [-c for c in relations[k0]] + [_ONE])
+        if k0 == k:
+            return ClosedPoint(A2, u0=u0, v0=y - MultiPoly.from_dense(
+                VARS_XY, "x", relations[k + 1]))
     # minimal polynomial of b_val over Q(a_val), coefficients in the x-basis
-    j_max = k // k0
+    J = k // k0
     b_pows = [one]
-    for _ in range(j_max):
+    for _ in range(J):
         b_pows.append(rem(b_pows[-1] * b_val, u, "x"))
-    for J in range(1, j_max + 1):
-        columns = []
-        labels = []
-        for j in range(J):
-            for i in range(k0):
-                columns.append(_vec(rem(b_pows[j] * pows[i], u, "x"), k))
-                labels.append((i, j))
-        sol = _solve_linear(columns, _vec(b_pows[J], k))
-        if sol is None:
-            continue
-        terms = {(0, J): _ONE}
-        for (i, j), c in zip(labels, sol):
-            if c != 0:
-                terms[(i, j)] = terms.get((i, j), _ZERO) - c
-        v0 = MultiPoly(VARS_XY, terms)
-        point = ClosedPoint(A2, u0=u0, v0=v0)
-        if point.residue_degree != k:
-            raise ProjectionDisagreement(
-                "fiber data does not generate the residue field")
-        return point
-    raise ProjectionDisagreement("no minimal polynomial found for the fiber value")
+    labels = [(i, j) for j in range(J) for i in range(k0)]
+    columns = [_vec(rem(b_pows[j] * pows[i], u, "x"), k) for i, j in labels]
+    pivots, relations = _solve_linear(columns + [_vec(b_pows[J], k)])
+    if len(pivots) < k:
+        raise ProjectionDisagreement("fiber data does not generate the residue field")
+    terms = {(0, J): _ONE}
+    for (i, j), c in zip(labels, relations[len(labels)]):
+        if c != 0:
+            terms[(i, j)] = -c
+    return ClosedPoint(A2, u0=u0, v0=MultiPoly(VARS_XY, terms))
 
 
 _SHEAR_BASE = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 7, -7, 11, -11, 13, -13]
@@ -525,11 +567,12 @@ def _intersection_points(p, h, seed, swap):
         for term in factor_univariate(R).factors:
             u = term.poly * (1 / term.poly.lc())
             # shape position: the fiber gcd is g_n * (y - c)^n over F, n >= 1,
-            # which holds when gcd(G, dG/dy), from their chain, has degree n - 1
+            # which holds when gcd(G, dG/dy), from their chain, has degree
+            # n - 1; g_n is a unit of F, so a G linear in y always passes
             G = _fiber_gcd(chain, u)
             n = G.deg_in("y")
-            if n < 1 or _fiber_gcd(subresultants(G, G.derivative("y"), "y"),
-                                   u).deg_in("y") != n - 1:
+            if n < 1 or (n > 1 and _fiber_gcd(subresultants(G, G.derivative("y"), "y"),
+                                              u).deg_in("y") != n - 1):
                 good = False
                 break
             g = G.dense_in("y")

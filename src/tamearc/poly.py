@@ -526,10 +526,13 @@ def rem(f, g, var):
 def invmod(a, u, var):
     """s with s*a = 1 mod u and deg_var s < deg_var u, for a, u in var alone.
 
-    The one extended Euclid over Q.  DivisionByZero when gcd(a, u) is not
+    The one extended Euclid over Q; a remainder that is a nonzero constant
+    c needs none, its inverse is 1/c.  DivisionByZero when gcd(a, u) is not
     constant.
     """
     r0, r1 = u, rem(a, u, var)
+    if r1.is_const() and not r1.is_zero():
+        return MultiPoly.const(u.vars, 1 / r1.cont)
     t0, t1 = MultiPoly.zero(u.vars), MultiPoly.const(u.vars, 1)
     while not r1.is_zero():
         q, r = divmod_in(r0, r1, var)

@@ -16,6 +16,14 @@ INTERSECTION_MULTIPLICITY = {
     ("x^2 + y^2 - 2", "x + y - 2", (1, 1)): 2,
 }
 
+# sha256 prefix of the rendered cycles of test_geometry.intersection_sweep,
+# computed with the k-fold linear search of canonical_point that preceded
+# the characteristic-polynomial route
+INTERSECTION_SWEEP_DIGEST = "30339cf0646076ea"
+# the same for the two random sextics of
+# test_acceptance.test_two_random_sextics_meet_within_budget
+SEXTIC_CYCLE_DIGEST = "af5ee639574b845f"
+
 # tame components on P1 at rational points, via sympy limits of the formula
 TAME_T_TMINUS2 = {0: Fraction(-1, 2), 2: Fraction(2), "INF": Fraction(-1)}
 TAME_STEINBERG_T = {0: Fraction(1), 1: Fraction(1), "INF": Fraction(1)}

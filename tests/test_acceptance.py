@@ -3,11 +3,12 @@
 Every test prints one summary line; run with -s to see them on success.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 
-from tamearc.geometry import A2, ResidueFunc
+from tamearc.geometry import A2, ResidueFunc, intersection_cycle
 from tamearc.gersten import (
     HigherCycleRep,
     cycle_check,
@@ -26,7 +27,16 @@ from tamearc.poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import DiffForm, diagram_check, tangent2
 
 import frozen
-from test_geometry import V_X, V_Y, rand_ratfunc, t, x, y
+from test_geometry import (
+    V_X,
+    V_Y,
+    rand_monic_curve,
+    rand_ratfunc,
+    render_points,
+    t,
+    x,
+    y,
+)
 from test_gersten import coprime_pool_pair
 from test_ksymbols import ONE_T, ONE_XY, ZERO_XY, rand_linear_rational
 from test_poly import rand_poly
@@ -88,6 +98,23 @@ def test_boundary_of_boundary_vanishes_100_plane_pairs():
     report("div of tame is the zero point cycle",
            failures == 0 and took < 60.0,
            f"{100 - failures}/100 exact zeros in {took:.2f}s, budget 60s")
+
+
+def test_two_random_sextics_meet_within_budget():
+    # the pair meets in a rational point and a point of residue degree 35;
+    # the k-fold search for the minimal polynomial took 8.5-10.5 s on that
+    # point, one echelon pass over the powers of its x-coordinate about 1 s
+    rng = random.Random(1)
+    p, h = rand_monic_curve(rng, 6), rand_monic_curve(rng, 6)
+    start = time.monotonic()
+    cycle = intersection_cycle(p, h)
+    took = time.monotonic() - start
+    degrees = sorted((pt.residue_degree, n) for pt, n in cycle.items())
+    digest = hashlib.sha256(render_points(cycle).encode()).hexdigest()[:16]
+    report("two random sextics meet in the frozen cycle",
+           degrees == [(1, 1), (35, 1)] and digest == frozen.SEXTIC_CYCLE_DIGEST
+           and took < 4.0,
+           f"points {degrees}, digest {digest}, {took:.2f}s, budget 4s")
 
 
 def test_weil_reciprocity_100_line_pairs_and_worked_instance():

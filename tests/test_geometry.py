@@ -1,9 +1,11 @@
 """Divisors, valuations, restriction, and intersection cycles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from tamearc import geometry
 from tamearc.errors import DivisionByZero, InputError, NotAUnitAlongY, ProjectionDisagreement
@@ -15,6 +17,7 @@ from tamearc.geometry import (
     ClosedPoint,
     PrimeDivisor,
     ResidueFunc,
+    canonical_point,
     div_codim1,
     div_on_curve,
     div_on_curves,
@@ -28,7 +31,7 @@ from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY, poly_gcd, subresul
 import frozen
 import oracles
 
-from test_poly import T, X, Y, rand_poly
+from test_poly import T, X, Y, _SX, _SY, rand_poly, to_sympy
 
 x = RatFunc.variable("x")
 y = RatFunc.variable("y")
@@ -269,6 +272,73 @@ class TestFiber:
             geometry._fiber_gcd(chain, X)
 
 
+class TestCanonicalPoint:
+    # (u, a_val, b_val) presents a point by x = a_val, y = b_val in
+    # F = Q[x]/(u); the expected (u0, v0) is the point's unique presentation
+    CASES = [
+        # a constant a_val, so u0 = x - a_val and F = Q(b_val)
+        ("x^2 - 2", "0", "x", "(x, y^2 - 2)"),
+        # x = sqrt 2, y = sqrt 3 in F = Q(sqrt 2 + sqrt 3): k0 = 2 < k = 4
+        ("x^4 - 10*x^2 + 1", "1/2*x^3 - 9/2*x", "-1/2*x^3 + 11/2*x",
+         "(x^2 - 2, y^2 - 3)"),
+        # x = 2^(1/3), y = sqrt 3 in F = Q(2^(1/3) + sqrt 3): k0 = 3 < k = 6
+        ("x^6 - 9*x^4 - 4*x^3 + 27*x^2 - 36*x - 23",
+         "-2/51*x^5 - 1/102*x^4 + 20/51*x^3 + 13/51*x^2 - 38/51*x + 91/102",
+         "2/51*x^5 + 1/102*x^4 - 20/51*x^3 - 13/51*x^2 + 89/51*x - 91/102",
+         "(x^3 - 2, y^2 - 3)"),
+        # F is presented by the y-coordinate, so b_val = x; on x^3 + x^2 = 1,
+        # y^2 = 1 - x^2 the x-coordinate is y^2 / (1 - y^2) = y^4 - y^2 + 1
+        ("x^6 - 2*x^4 + 3*x^2 - 1", "x^4 - x^2 + 1", "x",
+         "(x^3 + x^2 - 1, x^2 + y^2 - 1)"),
+        # x = sqrt 2 + sqrt 3, y = sqrt 2 in F = Q(sqrt 2 + 2 sqrt 3): k0 = k
+        ("x^4 - 28*x^2 + 100", "1/40*x^3 + 1/20*x", "1/20*x^3 - 9/10*x",
+         "(x^4 - 10*x^2 + 1, -1/2*x^3 + 9/2*x + y)"),
+        # a_val = x: the point is (u, y - b_val)
+        ("x^3 - 2", "x", "x^2", "(x^3 - 2, -x^2 + y)"),
+        # a point of degree 1
+        ("x - 3", "3", "5", "(3, 5)"),
+    ]
+
+    @staticmethod
+    def parsed(*texts):
+        return [parse_poly(text, VARS_XY) for text in texts]
+
+    @pytest.mark.parametrize("us, As, bs, expected", CASES, ids=[c[3] for c in CASES])
+    def test_presentation(self, us, As, bs, expected):
+        u, a_val, b_val = self.parsed(us, As, bs)
+        point = canonical_point(u, a_val, b_val)
+        assert point.render() == expected
+        k = u.deg_in("x")
+        k0 = point.u0.deg_in("x")
+        assert point.residue_degree == k
+        assert point.v0.deg_in("y") == k // k0 and point.v0.lc_in("y").const_value() == 1
+        assert point.v0.deg_in("x") < k0
+        # u0 is the radical of the characteristic polynomial Res_t(u(t), x - a_val(t))
+        t = sympy.Symbol("t")
+        ut, at, bt = (to_sympy(p).subs(_SX, t) for p in (u, a_val, b_val))
+        charpoly = sympy.resultant(ut, _SX - at, t)
+        radical = sympy.Poly(sympy.sqf_part(charpoly), _SX).monic()
+        assert radical == sympy.Poly(to_sympy(point.u0), _SX, domain="QQ")
+        # (u0, v0) vanish at (a_val, b_val) mod u
+        for gen in (point.u0, point.v0):
+            value = sympy.expand(to_sympy(gen).subs({_SX: at, _SY: bt}, simultaneous=True))
+            assert sympy.rem(value, ut, t) == 0, gen.render()
+
+    @pytest.mark.parametrize("us, As, bs", [
+        ("x^2 - 2", "0", "0"),
+        ("x^2 - 2", "3", "5"),
+        # x = y = sqrt 2 in Q(sqrt 2 + sqrt 3)
+        ("x^4 - 10*x^2 + 1", "1/2*x^3 - 9/2*x", "1/2*x^3 - 9/2*x"),
+        # x = sqrt 2, y = 2 + sqrt 2 in Q(sqrt 2 + sqrt 3)
+        ("x^4 - 10*x^2 + 1", "1/2*x^3 - 9/2*x", "1/2*x^3 - 9/2*x + 2"),
+    ])
+    def test_data_that_do_not_generate_the_field_raise(self, us, As, bs):
+        # Q(a_val, b_val) is a proper subfield of F: the products
+        # b_val^j * a_val^i are dependent, never a point of lower degree
+        with pytest.raises(ProjectionDisagreement, match="does not generate"):
+            canonical_point(*self.parsed(us, As, bs))
+
+
 def rand_curve(rng):
     """An irreducible line, conic or cubic with small integer coefficients."""
     a, b, c = (rng.randint(-3, 3) for _ in range(3))
@@ -281,6 +351,62 @@ def rand_curve(rng):
     if kind == 2:
         return X ** 2 + (a or 2) * Y ** 2 - (c or 3) * one
     return Y ** 2 - X ** 3 - a * X - b * one
+
+
+def rand_monic_curve(rng, d):
+    """A curve of degree d, monic in y, with coefficients in -3..3."""
+    terms = {(0, d): 1}
+    for i in range(d + 1):
+        for j in range(min(d - i, d - 1) + 1):
+            terms[(i, j)] = rng.randint(-3, 3)
+    return MultiPoly(VARS_XY, terms)
+
+
+def render_points(cycle):
+    """An intersection cycle {ClosedPoint: n} as text, points in their sort order."""
+    return " + ".join(f"{n}*[{pt.render()}]" for pt, n in
+                      sorted(cycle.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def intersection_sweep():
+    """One rendered line per curve pair of a seeded pool, and the residue degrees met.
+
+    The pool holds 300 random lines, conics and cubics, pairs meeting in
+    points whose x-coordinate generates a proper subfield of the residue
+    field, and four pairs of quartics monic in y.  A pair that raises
+    renders its error.
+    """
+    rng = random.Random(41)
+    one = MultiPoly.const(VARS_XY, 1)
+    pairs = [(rand_curve(rng), rand_curve(rng)) for _ in range(300)]
+    pairs += [(X ** 2 - 2 * one, (Y - X) ** 2 - 3 * one),
+              (X ** 3 - 2 * one, (Y - X) ** 2 - 3 * one),
+              (Y ** 2 - 2 * one, (X - Y) ** 2 - 3 * one),
+              (X ** 2 - 2 * one, Y ** 2 - 3 * one),
+              (X ** 2 - 5 * one, (Y - X * X) ** 2 - 7 * one)]
+    pairs += [(rand_monic_curve(r, 4), rand_monic_curve(r, 4))
+              for r in map(random.Random, range(4))]
+    lines, degrees = [], set()
+    for i, (p, h) in enumerate(pairs):
+        try:
+            cycle = intersection_cycle(p, h, seed=i % 3)
+        except (InputError, ProjectionDisagreement) as err:
+            text = f"{type(err).__name__}: {err}"
+        else:
+            degrees.update(pt.residue_degree for pt in cycle)
+            text = render_points(cycle)
+        lines.append(f"{p.render()} . {h.render()} = {text}\n")
+    return lines, degrees
+
+
+class TestIntersectionSweep:
+    def test_cycles_hash_as_before(self):
+        # the digest was frozen from the k-fold canonical_point search, so
+        # the characteristic-polynomial route renders every cycle the same
+        lines, degrees = intersection_sweep()
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+        assert digest == frozen.INTERSECTION_SWEEP_DIGEST
+        assert len(lines) == 309 and {1, 2, 3, 4, 6, 15, 16} <= degrees
 
 
 class TestIntersectionSymmetry:

@@ -390,6 +390,14 @@ class TestInvmod:
         assert outcomes == {True, False}
 
 
+    def test_constant_remainder_inverts_to_its_reciprocal(self):
+        # a remainder that is a nonzero constant c has the inverse 1/c, as
+        # every element of the residue field of a rational point has
+        u = T ** 2 - 2
+        assert invmod(T ** 2 + Fraction(3, 2), u, "t") == MultiPoly.const(VARS_T, Fraction(2, 7))
+        assert invmod(T + 5, T - 1, "t") == MultiPoly.const(VARS_T, Fraction(1, 6))
+        assert invmod(MultiPoly.const(VARS_T, -3), u, "t") == MultiPoly.const(VARS_T, Fraction(-1, 3))
+
 def gcd_pairs(rng, vars, deg, count):
     """Pairs with a random common factor, each also against a constant and 0."""
     zero = MultiPoly.zero(vars)

@@ -472,8 +472,8 @@ def _vec(a, k):
 def canonical_point(u, a_val, b_val):
     """Closed point of A2 with x = a_val, y = b_val in F = Q[x]/(u).
 
-    u is monic irreducible in x of degree k, and a_val, b_val are elements
-    of F, reduced.  Returns the unique presentation (u0 monic irreducible
+    u is irreducible in x of degree k, and a_val, b_val are elements of F,
+    reduced.  Returns the unique presentation (u0 monic irreducible
     in x, v0 monic in y with coefficients reduced mod u0), provided
     Q(a_val, b_val) = F; ProjectionDisagreement otherwise.
 
@@ -490,8 +490,8 @@ def canonical_point(u, a_val, b_val):
     degree J in y.  That rank is checked: a rank below k means the data
     generate a proper subfield, and presenting them would give a point of
     the wrong degree.  Closed forms skip the elimination: a point of
-    degree 1 is (x - a, y - b), a_val = x gives (u, y - b_val), and a
-    constant a_val gives u0 = x - a_val.
+    degree 1 is (x - a, y - b), a_val = x gives (u made monic, y - b_val),
+    and a constant a_val gives u0 = x - a_val.
     """
     k = u.deg_in("x")
     x = MultiPoly.variable("x")
@@ -499,7 +499,7 @@ def canonical_point(u, a_val, b_val):
     if k == 1:
         return ClosedPoint.rational(a_val.const_value(), b_val.const_value())
     if a_val == x:
-        return ClosedPoint(A2, u0=u, v0=y - b_val)
+        return ClosedPoint(A2, u0=u * (1 / u.lc()), v0=y - b_val)
     one = MultiPoly.const(VARS_XY, 1)
     pows = [one]
     if a_val.is_const():

@@ -272,6 +272,38 @@ class TestFiber:
             geometry._fiber_gcd(chain, X)
 
 
+class TestSolveLinear:
+    def test_pivots_and_relations_match_sympy_rref(self):
+        # columns with planted dependencies, zero columns and rational
+        # entries; the pivots are sympy's and each relation rebuilds its column
+        rng = random.Random(17)
+        ranks = set()
+        for _ in range(60):
+            rows, n = rng.randint(1, 6), rng.randint(1, 8)
+            columns = []
+            for _ in range(n):
+                if columns and rng.random() < 0.4:
+                    picks = rng.sample(columns, min(len(columns), 2))
+                    column = [sum(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * c[i]
+                                  for c in picks) for i in range(rows)]
+                else:
+                    column = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in range(rows)]
+                columns.append(column)
+            pivots, relations = geometry._solve_linear(columns)
+            matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                                    for c in row] for row in zip(*columns)])
+            assert tuple(pivots) == matrix.rref()[1]
+            assert sorted(relations) == [j for j in range(n) if j not in pivots]
+            for j, coeffs in relations.items():
+                before = [p for p in pivots if p < j]
+                assert len(coeffs) == len(before)
+                assert [sum((c * columns[p][i] for c, p in zip(coeffs, before)), Fraction(0))
+                        for i in range(rows)] == columns[j]
+            ranks.add(len(pivots) == min(rows, n))
+        assert ranks == {True, False}
+
+
 class TestCanonicalPoint:
     # (u, a_val, b_val) presents a point by x = a_val, y = b_val in
     # F = Q[x]/(u); the expected (u0, v0) is the point's unique presentation
@@ -293,8 +325,9 @@ class TestCanonicalPoint:
         # x = sqrt 2 + sqrt 3, y = sqrt 2 in F = Q(sqrt 2 + 2 sqrt 3): k0 = k
         ("x^4 - 28*x^2 + 100", "1/40*x^3 + 1/20*x", "1/20*x^3 - 9/10*x",
          "(x^4 - 10*x^2 + 1, -1/2*x^3 + 9/2*x + y)"),
-        # a_val = x: the point is (u, y - b_val)
+        # a_val = x: the point is (u, y - b_val), u made monic
         ("x^3 - 2", "x", "x^2", "(x^3 - 2, -x^2 + y)"),
+        ("2*x^2 - 4", "x", "0", "(x^2 - 2, y)"),
         # a point of degree 1
         ("x - 3", "3", "5", "(3, 5)"),
     ]

@@ -12,9 +12,12 @@ The diagram check needs no factorization of its own.  Every denominator of
 tangent2 is a product of the primes that d_eps has already found, so its
 primes come from hint factors and exact division by the arcs' primes
 (`geometry.divide_by_primes`), and so do those of the bodies whose tame
-symbol the eps = 0 face reads.  Along each prime the check then reduces
-one form, tangent2 minus the unreduced forms of the arcs on that prime,
-instead of reducing each side and their difference.
+symbol the eps = 0 face reads.  Along each prime the check reduces nothing
+unless the square fails there.  The arcs on the prime are summed as one
+unreduced fraction, built from products only, whose denominator p divides
+once per distinct arc; whether tangent2 minus that sum has a pole along
+V(p) is one exact division of a numerator by a power of p.  Only a nonzero
+difference is reduced to its canonical class, to be rendered.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import InputError
 from .geometry import A2, PrimeDivisor, divide_by_primes, valuation, variety_of
 from .gersten import Certificate, _prime_tags, _sorted_inputs
 from .ksymbols import d_eps, specialize_arcs, tame
-from .poly import RatFunc, VARS_T, VARS_XY
+from .poly import MultiPoly, RatFunc, VARS_T, VARS_XY
 
 _DIFFS = {VARS_XY: ("dx", "dy"), VARS_T: ("dt",)}
 
@@ -193,13 +196,31 @@ def boundary_forms(beta):
     return out
 
 
+def _arc_fraction(curve, datum, unit, times):
+    """times * (g1*dp - datum*dg)/(g*p) for unit = g + eps*g1, as one unreduced fraction.
+
+    Returns (numerators, den), one numerator per coordinate differential,
+    over den = bd*cd*gd*gn*p for g = gn/gd, g1 = b/bd and datum = c/cd,
+    built from products only.  For the data of a GGArc, p divides den
+    exactly once: p is prime, g is a unit along V(p), so p divides neither
+    gn nor gd, and the datum and g1 are regular there, so p divides neither
+    cd nor bd.
+    """
+    p = curve.poly
+    gn, gd = unit.body.num, unit.body.den
+    g1 = unit.eps
+    # (g1*dp - datum*dg)/g = (b*cd*gd^2*dp - c*bd*(gd*dgn - gn*dgd)) / (bd*cd*gd*gn)
+    lift = g1.num * (datum.den * gd * gd * times)
+    drag = datum.num * (g1.den * times)
+    nums = tuple(lift * p.derivative(v) - drag * (gd * gn.derivative(v) - gn * gd.derivative(v))
+                 for v in p.vars)
+    return nums, g1.den * datum.den * gd * gn * p
+
+
 def arc_form(a):
-    """The unreduced signed tangent form of an arc: sign * ((g1*dp - f1*dg)/g) / p."""
-    p = RatFunc(a.curve.poly)
-    g, g1 = a.unit.body, a.unit.eps
-    beta = (d_form(p).scale(g1) - d_form(g).scale(a.datum)).scale(g ** -1)
-    form = beta.scale(p ** -1)
-    return form if a.sign == 1 else -form
+    """The signed tangent form of an arc: sign * ((g1*dp - datum*dg)/g) / p."""
+    nums, den = _arc_fraction(a.curve, a.datum, a.unit, a.sign)
+    return DiffForm(a.curve.poly.vars, tuple(RatFunc(n, den) for n in nums))
 
 
 def tangent3(a):
@@ -207,17 +228,74 @@ def tangent3(a):
     return a.curve, LocalCohClass.of(a.curve, arc_form(a))
 
 
+def _arc_sums(arcs):
+    """{prime: (numerators, den, k) or None}: the summed arc forms on each prime.
+
+    Equal arcs, which d_eps repeats |m|*|coeff| times, are grouped into one
+    signed count, and each distinct arc with a nonzero count is built once
+    by _arc_fraction.  The sum over the k distinct arcs on a prime is
+    cross-multiplied, never reduced, so p divides its denominator exactly k
+    times.  Every arc's prime is a key, in the order d_eps found them; it
+    maps to None where the counts cancel.
+    """
+    counts = {}
+    for a in arcs:
+        key = (a.curve, a.datum, a.unit)
+        counts[key] = counts.get(key, 0) + a.sign
+    sums = dict.fromkeys(a.curve for a in arcs)
+    for (curve, datum, unit), times in counts.items():
+        if not times:
+            continue
+        nums, den = _arc_fraction(curve, datum, unit, times)
+        if sums[curve] is None:
+            sums[curve] = (nums, den, 1)
+        else:
+            before, before_den, k = sums[curve]
+            sums[curve] = (tuple(n * den + m * before_den for n, m in zip(before, nums)),
+                           before_den * den, k + 1)
+    return sums
+
+
+def _difference_class(prime, beta, arc_sum):
+    """The class along the prime of beta minus an _arc_sums entry, or None when zero.
+
+    The entry (nums, den, k) has p dividing den exactly k times; None, for
+    a prime without arcs or whose arcs cancel, stands for 0/1 with k = 0.
+    With e = v_p(c.den), each coefficient of the difference,
+    (c.num*den - n*c.den) / (c.den*den), is regular along V(p) exactly when
+    p^(k+e) divides its numerator: one exact division.  Only a nonzero
+    class is reduced, by LocalCohClass.of.
+    """
+    p = prime.poly
+    vars = beta.vars
+    nums, den, k = arc_sum or ((MultiPoly.zero(vars),) * len(vars), MultiPoly.const(vars, 1), 0)
+    diffs = tuple(c.num * den - n * c.den for c, n in zip(beta.coeffs, nums))
+    for c, r in zip(beta.coeffs, diffs):
+        if r.is_zero():
+            continue
+        e = 0 if c.den.is_const() else c.den.divide_out(p)[1]
+        if k + e and not (p ** (k + e)).divides(r):
+            break
+    else:
+        return None
+    return LocalCohClass.of(prime, DiffForm(vars, tuple(
+        RatFunc(r, c.den * den) for c, r in zip(beta.coeffs, diffs))))
+
+
 def diagram_check(s, hints=None):
     """Certify the commuting square: forms boundary of tangent2 vs tangent3 of d_eps.
 
     The polar primes of tangent2 are found by dividing its denominators by
-    the arcs' primes, and along each prime P the check reduces one form,
-    tangent2 minus the arc forms on P, once.  That class is zero exactly
-    when the boundary class equals the summed tangent3 classes, since each
-    side differs from its canonical class by a form regular along P.  A
-    nonzero difference at a prime with no arc renders as the boundary class
-    there; at an arc's prime it may render as another representative of
-    the same class than reducing each side first would give.
+    the arcs' primes.  Along each prime P the check compares tangent2 with
+    the sum of the arc forms on P, held as one unreduced fraction whose
+    denominator p divides once per distinct arc (_arc_sums), by one exact
+    division per coefficient (_difference_class).  The difference has no
+    pole along P exactly when the boundary class equals the summed tangent3
+    classes, since each side differs from its canonical class by a form
+    regular along P.  A nonzero difference is reduced to its canonical
+    class, which renders as the boundary class at a prime with no arc; at
+    an arc's prime it may render as another representative of the same
+    class than reducing each side first would give.
 
     Also checks the eps = 0 face: the specialized arcs multiply to the tame
     symbol of the specialized symbol.  That tame symbol reaches the arcs'
@@ -227,17 +305,14 @@ def diagram_check(s, hints=None):
     """
     beta = tangent2(s)
     arcs = d_eps(s, hints=hints)
-    arc_sums = {}
-    for a in arcs:
-        form = arc_form(a)
-        arc_sums[a.curve] = arc_sums[a.curve] + form if a.curve in arc_sums else form
+    arc_sums = _arc_sums(arcs)
     # a prime both polar and under an arc keeps the tag it got as a polar prime
     primes = set(_polar_primes(beta, list(arc_sums), hints)) | set(arc_sums)
 
     mismatches = []
     for prime in sorted(primes, key=lambda p: p.sort_key()):
-        diff = LocalCohClass.of(prime, (beta - arc_sums[prime]) if prime in arc_sums else beta)
-        if not diff.is_zero():
+        diff = _difference_class(prime, beta, arc_sums.get(prime))
+        if diff is not None:
             mismatches.append(f"{prime.render()}: {diff.render()}")
 
     variety = variety_of(s.vars)

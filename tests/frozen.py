@@ -24,6 +24,12 @@ INTERSECTION_SWEEP_DIGEST = "30339cf0646076ea"
 # test_acceptance.test_two_random_sextics_meet_within_budget
 SEXTIC_CYCLE_DIGEST = "af5ee639574b845f"
 
+# sha256 prefix of the rendered certificates and errors of
+# test_tangent.diagram_sweep, and its verdict counts, computed with the class
+# test by reduced forms that preceded the exact-division test
+DIAGRAM_SWEEP_DIGEST = "212f704919f7daac"
+DIAGRAM_SWEEP_VERDICTS = {"pass": 109, "fail": 40, "EpsDatumIrregular": 166, "ScopeError": 85}
+
 # tame components on P1 at rational points, via sympy limits of the formula
 TAME_T_TMINUS2 = {0: Fraction(-1, 2), 2: Fraction(2), "INF": Fraction(-1)}
 TAME_STEINBERG_T = {0: Fraction(1), 1: Fraction(1), "INF": Fraction(1)}

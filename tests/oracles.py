@@ -3,9 +3,13 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. The one exception, `subst`, substitutes into a package polynomial
-through its public ring operations, for tests that need a substitution the
-package does not offer. Run as a script to print the frozen fixture values.
+point. Two exceptions read package objects. `subst` substitutes into a
+package polynomial through its public ring operations, for tests that need a
+substitution the package does not offer. `class_differences` replays the
+class test that `diagram_check` ran before its exact-division test, through
+the package's reduced forms; it imports the package inside the function, so
+the script runs without it. Run as a script to print the frozen fixture
+values.
 """
 
 from __future__ import annotations
@@ -176,6 +180,40 @@ def subst(p, assignments):
                 term = term * power(v, n)
         result = result + term
     return result
+
+
+# the class test of diagram_check by reduced forms, one arc at a time
+
+
+def class_differences(s):
+    """The "class differences" witness of diagram_check on the dual symbol s.
+
+    Per prime P: the class along P of tangent2(s) minus the sum of the
+    arc forms on P, each arc form sign * ((g1*dp - datum*dg)/g) / p built
+    by reduced RatFunc operations, one per arc as d_eps repeats them.  The
+    primes are the arcs' primes and the polar primes of tangent2(s), the
+    latter found by boundary_forms, which factors the denominators afresh.
+    """
+    from tamearc.ksymbols import d_eps
+    from tamearc.poly import RatFunc
+    from tamearc.tangent import LocalCohClass, boundary_forms, d_form, tangent2
+
+    beta = tangent2(s)
+    sums = {}
+    for a in d_eps(s):
+        p = RatFunc(a.curve.poly)
+        g, g1 = a.unit.body, a.unit.eps
+        form = (d_form(p).scale(g1) - d_form(g).scale(a.datum)).scale(g ** -1).scale(p ** -1)
+        if a.sign == -1:
+            form = -form
+        sums[a.curve] = sums[a.curve] + form if a.curve in sums else form
+    primes = set(sums) | {prime for prime, _ in boundary_forms(beta)}
+    lines = []
+    for prime in sorted(primes, key=lambda q: q.sort_key()):
+        diff = LocalCohClass.of(prime, beta - sums[prime] if prime in sums else beta)
+        if not diff.is_zero():
+            lines.append(f"{prime.render()}: {diff.render()}")
+    return "; ".join(lines) if lines else "all zero"
 
 
 def main():

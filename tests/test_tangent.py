@@ -1,5 +1,7 @@
 """Differential forms, local cohomology classes, and the tangent maps."""
 
+import collections
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -24,6 +26,8 @@ from tamearc.tangent import (
     tangent_cocycle,
 )
 
+import frozen
+import oracles
 from test_geometry import V_X, V_Y, rand_ratfunc, t, x, y
 from test_gersten import coprime_pool_pair
 from test_ksymbols import ONE_XY, ZERO_XY
@@ -221,6 +225,14 @@ def _recording(fn, calls):
     return wrapper
 
 
+def _counting(fn, calls):
+    """fn, appending its arguments to calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def rand_admissible_dual(rng):
     """Dual symbol with squarefree coprime bodies from the rational pool."""
     f, g = coprime_pool_pair(rng)
@@ -246,6 +258,85 @@ def rand_p1_line_ratio(rng):
 
 def rand_p1_eps(rng):
     return RatFunc.from_const(VARS_T, rng.choice([1, 2, -1, -3])) * t ** rng.randint(0, 2)
+
+
+def _sweep_curves(rng, vars):
+    """Four distinct curves: lines a*t + b on P1; lines and parabolas on A2."""
+    if vars == VARS_T:
+        roots = rng.sample(range(-4, 5), 4)
+        return [RatFunc.from_const(VARS_T, rng.choice([1, 2, -1, 3])) * t
+                - RatFunc.from_const(VARS_T, r) for r in roots]
+    shapes = ([("x", c) for c in range(-3, 4)] + [("y", c) for c in range(-3, 4)]
+              + [("x+y", c) for c in range(-2, 3)]
+              + [("parabola", b, c) for b in range(-2, 3) for c in range(-2, 3)])
+    curves = []
+    for shape in rng.sample(shapes, 4):
+        c = RatFunc.from_const(VARS_XY, shape[-1])
+        if shape[0] == "parabola":
+            curves.append(y - x ** 2 - RatFunc.from_const(VARS_XY, shape[1]) * x - c)
+        else:
+            curves.append({"x": x, "y": y, "x+y": x + y}[shape[0]] - c)
+    return curves
+
+
+def _sweep_body(rng, vars, own):
+    """A constant times powers in {2, 1, -1} of the two curves own.
+
+    On A2 one or both curves appear.  On P1 the two appear to opposite
+    powers, so the body is a unit at INF, except one time in five.
+    """
+    body = RatFunc.from_const(vars, rng.choice([1, 2, -3]))
+    if vars == VARS_T:
+        body = body * (own[0] / own[1]) ** rng.choice([2, 1, 1, -1])
+        return body * own[0] if rng.random() < 0.2 else body
+    for curve in rng.sample(own, rng.randint(1, 2)):
+        body = body * curve ** rng.choice([2, 1, 1, 1, -1])
+    return body
+
+
+def _sweep_eps(rng, vars, curves, own):
+    """Zero, a polynomial, one vanishing on a curve of own, or one over a curve."""
+    kind = rng.choice(["zero", "poly", "poly", "vanishing", "vanishing", "rational"])
+    if kind == "zero":
+        return RatFunc.from_const(vars, 0)
+    eps = RatFunc(rand_poly(rng, vars, 2, terms=3))
+    if kind == "vanishing":
+        return eps * rng.choice(own)
+    return eps / rng.choice(curves) if kind == "rational" else eps
+
+
+def diagram_sweep():
+    """(rendered line, certificate or None) per dual symbol of a seeded pool.
+
+    400 symbols on P1 and A2 with one or two terms, coefficients in
+    {1, -1, 2, -3}, squared components, rational eps parts, and bodies that
+    share a component (their term has no arcs).  A symbol that raises
+    renders its error.
+    """
+    rng = random.Random(2)
+    out = []
+    for i in range(400):
+        vars = VARS_T if i % 3 == 0 else VARS_XY
+        curves = _sweep_curves(rng, vars)
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            rng.shuffle(curves)
+            f = _sweep_body(rng, vars, curves[:2])
+            g = _sweep_body(rng, vars, curves[2:])
+            if rng.random() < 0.15:
+                g = g * curves[0]
+            terms.append((DualRatFunc(f, _sweep_eps(rng, vars, curves, curves[:2])),
+                          DualRatFunc(g, _sweep_eps(rng, vars, curves, curves[2:])),
+                          rng.choice([1, -1, 2, -3])))
+        s = DualMilnorSymbol(tuple(terms))
+        try:
+            cert = diagram_check(s)
+        except InputError as err:
+            cert, text = None, f"{type(err).__name__}: {err}"
+        else:
+            text = cert.render()
+        out.append((s, f"{s.render()} => {text}\n", cert))
+    return out
 
 
 class TestDiagramCheck:
@@ -333,8 +424,12 @@ class TestDiagramCheck:
             assert not [p for p in calls if p.is_const()], s.render()
             assert sorted(calls, key=str) == sorted(bodies, key=str), s.render()
 
-    def test_repeated_arcs_certify(self):
-        # a component of multiplicity 3 gives three equal arcs on V(x - 1)
+    def test_repeated_arcs_certify(self, monkeypatch):
+        # a component of multiplicity 3 gives three equal arcs on V(x - 1),
+        # grouped into one signed count: one fraction per distinct arc
+        built = []
+        monkeypatch.setattr(tangent, "_arc_fraction",
+                            _counting(tangent._arc_fraction, built))
         line = x - ONE_XY
         f = DualRatFunc(line ** 3 * y, line ** 2)
         g = DualRatFunc(y - RatFunc.from_const(VARS_XY, 2), x)
@@ -342,6 +437,47 @@ class TestDiagramCheck:
         arcs = d_eps(s)
         assert len(arcs) == 5 and len(set(arcs)) == 3
         assert diagram_check(s).verdict
+        assert len(built) == 3
+
+    def test_arcs_that_cancel_in_pairs(self, monkeypatch):
+        # {u,v} - {u,v} + 2{u,v}: the first two terms' arcs cancel, and each
+        # of the four distinct arcs is built once, with count 2
+        built = []
+        monkeypatch.setattr(tangent, "_arc_fraction",
+                            _counting(tangent._arc_fraction, built))
+        u = DualRatFunc(x * (y - ONE_XY), y)
+        v = DualRatFunc((x + y - RatFunc.from_const(VARS_XY, 3)) * (y - x ** 2), x)
+        s = DualMilnorSymbol(((u, v, 1), (u, v, -1), (u, v, 2)))
+        cert = diagram_check(s)
+        assert cert.verdict, cert.render()
+        assert "provenance arc count: 16" in cert.render_lines()
+        assert len(built) == 4
+
+    def test_simple_pole_beside_two_distinct_arcs(self):
+        # V(x) carries two distinct arcs, so p divides their summed
+        # denominator twice, and the bodies of the third term share x, which
+        # leaves a simple pole along V(x) that no arc matches
+        u = DualRatFunc(x, ONE_XY)
+        s = DualMilnorSymbol(((u, DualRatFunc(y, ZERO_XY), 1),
+                              (u, DualRatFunc(y - RatFunc.from_const(VARS_XY, 2), ZERO_XY), 1),
+                              (DualRatFunc(x, x), DualRatFunc(x * (y - ONE_XY), ZERO_XY), 1)))
+        cert = diagram_check(s)
+        assert not cert.verdict
+        witness = dict(cert.witness)["class differences"]
+        assert witness.endswith("V(x): [-dx + ((-x)/(y - 1))*dy] / (x)")
+        assert witness == oracles.class_differences(s)
+
+    def test_passing_symbols_take_the_cheap_path(self, monkeypatch):
+        # a commuting square is decided by exact division alone: no arc form
+        # is reduced and no class is built
+        calls = []
+        monkeypatch.setattr(tangent, "arc_form", _counting(tangent.arc_form, calls))
+        monkeypatch.setattr(LocalCohClass, "of",
+                            classmethod(_counting(LocalCohClass.of.__func__, calls)))
+        rng = random.Random(66)
+        for _ in range(30):
+            assert diagram_check(rand_admissible_dual(rng)).verdict
+        assert calls == []
 
     def test_oracle_agreement_both_paths(self):
         # boundary_forms(tangent2(s)) must match summed tangent3 classes per prime
@@ -362,6 +498,25 @@ class TestDiagramCheck:
                     assert lcls.is_zero()
                 else:
                     assert (lcls - rcls).is_zero()
+
+
+class TestDiagramSweep:
+    def test_witnesses_match_the_reduced_form_oracle(self):
+        # the exact-division test renders every certificate and error as the
+        # class test by reduced forms did (frozen digest), and its class
+        # differences are the ones that test computes afresh (oracle)
+        sweep = diagram_sweep()
+        digest = hashlib.sha256("".join(line for _, line, _ in sweep).encode()).hexdigest()[:16]
+        verdicts = collections.Counter(
+            line.split(" => ")[1].split(":")[0] if cert is None
+            else "pass" if cert.verdict else "fail"
+            for _, line, cert in sweep)
+        assert digest == frozen.DIAGRAM_SWEEP_DIGEST
+        assert verdicts == frozen.DIAGRAM_SWEEP_VERDICTS
+        for s, _, cert in sweep:
+            if cert is not None:
+                assert (dict(cert.witness)["class differences"]
+                        == oracles.class_differences(s)), s.render()
 
 
 class TestTangentCocycle:

@@ -306,7 +306,7 @@ def _sweep_eps(rng, vars, curves, own):
 
 
 def diagram_sweep():
-    """(rendered line, certificate or None) per dual symbol of a seeded pool.
+    """(symbol, rendered line, certificate or None) per dual symbol of a seeded pool.
 
     400 symbols on P1 and A2 with one or two terms, coefficients in
     {1, -1, 2, -3}, squared components, rational eps parts, and bodies that

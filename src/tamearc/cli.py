@@ -1,8 +1,13 @@
 """Command-line surface: job parsing, dispatch, and stable report emission.
 
-One job per invocation.  Reports are deterministic functions of the job and
+One job per invocation.  One table maps each command to its argument keys,
+the one variety it runs on (or None for both) and a runner that parses its
+own arguments and returns payload lines or a Certificate; run_job checks a
+job against the table and builds its Report, whose status is the
+certificate's verdict.  Reports are deterministic functions of the job and
 seed; structured output is line-delimited "key: value" text with list items
-indented two spaces, UTF-8 with LF endings, byte-stable across runs.
+indented two spaces, UTF-8 with LF endings, byte-stable across runs.  An
+error prints the two lines "error:" and "message:" in either format.
 
 Exit codes: 0 success, 1 a checked identity failed, 2 input error,
 3 capability error (factorization or projection gave up).
@@ -26,6 +31,7 @@ from .geometry import (
     variety_of,
 )
 from .gersten import (
+    Certificate,
     HigherCycleRep,
     complex_check_q2,
     cycle_check,
@@ -39,36 +45,11 @@ from .ksymbols import (
     d_eps,
     tame,
 )
-from .poly import DualRatFunc, RatFunc
+from .poly import DualRatFunc
 from .tangent import diagram_check, tangent2, tangent3, tangent_cocycle
 
-# the argument keys of each command, read by the flags and the job files alike
-_ARG_KEYS = {
-    "tame": ("f", "g"),
-    "div": ("f",),
-    "div-on-curve": ("f", "curve"),
-    "cycle-check": ("component",),
-    "tame-certify": ("component", "f", "g"),
-    "complex-check": ("f", "g"),
-    "weil-check": ("f", "g"),
-    "tangent2": ("f", "g"),
-    "d-eps": ("f", "g"),
-    "tangent3": ("curve", "datum", "unit", "sign"),
-    "diagram-check": ("f", "g"),
-    "tangent-cocycle": ("arc",),
-}
-COMMANDS = tuple(_ARG_KEYS)
-# keys that may repeat; each occurrence adds one item
-_LIST_KEYS = ("component", "arc")
+_LIST_KEYS = ("component", "arc")  # keys that may repeat; each adds one item
 _FORMATS = ("text", "structured")
-
-# commands that run on one variety only; the rest run on both
-_ONLY_ON = {
-    "cycle-check": "A2",
-    "tame-certify": "A2",
-    "complex-check": "A2",
-    "weil-check": "P1",
-}
 
 
 @dataclass(frozen=True)
@@ -91,7 +72,6 @@ class Report:
     job: Job
     payload: tuple = ()        # of (key, str) or (key, tuple of str)
     certificates: tuple = ()
-    warnings: tuple = ()
     status: int = 0
 
 
@@ -117,15 +97,23 @@ def _require(job, key):
 
 def _dual(src, vars):
     val = parse_expr(src, vars)
-    if isinstance(val, DualRatFunc):
-        return val
-    return DualRatFunc(val, RatFunc.from_const(vars, 0))
+    return val if isinstance(val, DualRatFunc) else DualRatFunc(val)
+
 
 def _plain(src, vars, key):
     val = parse_expr(src, vars)
     if isinstance(val, DualRatFunc):
         raise InputError(f"--{key} must not contain eps")
     return val
+
+
+def _f_g(job, vars):
+    return _plain(_require(job, "f"), vars, "f"), _plain(_require(job, "g"), vars, "g")
+
+
+def _dual_symbol(job, vars):
+    return DualMilnorSymbol.of(_dual(_require(job, "f"), vars),
+                               _dual(_require(job, "g"), vars))
 
 
 def _irreducible_curve(src, vars, hints):
@@ -136,148 +124,126 @@ def _irreducible_curve(src, vars, hints):
     return primes[0][0]
 
 
-def _parse_component(entry, vars, hints):
-    parts = [p.strip() for p in entry.split("|")]
-    if len(parts) != 2:
-        raise InputError(f"component needs '<curve> | <function>': {entry!r}")
-    curve = _irreducible_curve(parts[0], vars, hints)
-    func = _plain(parts[1], vars, "component")
-    return curve, ResidueFunc(curve, func)
+def _components(job, vars, hints):
+    comps = []
+    for entry in job.arg("component", ()):
+        parts = [p.strip() for p in entry.split("|")]
+        if len(parts) != 2:
+            raise InputError(f"component needs '<curve> | <function>': {entry!r}")
+        curve = _irreducible_curve(parts[0], vars, hints)
+        comps.append((curve, ResidueFunc(curve, _plain(parts[1], vars, "component"))))
+    return HigherCycleRep(tuple(comps))
 
 
-def _parse_arc(entry, vars, hints):
-    parts = [p.strip() for p in entry.split("|")]
-    if len(parts) != 4:
-        raise InputError(
-            f"arc needs '<curve> | <datum> | <unit> | <sign>': {entry!r}")
-    curve = _irreducible_curve(parts[0], vars, hints)
-    datum = _plain(parts[1], vars, "datum")
-    unit = _dual(parts[2], vars)
+def _arc(fields, vars, hints):
+    """The arc of the fields curve, datum, unit and sign, parsed in that order."""
+    curve, datum, unit, sign = (field.strip() for field in fields)
+    curve = _irreducible_curve(curve, vars, hints)
+    datum = _plain(datum, vars, "datum")
+    unit = _dual(unit, vars)
     try:
-        sign = int(parts[3])
+        sign = int(sign)
     except ValueError:
-        raise InputError(f"arc sign must be +1 or -1: {parts[3]!r}") from None
+        raise InputError(f"arc sign must be +1 or -1: {sign!r}") from None
     return GGArc(curve=curve, datum=datum, unit=unit, sign=sign)
 
 
-def _k1_payload(cycle):
+def _arcs(job, vars, hints):
+    arcs = []
+    for entry in job.arg("arc", ()):
+        fields = entry.split("|")
+        if len(fields) != 4:
+            raise InputError(
+                f"arc needs '<curve> | <datum> | <unit> | <sign>': {entry!r}")
+        arcs.append(_arc(fields, vars, hints))
+    return arcs
+
+
+def _cycle_payload(cycle):
+    return [("cycle", cycle.render()), ("total degree", str(cycle.total_degree()))]
+
+
+# Runners: each parses its own arguments and returns payload lines or a
+# Certificate.  Their parse order decides which error wins on bad input.
+
+def _run_tame(job, X, hints):
+    cycle = tame(MilnorSymbol.of(*_f_g(job, X.vars)), X, hints=hints)
     if cycle.is_trivial():
-        return (("components", "none"),)
-    return tuple((f"component {key.render()}", val.rep.render())
-                 for key, val in cycle.terms)
+        return [("components", "none")]
+    return [(f"component {key.render()}", val.rep.render()) for key, val in cycle.terms]
+
+
+def _run_div(job, X, hints):
+    cycle = div_codim1(_plain(_require(job, "f"), X.vars, "f"), X, hints=hints)
+    payload = _cycle_payload(cycle)
+    if X.kind == "A2" and cycle.total_degree() != 0:
+        payload.append(("warning", "affine divisor has nonzero total degree; "
+                        "components at infinity are not part of this chart"))
+    return payload
+
+
+def _run_div_on_curve(job, X, hints):
+    if X.kind == "P1" and job.arg("curve") is not None:
+        raise InputError("div-on-curve on P1 takes no --curve: the curve is the line")
+    f = _plain(_require(job, "f"), X.vars, "f")
+    if X.kind == "A2":
+        f = ResidueFunc(_irreducible_curve(_require(job, "curve"), X.vars, hints), f)
+    return _cycle_payload(div_on_curve(f, seed=job.seed, hints=hints))
+
+
+def _run_tame_certify(job, X, hints):
+    comps = _components(job, X.vars, hints)
+    return tame_boundary_certify(comps, MilnorSymbol.of(*_f_g(job, X.vars)), hints=hints)
+
+
+def _run_tangent3(job, X, hints):
+    fields = [_require(job, key) for key in ("curve", "datum", "unit", "sign")]
+    curve, cls = tangent3(_arc(fields, X.vars, hints))
+    return [("curve", curve.render()), ("class", cls.render())]
+
+
+# command: (argument keys, the one variety it runs on or None, runner); the
+# keys are read by the flags and the job files alike
+_TABLE = {
+    "tame": (("f", "g"), None, _run_tame),
+    "div": (("f",), None, _run_div),
+    "div-on-curve": (("f", "curve"), None, _run_div_on_curve),
+    "cycle-check": (("component",), "A2", lambda job, X, hints: cycle_check(
+        _components(job, X.vars, hints), seed=job.seed, hints=hints)),
+    "tame-certify": (("component", "f", "g"), "A2", _run_tame_certify),
+    "complex-check": (("f", "g"), "A2", lambda job, X, hints: complex_check_q2(
+        *_f_g(job, X.vars), seed=job.seed, hints=hints)),
+    "weil-check": (("f", "g"), "P1", lambda job, X, hints: weil_check_p1(
+        *_f_g(job, X.vars), hints=hints)),
+    "tangent2": (("f", "g"), None, lambda job, X, hints: [
+        ("form", tangent2(_dual_symbol(job, X.vars)).render())]),
+    "d-eps": (("f", "g"), None, lambda job, X, hints: [
+        ("arcs", tuple(a.render() for a in d_eps(_dual_symbol(job, X.vars), hints=hints)))]),
+    "tangent3": (("curve", "datum", "unit", "sign"), None, _run_tangent3),
+    "diagram-check": (("f", "g"), None, lambda job, X, hints: diagram_check(
+        _dual_symbol(job, X.vars), hints=hints)),
+    "tangent-cocycle": (("arc",), None, lambda job, X, hints: tangent_cocycle(
+        _arcs(job, X.vars, hints))),
+}
+COMMANDS = tuple(_TABLE)
 
 
 def run_job(job):
-    """Dispatch a job to the library and collect a deterministic report."""
-    if job.command not in COMMANDS:
+    """Check a job against the command table, run it, and collect its report."""
+    if job.command not in _TABLE:
         raise InputError(f"unknown command {job.command!r}")
+    keys, only, runner = _TABLE[job.command]
     for key, _ in job.args:
-        if key not in _ARG_KEYS[job.command]:
+        if key not in keys:
             raise InputError(f"{job.command} takes no key {key!r}")
-    only = _ONLY_ON.get(job.command, job.variety)
-    if job.variety != only:
+    if only not in (None, job.variety):
         raise InputError(f"{job.command} runs on {only}")
     X = Variety(job.variety)
-    vars = X.vars
-    hints = _parse_hints(job.factor_hints, vars)
-    payload = []
-    certificates = []
-    warnings = []
-    status = 0
-
-    if job.command == "tame":
-        f = _plain(_require(job, "f"), vars, "f")
-        g = _plain(_require(job, "g"), vars, "g")
-        cycle = tame(MilnorSymbol.of(f, g), X, hints=hints)
-        payload.extend(_k1_payload(cycle))
-
-    elif job.command == "div":
-        f = _plain(_require(job, "f"), vars, "f")
-        cycle = div_codim1(f, X, hints=hints)
-        payload.append(("cycle", cycle.render()))
-        payload.append(("total degree", str(cycle.total_degree())))
-        if job.variety == "A2" and cycle.total_degree() != 0:
-            warnings.append(
-                "affine divisor has nonzero total degree; components at "
-                "infinity are not part of this chart")
-
-    elif job.command == "div-on-curve":
-        f = _plain(_require(job, "f"), vars, "f")
-        if job.variety == "P1":
-            cycle = div_on_curve(f, seed=job.seed, hints=hints)
-        else:
-            curve = _irreducible_curve(_require(job, "curve"), vars, hints)
-            cycle = div_on_curve(ResidueFunc(curve, f), seed=job.seed, hints=hints)
-        payload.append(("cycle", cycle.render()))
-        payload.append(("total degree", str(cycle.total_degree())))
-
-    elif job.command == "cycle-check":
-        comps = tuple(_parse_component(e, vars, hints)
-                      for e in job.arg("component", ()))
-        cert = cycle_check(HigherCycleRep(comps), seed=job.seed, hints=hints)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    elif job.command == "tame-certify":
-        comps = tuple(_parse_component(e, vars, hints)
-                      for e in job.arg("component", ()))
-        f = _plain(_require(job, "f"), vars, "f")
-        g = _plain(_require(job, "g"), vars, "g")
-        cert = tame_boundary_certify(HigherCycleRep(comps), MilnorSymbol.of(f, g),
-                                     hints=hints)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    elif job.command == "complex-check":
-        f = _plain(_require(job, "f"), vars, "f")
-        g = _plain(_require(job, "g"), vars, "g")
-        cert = complex_check_q2(f, g, seed=job.seed, hints=hints)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    elif job.command == "weil-check":
-        f = _plain(_require(job, "f"), vars, "f")
-        g = _plain(_require(job, "g"), vars, "g")
-        cert = weil_check_p1(f, g, hints=hints)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    elif job.command == "tangent2":
-        u = _dual(_require(job, "f"), vars)
-        v = _dual(_require(job, "g"), vars)
-        form = tangent2(DualMilnorSymbol.of(u, v))
-        payload.append(("form", form.render()))
-
-    elif job.command == "d-eps":
-        u = _dual(_require(job, "f"), vars)
-        v = _dual(_require(job, "g"), vars)
-        arcs = d_eps(DualMilnorSymbol.of(u, v), hints=hints)
-        payload.append(("arcs", tuple(a.render() for a in arcs)))
-
-    elif job.command == "tangent3":
-        arc = _parse_arc(" | ".join([
-            _require(job, "curve"), _require(job, "datum"),
-            _require(job, "unit"), _require(job, "sign")]), vars, hints)
-        curve, cls = tangent3(arc)
-        payload.append(("curve", curve.render()))
-        payload.append(("class", cls.render()))
-
-    elif job.command == "diagram-check":
-        u = _dual(_require(job, "f"), vars)
-        v = _dual(_require(job, "g"), vars)
-        cert = diagram_check(DualMilnorSymbol.of(u, v), hints=hints)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    elif job.command == "tangent-cocycle":
-        arcs = [_parse_arc(e, vars, hints) for e in job.arg("arc", ())]
-        cert = tangent_cocycle(arcs)
-        certificates.append(cert)
-        status = 0 if cert.verdict else 1
-
-    return Report(job=job, payload=tuple(payload),
-                  certificates=tuple(certificates),
-                  warnings=tuple(warnings), status=status)
+    result = runner(job, X, _parse_hints(job.factor_hints, X.vars))
+    certificates = (result,) if isinstance(result, Certificate) else ()
+    return Report(job=job, payload=() if certificates else tuple(result),
+                  certificates=certificates,
+                  status=0 if all(c.verdict for c in certificates) else 1)
 
 
 def emit(report, format="text"):
@@ -305,14 +271,12 @@ def emit(report, format="text"):
             lines.append(f"{key}: {val}")
     for cert in report.certificates:
         lines.extend(cert.render_lines())
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
     if format == "structured":
         lines.append(f"status: {report.status}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _emit_error(exc, format):
+def _emit_error(exc):
     lines = [f"error: {type(exc).__name__}", f"message: {exc}"]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -377,10 +341,9 @@ def _build_parser():
     parser.add_argument("--job", help="run a job from a key: value file")
     parser.add_argument("--format", choices=_FORMATS, default="text")
     sub = parser.add_subparsers(dest="command")
-    for name, keys in _ARG_KEYS.items():
+    for name, (keys, only, _) in _TABLE.items():
         p = sub.add_parser(name)
-        p.add_argument("--variety", choices=("A2", "P1"),
-                       default=_ONLY_ON.get(name, "A2"))
+        p.add_argument("--variety", choices=("A2", "P1"), default=only or "A2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=_FORMATS, default="text")
         p.add_argument("--factor-hint", action="append", default=[],
@@ -409,7 +372,7 @@ def main(argv=None):
             return 2
         else:
             args = []
-            for key in _ARG_KEYS[ns.command]:
+            for key in _TABLE[ns.command][0]:
                 val = getattr(ns, key)
                 if key in _LIST_KEYS:
                     val = tuple(val) or None
@@ -422,14 +385,10 @@ def main(argv=None):
         sys.stdout.buffer.write(emit(report, fmt))
         sys.stdout.buffer.flush()
         return report.status
-    except CapabilityError as exc:
-        sys.stdout.buffer.write(_emit_error(exc, fmt))
+    except (InputError, CapabilityError) as exc:
+        sys.stdout.buffer.write(_emit_error(exc))
         sys.stdout.buffer.flush()
-        return 3
-    except InputError as exc:
-        sys.stdout.buffer.write(_emit_error(exc, fmt))
-        sys.stdout.buffer.flush()
-        return 2
+        return 3 if isinstance(exc, CapabilityError) else 2
 
 
 if __name__ == "__main__":

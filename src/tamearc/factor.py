@@ -186,10 +186,7 @@ def _zgcd(f, g, q):
     f, g = _zred(f, q), _zred(g, q)
     while g:
         f, g = g, _zdivmod(f, g, q)[1]
-    if not f:
-        return []
-    inv = pow(f[-1], -1, q)
-    return [(c * inv) % q for c in f]
+    return _zmonic(f, q) if f else []
 
 
 def _zmonic(f, q):
@@ -268,15 +265,6 @@ def _edf(f, d, q, rng):
             return _edf(g, d, q, rng) + _edf(_zmonic(rest, q), d, q, rng)
 
 
-def _factor_mod(f, q):
-    """Irreducible monic factors of squarefree monic f over F_q, sorted."""
-    rng = Random(0x7A3E + q * 131 + udeg(f))
-    out = []
-    for block, d in _ddf(f, q):
-        out.extend(_edf(_zmonic(block, q), d, q, rng))
-    return sorted(out)
-
-
 def _center(c, m):
     c %= m
     return c - m if 2 * c > m else c
@@ -339,15 +327,18 @@ def _zassenhaus(g):
         gq = _zmonic(gq, q)
         if udeg(_zgcd(gq, _zderiv(gq, q), q)) != 0:
             continue
-        count = sum(udeg(block) // d for block, d in _ddf(gq, q))
+        blocks = _ddf(gq, q)
+        count = sum(udeg(block) // d for block, d in blocks)
         if count == 1:
             return [list(g)], f"irreducible mod {q}"
-        candidates.append((count, q, gq))
+        candidates.append((count, q, blocks))
     if not candidates:
         raise FactorIncomplete(
             "no usable prime found for modular factorization; supply a factor hint")
-    _, q, gq = min(candidates)
-    pool = _factor_mod(gq, q)
+    _, q, blocks = min(candidates)
+    # the irreducible monic factors mod q, split from the distinct-degree blocks
+    rng = Random(0x7A3E + q * 131 + n)
+    pool = sorted(f for block, d in blocks for f in _edf(block, d, q, rng))
     # any factor of lc*g has coefficients below this bound, so the lift separates
     norm = isqrt(sum(c * c for c in g)) + 1
     bound = 2 * (2 ** n) * norm * abs(lc) + 1

@@ -489,30 +489,22 @@ def canonical_point(u, a_val, b_val):
     are a basis, and one k x k solve writes b_val^J in it, giving v0 of
     degree J in y.  That rank is checked: a rank below k means the data
     generate a proper subfield, and presenting them would give a point of
-    the wrong degree.  Closed forms skip the elimination: a point of
-    degree 1 is (x - a, y - b), a_val = x gives (u made monic, y - b_val),
-    and a constant a_val gives u0 = x - a_val.
+    the wrong degree.  A point of degree 1 is (x - a, y - b) at once.
     """
     k = u.deg_in("x")
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
     if k == 1:
         return ClosedPoint.rational(a_val.const_value(), b_val.const_value())
-    if a_val == x:
-        return ClosedPoint(A2, u0=u * (1 / u.lc()), v0=y - b_val)
+    y = MultiPoly.variable("y")
     one = MultiPoly.const(VARS_XY, 1)
     pows = [one]
-    if a_val.is_const():
-        k0, u0 = 1, x - a_val
-    else:
-        for _ in range(k):
-            pows.append(rem(pows[-1] * a_val, u, "x"))
-        _, relations = _solve_linear([_vec(a, k) for a in pows] + [_vec(b_val, k)])
-        k0 = min(relations)
-        u0 = MultiPoly.from_dense(VARS_XY, "x", [-c for c in relations[k0]] + [_ONE])
-        if k0 == k:
-            return ClosedPoint(A2, u0=u0, v0=y - MultiPoly.from_dense(
-                VARS_XY, "x", relations[k + 1]))
+    for _ in range(k):
+        pows.append(rem(pows[-1] * a_val, u, "x"))
+    _, relations = _solve_linear([_vec(a, k) for a in pows] + [_vec(b_val, k)])
+    k0 = min(relations)
+    u0 = MultiPoly.from_dense(VARS_XY, "x", [-c for c in relations[k0]] + [_ONE])
+    if k0 == k:
+        return ClosedPoint(A2, u0=u0, v0=y - MultiPoly.from_dense(
+            VARS_XY, "x", relations[k + 1]))
     # minimal polynomial of b_val over Q(a_val), coefficients in the x-basis
     J = k // k0
     b_pows = [one]

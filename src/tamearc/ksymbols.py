@@ -267,8 +267,7 @@ def _component_arcs(this, other, family_sign, hints):
                     f"eps datum for component {prime.render()} is irregular: "
                     f"nu({F1.render()}) < {abs(m) - 1} along the component")
             sign = family_sign if m > 0 else -family_sign
-            for _ in range(abs(m)):
-                arcs.append(GGArc(curve=prime, datum=datum, unit=other, sign=sign))
+            arcs.extend([GGArc(curve=prime, datum=datum, unit=other, sign=sign)] * abs(m))
     return arcs
 
 
@@ -288,11 +287,9 @@ def d_eps(s, hints=None):
         shared = poly_gcd(F.num * F.den, G.num * G.den)
         if shared.degree() > 0:
             continue
-        term_arcs = (_component_arcs(u, v, 1, hints)
-                     + _component_arcs(v, u, -1, hints))
-        if coeff < 0:
-            term_arcs = [GGArc(a.curve, a.datum, a.unit, -a.sign) for a in term_arcs]
-        arcs.extend(term_arcs * abs(coeff))
+        sign = 1 if coeff > 0 else -1
+        arcs.extend((_component_arcs(u, v, sign, hints)
+                     + _component_arcs(v, u, -sign, hints)) * abs(coeff))
     return arcs
 
 

@@ -38,3 +38,9 @@ TAME_STEINBERG_T = {0: Fraction(1), 1: Fraction(1), "INF": Fraction(1)}
 RES_Y_X_Y = "x"          # deg_y(p) = 0 convention: Res = p^{deg_y q}
 RES_Y_YMINUSX2_Y = "x^2"
 RES_T_T2MINUS2_TPLUS3 = 7
+
+# sha256 prefix of (argv, exit code, stdout) over test_expr_cli.cli_corpus,
+# and its exit-code counts, computed with the if/elif dispatch of cli.run_job
+# that preceded the command table
+CLI_CORPUS_DIGEST = "8c80ecd6c301c0ac"
+CLI_CORPUS_STATUSES = {0: 152, 1: 16, 2: 216}

@@ -1,8 +1,11 @@
 """Expression grammar and the command line surface."""
 
+import collections
+import hashlib
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from tamearc.errors import (
 from tamearc.expr import parse_expr, parse_poly
 from tamearc.poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
 
+import frozen
 from test_geometry import rand_ratfunc
 from test_poly import rand_poly
 
@@ -448,12 +452,38 @@ def test_every_command_runs_in_process(command, variety, capsysbinary):
     status = cli.main(argv)
     out = capsysbinary.readouterr().out.decode()
     assert status in (0, 1, 2, 3), out
-    only = cli._ONLY_ON.get(command, variety)
+    only = cli._TABLE[command][1] or variety
     if only != variety:
         assert status == 2
         assert f"message: {command} runs on {only}" in out
     else:
         assert "error:" not in out
+
+
+def test_div_on_curve_on_p1_takes_no_curve(capsysbinary):
+    # on P1 the curve is the line itself, so a --curve is an input error
+    status = cli.main(["div-on-curve", "--variety", "P1", "--f", "t-1", "--curve", "t^2+1"])
+    assert status == 2
+    assert capsysbinary.readouterr().out == (
+        b"error: InputError\n"
+        b"message: div-on-curve on P1 takes no --curve: the curve is the line\n")
+
+
+def test_readme_command_block_matches_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```text\ntame ", 1)[1].split("```", 1)[0]
+    entries = {}
+    for line in ("tame " + block).splitlines():
+        if line.startswith(" "):
+            entries[name] += line
+        else:
+            name = line.split()[0]
+            entries[name] = line
+    assert tuple(entries) == cli.COMMANDS
+    for command, text in entries.items():
+        only = cli._TABLE[command][1]
+        assert ("(A2 only)" in text) == (only == "A2"), command
+        assert ("(P1 only" in text) == (only == "P1"), command
 
 
 # stdout of jobs whose P1 points have degree 2 and 3, byte for byte
@@ -485,3 +515,102 @@ _P1_BYTE_PINS = [
 def test_p1_higher_degree_points_byte_pins(argv, expected, capsysbinary):
     assert cli.main(argv) == 0
     assert capsysbinary.readouterr().out == expected
+
+
+# Seeded corpus of in-process CLI jobs: every command on both varieties in
+# both formats, with malformed, missing and foreign-variety inputs and factor
+# hints.  The keys per command are spelled out here, not read from cli, so
+# the corpus stays what it was when its digest was frozen.
+_CORPUS_KEYS = {
+    "tame": ("f", "g"), "div": ("f",), "div-on-curve": ("f", "curve"),
+    "cycle-check": ("component",), "tame-certify": ("component", "f", "g"),
+    "complex-check": ("f", "g"), "weil-check": ("f", "g"),
+    "tangent2": ("f", "g"), "d-eps": ("f", "g"),
+    "tangent3": ("curve", "datum", "unit", "sign"),
+    "diagram-check": ("f", "g"), "tangent-cocycle": ("arc",),
+}
+_DUAL_COMMANDS = ("tangent2", "d-eps", "diagram-check")
+_CORPUS_POOLS = {
+    "A2": {
+        "plain": ["x", "y", "x - 1", "y - x^2", "x*y - y", "x + y - 3",
+                  "(x - 2)/(y + 1)", "x^2 + y^2 - 1", "3", "y^2 - x^3"],
+        "dual": ["x + eps", "y + eps*x", "x*(y - 1) + eps*y", "(x + 1)/y + eps",
+                 "y - 1", "x + eps/y", "y - x^2 + eps"],
+        "curve": ["x", "y - x^2", "x + y - 1", "y^2 - x^3", "x*y", "0"],
+        "datum": ["1", "y", "x + 1", "0", "1/x"],
+        "unit": ["y", "1 + eps*y", "x + eps", "y - 1 + eps*x", "x"],
+        "component": ["x | y", "y | 1/x", "x - 1 | y + 2", "y - x^2 | x",
+                      "x*y | 2", "x", "x | y + eps"],
+        "hint": ["x*y=x,y", "x^2 - y^2=x - y", "y - x^2=y - x^2", "x*y"],
+    },
+    "P1": {
+        "plain": ["t", "t - 2", "t^2 - t", "(t - 1)/(t + 1)", "t^2 + 1",
+                  "t^3 - 2", "5", "(t^2 - 2)/(t + 3)"],
+        "dual": ["(t - 1)/(t + 1) + eps", "(t - 2)/(t + 3)", "t + eps",
+                 "(t + 2)/(t - 5) + eps*t/(t - 5)", "(t^2 + 1)/(t^2 + 3) + eps"],
+        "curve": ["t", "t - 3", "t^2 + 1", "t^2 - 1", "3"],
+        "datum": ["1", "t", "2", "1/t"],
+        "unit": ["1 + eps*t", "t - 2 + eps", "t + 1", "t"],
+        "component": ["t | 2", "t - 1 | 3", "t^2 + 1 | t", "t"],
+        "hint": ["t^2 - 1=t - 1", "t^2 + 1=t^2 + 1", "t^2 - t=t", "t"],
+    },
+}
+_CORPUS_BAD = ["x + ", "x*eps*eps", "1/0", "w + 1", "t + x", "(x", ""]
+_CORPUS_SIGNS = ["+1", "-1", "+1", "-1", "2", "a"]
+
+
+def _corpus_value(rng, key, command, variety):
+    pools = _CORPUS_POOLS[variety]
+    if rng.random() < 0.12:
+        other = _CORPUS_POOLS["P1" if variety == "A2" else "A2"]
+        return rng.choice(_CORPUS_BAD + other["plain"])
+    if key == "sign":
+        return rng.choice(_CORPUS_SIGNS)
+    if key == "arc":
+        if rng.random() < 0.1:
+            return "x | 1 | y"
+        return " | ".join([rng.choice(pools["curve"]), rng.choice(pools["datum"]),
+                           rng.choice(pools["unit"]), rng.choice(_CORPUS_SIGNS)])
+    if key in ("f", "g"):
+        return rng.choice(pools["dual" if command in _DUAL_COMMANDS else "plain"])
+    return rng.choice(pools[key])
+
+
+def cli_corpus(seed=19, per_case=8):
+    """argv lists: per_case jobs per command, variety and format."""
+    rng = random.Random(seed)
+    jobs = []
+    for command, keys in _CORPUS_KEYS.items():
+        for variety in ("A2", "P1"):
+            for fmt in ("text", "structured"):
+                for _ in range(per_case):
+                    argv = [command, "--variety", variety, "--format", fmt,
+                            "--seed", str(rng.choice([0, 1, 7]))]
+                    for key in keys:
+                        if key == "curve" and command == "div-on-curve" and variety == "P1":
+                            continue
+                        if key in ("component", "arc"):
+                            for _ in range(rng.randint(0, 3)):
+                                argv += [f"--{key}", _corpus_value(rng, key, command, variety)]
+                        elif rng.random() >= 0.08:
+                            argv += [f"--{key}", _corpus_value(rng, key, command, variety)]
+                    if rng.random() < 0.2:
+                        argv += ["--factor-hint", rng.choice(_CORPUS_POOLS[variety]["hint"])]
+                    jobs.append(argv)
+    return jobs
+
+
+def test_cli_corpus_renders_as_frozen(capsysbinary):
+    # the digest was frozen from the if/elif dispatch that preceded the
+    # command table, so every job keeps its stdout and exit code
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    jobs = cli_corpus()
+    for argv in jobs:
+        status = cli.main(argv)
+        out = capsysbinary.readouterr().out
+        statuses[status] += 1
+        digest.update(repr((argv, status)).encode() + b"\0" + out + b"\0")
+    assert len(jobs) == 384 and set(statuses) == {0, 1, 2}
+    assert digest.hexdigest()[:16] == frozen.CLI_CORPUS_DIGEST
+    assert dict(statuses) == frozen.CLI_CORPUS_STATUSES

@@ -230,7 +230,7 @@ def _odd_primes():
 
 
 def _ddf(f, q):
-    """Distinct-degree split of monic squarefree f; returns [(product, degree)]."""
+    """Distinct-degree split of monic squarefree f; returns [(monic product, degree)]."""
     out = []
     v = list(f)
     h = [0, 1]

@@ -489,7 +489,9 @@ def canonical_point(u, a_val, b_val):
     are a basis, and one k x k solve writes b_val^J in it, giving v0 of
     degree J in y.  That rank is checked: a rank below k means the data
     generate a proper subfield, and presenting them would give a point of
-    the wrong degree.  A point of degree 1 is (x - a, y - b) at once.
+    the wrong degree.  The pass needs no special case: for a_val = x the
+    powers are the basis and u0 is u made monic, and a constant a_val has
+    k0 = 1.  A point of degree 1 is (x - a, y - b) at once.
     """
     k = u.deg_in("x")
     if k == 1:

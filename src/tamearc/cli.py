@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
 from .expr import parse_expr, parse_poly
@@ -47,18 +46,22 @@ from .ksymbols import (
 )
 from .poly import DualRatFunc
 from .tangent import diagram_check, tangent2, tangent3, tangent_cocycle
+from .value import Value
 
 _LIST_KEYS = ("component", "arc")  # keys that may repeat; each adds one item
 _FORMATS = ("text", "structured")
 
 
-@dataclass(frozen=True)
-class Job:
-    command: str
-    variety: str = "A2"
-    args: tuple = ()       # of (key, value-or-tuple) in canonical order
-    seed: int = 0
-    factor_hints: tuple = ()
+class Job(Value):
+    __slots__ = ("command", "variety", "args", "seed", "factor_hints")
+    # args: (key, value-or-tuple) pairs in canonical order
+
+    def __init__(self, command, variety="A2", args=(), seed=0, factor_hints=()):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "factor_hints", factor_hints)
 
     def arg(self, key, default=None):
         for k, v in self.args:
@@ -67,12 +70,15 @@ class Job:
         return default
 
 
-@dataclass(frozen=True)
-class Report:
-    job: Job
-    payload: tuple = ()        # of (key, str) or (key, tuple of str)
-    certificates: tuple = ()
-    status: int = 0
+class Report(Value):
+    __slots__ = ("job", "payload", "certificates", "status")
+    # payload: (key, str) or (key, tuple of str) pairs
+
+    def __init__(self, job, payload=(), certificates=(), status=0):
+        object.__setattr__(self, "job", job)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "status", status)
 
 
 def _parse_hints(entries, vars):
@@ -345,7 +351,8 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--variety", choices=("A2", "P1"), default=only or "A2")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=_FORMATS, default="text")
+        # SUPPRESS leaves a --format given before the command in place
+        p.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
         p.add_argument("--factor-hint", action="append", default=[],
                        metavar="POLY=FACTOR,...")
         for key in keys:
@@ -363,6 +370,9 @@ def main(argv=None):
     fmt = ns.format
     try:
         if ns.job:
+            if ns.command is not None:
+                raise InputError(f"--job {ns.job!r} and command {ns.command!r} "
+                                 "given together; give one")
             job, file_fmt = parse_job_file(ns.job)
             if file_fmt is not None and not any(
                     a == "--format" or a.startswith("--format=") for a in argv):

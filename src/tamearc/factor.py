@@ -21,7 +21,6 @@ tagged "user-asserted".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as _int_gcd, isqrt, prod
@@ -39,6 +38,7 @@ from .poly import (
     poly_gcd,
     rem,
 )
+from .value import Value
 
 PROVED = "proved"
 ASSERTED = "user-asserted"
@@ -49,18 +49,22 @@ RECOMBINATION_BUDGET = 4096
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FactorTerm:
-    poly: MultiPoly
-    multiplicity: int
-    certificate: str
-    evidence: str = ""
+class FactorTerm(Value):
+    __slots__ = ("poly", "multiplicity", "certificate", "evidence")
+
+    def __init__(self, poly, multiplicity, certificate, evidence=""):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "evidence", evidence)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    unit: Fraction
-    factors: tuple
+class Factorization(Value):
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit, factors):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "factors", factors)
 
     def product(self):
         if not self.factors:

@@ -25,7 +25,6 @@ projections still run for that pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 from random import Random
@@ -52,18 +51,19 @@ from .poly import (
     rem,
     subresultants,
 )
+from .value import Value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Variety:
-    kind: str
+class Variety(Value):
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("P1", "A2"):
-            raise ValueError(f"unknown variety kind {self.kind!r}")
+    def __init__(self, kind):
+        if kind not in ("P1", "A2"):
+            raise ValueError(f"unknown variety kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def vars(self):
@@ -82,7 +82,7 @@ def variety_of(vars):
     return P1 if vars == VARS_T else A2
 
 
-class PrimeDivisor:
+class PrimeDivisor(Value):
     """Codimension-1 point: V(p) on P1 or A2, or the point at infinity of P1."""
 
     __slots__ = ("variety", "poly", "certificate", "_hash")
@@ -103,9 +103,6 @@ class PrimeDivisor:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeDivisor is immutable")
 
     @classmethod
     def infinity(cls):
@@ -144,7 +141,7 @@ class PrimeDivisor:
         return f"V({self.poly.render()})"
 
 
-class ClosedPoint:
+class ClosedPoint(Value):
     """Codimension-2 point of A2: the maximal ideal (u0, v0).
 
     The closed points of P1 are its prime divisors, so P1 has no ClosedPoint.
@@ -162,9 +159,6 @@ class ClosedPoint:
         object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "residue_degree", u0.deg_in("x") * v0.deg_in("y"))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedPoint is immutable")
 
     @classmethod
     def rational(cls, a, b):
@@ -217,12 +211,14 @@ def signed_sum(terms):
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """Finite Z-combination of points: prime divisors, or closed points of A2."""
 
-    variety: Variety
-    terms: tuple
+    __slots__ = ("variety", "terms")
+
+    def __init__(self, variety, terms):
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def build(cls, variety, pairs):
@@ -252,25 +248,25 @@ class Cycle:
         return signed_sum((f"[{item.render()}]", n) for item, n in self.terms)
 
 
-@dataclass(frozen=True)
-class ResidueFunc:
+class ResidueFunc(Value):
     """A unit of the residue field of a prime divisor, up to the ideal of the prime.
 
     On P1 the representative is canonical: the residue mod the point's monic
     equation, or a constant at INF.  On A2 it is kept as given.
     """
 
-    curve: PrimeDivisor
-    rep: RatFunc
+    __slots__ = ("curve", "rep")
 
-    def __post_init__(self):
-        if self.curve.variety.kind == "P1":
-            object.__setattr__(self, "rep", p1_residue(self.rep, self.curve))
-            return
-        p = self.curve.poly
-        if p.divides(self.rep.num) or p.divides(self.rep.den):
-            raise NotAUnitAlongY(
-                f"{self.rep.render()} is not a unit along {self.curve.render()}")
+    def __init__(self, curve, rep):
+        if curve.variety.kind == "P1":
+            rep = p1_residue(rep, curve)
+        else:
+            p = curve.poly
+            if p.divides(rep.num) or p.divides(rep.den):
+                raise NotAUnitAlongY(
+                    f"{rep.render()} is not a unit along {curve.render()}")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "rep", rep)
 
     def _vanishes(self, h):
         return h.is_zero() or (not self.curve.at_infinity and self.curve.poly.divides(h))

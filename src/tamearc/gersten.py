@@ -10,12 +10,12 @@ against a user-supplied symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .geometry import A2, P1, div_on_curves
 from .ksymbols import K1Cycle, MilnorSymbol, div_k1, p1_component_norm, tame
+from .value import Value
 
 CLAIM_KINDS = (
     "KerDiv",
@@ -27,8 +27,7 @@ CLAIM_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Self-contained record of one checked identity.
 
     A pass verdict means the witness normal form is exactly zero (or exactly
@@ -36,15 +35,17 @@ class Certificate:
     certificate tags the computation relied on.
     """
 
-    claim: str
-    verdict: bool
-    inputs: tuple   # of (key, rendered value), sorted by key
-    witness: tuple  # of (key, rendered value)
-    provenance: tuple  # of (key, rendered value)
+    __slots__ = ("claim", "verdict", "inputs", "witness", "provenance")
+    # inputs (sorted by key), witness, provenance: (key, rendered value) pairs
 
-    def __post_init__(self):
-        if self.claim not in CLAIM_KINDS:
-            raise InputError(f"unknown claim kind {self.claim!r}")
+    def __init__(self, claim, verdict, inputs, witness, provenance):
+        if claim not in CLAIM_KINDS:
+            raise InputError(f"unknown claim kind {claim!r}")
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "provenance", provenance)
 
     def render_lines(self):
         lines = [f"claim: {self.claim}",
@@ -71,18 +72,18 @@ def _prime_tags(primes):
     return ", ".join(tags) if tags else "none"
 
 
-@dataclass(frozen=True)
-class HigherCycleRep:
+class HigherCycleRep(Value):
     """Components (Y_j, f_j) of a candidate higher-cycle representative."""
 
-    components: tuple  # of (PrimeDivisor, ResidueFunc)
+    __slots__ = ("components",)  # (PrimeDivisor, ResidueFunc) pairs
 
-    def __post_init__(self):
-        for curve, rf in self.components:
+    def __init__(self, components):
+        for curve, rf in components:
             if rf.curve != curve:
                 raise InputError(
                     f"component function lives on V({rf.curve.poly.render()}) "
                     f"but is attached to {curve.render()}")
+        object.__setattr__(self, "components", components)
 
     def as_k1_cycle(self):
         return K1Cycle.build(A2, list(self.components))

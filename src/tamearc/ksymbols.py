@@ -11,7 +11,6 @@ f1/f along that component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -34,30 +33,30 @@ from .geometry import (
 )
 from .poly import (
     DualRatFunc,
-    MultiPoly,
     RatFunc,
     VARS_T,
     poly_gcd,
     resultant,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class MilnorSymbol:
+class MilnorSymbol(Value):
     """Z-linear combination of ordered pairs {f, g} of nonzero RatFunc."""
 
-    terms: tuple  # of (f, g, coeff)
+    __slots__ = ("terms",)  # (f, g, coeff) triples
 
-    @classmethod
-    def of(cls, f, g, coeff=1):
-        return cls(((f, g, coeff),))
-
-    def __post_init__(self):
-        for f, g, coeff in self.terms:
+    def __init__(self, terms):
+        for f, g, coeff in terms:
             if f.is_zero() or g.is_zero():
                 raise InputError("symbol entries must be nonzero")
             if f.vars != g.vars:
                 raise InputError("symbol entries live on different varieties")
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def of(cls, f, g, coeff=1):
+        return cls(((f, g, coeff),))
 
     @property
     def vars(self):
@@ -68,22 +67,22 @@ class MilnorSymbol:
                           for f, g, coeff in self.terms)
 
 
-@dataclass(frozen=True)
-class DualMilnorSymbol:
+class DualMilnorSymbol(Value):
     """Z-linear combination of pairs {u, v} of units of k(X)[eps]."""
 
-    terms: tuple  # of (u, v, coeff)
+    __slots__ = ("terms",)  # (u, v, coeff) triples
 
-    @classmethod
-    def of(cls, u, v, coeff=1):
-        return cls(((u, v, coeff),))
-
-    def __post_init__(self):
-        for u, v, coeff in self.terms:
+    def __init__(self, terms):
+        for u, v, coeff in terms:
             if u.body.is_zero() or v.body.is_zero():
                 raise InputError("dual symbol entries must have nonzero body")
             if u.vars != v.vars:
                 raise InputError("dual symbol entries live on different varieties")
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def of(cls, u, v, coeff=1):
+        return cls(((u, v, coeff),))
 
     @property
     def vars(self):
@@ -99,7 +98,7 @@ class DualMilnorSymbol:
                           for u, v, coeff in self.terms)
 
 
-class K1Cycle:
+class K1Cycle(Value):
     """Finite formal product of K1 classes indexed by codimension-1 points.
 
     Each component is a ResidueFunc on its prime divisor (on P1 a closed
@@ -111,9 +110,6 @@ class K1Cycle:
     def __init__(self, variety, terms):
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("K1Cycle is immutable")
 
     @classmethod
     def trivial(cls, variety):
@@ -204,8 +200,7 @@ def div_k1(c, seed=0, hints=None):
     return div_on_curves((rf for _, rf in c.terms), seed, hints)
 
 
-@dataclass(frozen=True)
-class GGArc:
+class GGArc(Value):
     """First-order deformation arc supported on one curve component.
 
     curve: the supporting prime divisor; datum: the first-order displacement
@@ -213,33 +208,34 @@ class GGArc:
     g a unit along the curve; sign: +1 or -1.
     """
 
-    curve: PrimeDivisor
-    datum: RatFunc
-    unit: DualRatFunc
-    sign: int
+    __slots__ = ("curve", "datum", "unit", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, curve, datum, unit, sign):
+        if sign not in (1, -1):
             raise InputError("arc sign must be +1 or -1")
-        if self.unit.body.is_zero():
+        if unit.body.is_zero():
             raise InputError("arc unit must have nonzero body")
-        p = self.curve.poly
+        p = curve.poly
         if p is None:
             raise ScopeError("arcs at infinity are outside the affine chart")
-        if valuation(self.unit.body, self.curve) != 0:
+        if valuation(unit.body, curve) != 0:
             raise NotAUnitAlongY(
-                f"{self.unit.body.render()} is not a unit along {self.curve.render()}")
-        mixed = self.unit.body.num * self.unit.body.den
+                f"{unit.body.render()} is not a unit along {curve.render()}")
+        mixed = unit.body.num * unit.body.den
         if poly_gcd(p, mixed).degree() > 0:
             raise InputError(
                 "arc unit shares a curve component with the supporting divisor")
-        if not self.datum.is_zero() and valuation(self.datum, self.curve) < 0:
+        if not datum.is_zero() and valuation(datum, curve) < 0:
             raise EpsDatumIrregular(
-                f"datum {self.datum.render()} has a pole along {self.curve.render()}")
-        if not self.unit.eps.is_zero() and valuation(self.unit.eps, self.curve) < 0:
+                f"datum {datum.render()} has a pole along {curve.render()}")
+        if not unit.eps.is_zero() and valuation(unit.eps, curve) < 0:
             raise EpsDatumIrregular(
-                f"unit eps part {self.unit.eps.render()} has a pole along "
-                f"{self.curve.render()}")
+                f"unit eps part {unit.eps.render()} has a pole along "
+                f"{curve.render()}")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "sign", sign)
 
     def render(self):
         return (f"arc({self.curve.render()}, datum {self.datum.render()}, "
@@ -307,8 +303,7 @@ def specialize_arcs(arcs, variety):
     return total
 
 
-@dataclass(frozen=True)
-class DoubleSES:
+class DoubleSES(Value):
     """Transcription of the pair of short exact sequences presenting an arc.
 
     The module is the localization of the coordinate ring at powers of the
@@ -316,10 +311,13 @@ class DoubleSES:
     two sequences carry the identity and multiplication by the unit.
     """
 
-    localized_at: MultiPoly
-    relation: DualRatFunc
-    automorphism: DualRatFunc
-    sign: int
+    __slots__ = ("localized_at", "relation", "automorphism", "sign")
+
+    def __init__(self, localized_at, relation, automorphism, sign):
+        object.__setattr__(self, "localized_at", localized_at)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "automorphism", automorphism)
+        object.__setattr__(self, "sign", sign)
 
     def as_arc(self):
         prime = PrimeDivisor(variety_of(self.localized_at.vars), self.localized_at)

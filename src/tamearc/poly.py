@@ -37,6 +37,7 @@ from itertools import zip_longest
 from math import comb, gcd as _int_gcd, isqrt
 
 from .errors import DivisionByZero, InexactDivision, NotAUnit
+from .value import Value
 
 VARS_T = ("t",)
 VARS_XY = ("x", "y")
@@ -76,7 +77,7 @@ def _primitive_parts(ints):
     return g, ints
 
 
-class MultiPoly:
+class MultiPoly(Value):
     """Sparse polynomial over Q in variables ('t',) or ('x', 'y')."""
 
     __slots__ = ("vars", "cont", "ints", "_terms", "_hash")
@@ -108,9 +109,6 @@ class MultiPoly:
         _set_ints(self, ints)
         _set_terms(self, clean)
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @property
     def terms(self):
@@ -873,7 +871,7 @@ def _exact_quotient(num, den):
     return quot
 
 
-class RatFunc:
+class RatFunc(Value):
     """Reduced fraction of MultiPoly; denominator integer-primitive, lc > 0."""
 
     __slots__ = ("num", "den", "_hash")
@@ -897,9 +895,6 @@ class RatFunc:
         _set_num(self, num)
         _set_den(self, den)
         _set_rhash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def from_const(cls, vars, c):
@@ -1068,7 +1063,7 @@ def _atom(s):
     return f"({s})"
 
 
-class DualRatFunc:
+class DualRatFunc(Value):
     """body + eps * eps_part with eps^2 = 0."""
 
     __slots__ = ("body", "eps", "_hash")
@@ -1085,9 +1080,6 @@ class DualRatFunc:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualRatFunc is immutable")
 
     @property
     def vars(self):

@@ -22,29 +22,28 @@ difference is reduced to its canonical class, to be rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
-from .geometry import A2, PrimeDivisor, divide_by_primes, valuation, variety_of
+from .geometry import A2, divide_by_primes, valuation, variety_of
 from .gersten import Certificate, _prime_tags, _sorted_inputs
 from .ksymbols import d_eps, specialize_arcs, tame
 from .poly import MultiPoly, RatFunc, VARS_T, VARS_XY
+from .value import Value
 
 _DIFFS = {VARS_XY: ("dx", "dy"), VARS_T: ("dt",)}
 
 
-@dataclass(frozen=True)
-class DiffForm:
+class DiffForm(Value):
     """a*dx + b*dy on the plane, or a*dt on the line."""
 
-    vars: tuple
-    coeffs: tuple  # of RatFunc, one per coordinate differential
+    __slots__ = ("vars", "coeffs")  # coeffs: one RatFunc per coordinate differential
 
-    def __post_init__(self):
-        if self.vars not in _DIFFS:
+    def __init__(self, vars, coeffs):
+        if vars not in _DIFFS:
             raise InputError("forms live on the plane or the line")
-        if len(self.coeffs) != len(self.vars):
+        if len(coeffs) != len(vars):
             raise InputError("one coefficient per coordinate differential")
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, vars):
@@ -119,8 +118,7 @@ def tangent2(s):
     return total
 
 
-@dataclass(frozen=True)
-class LocalCohClass:
+class LocalCohClass(Value):
     """Class of form / p^k in H^1 along V(p), modulo regular forms.
 
     Canonical shape: order >= 1, every coefficient denominator coprime to p,
@@ -128,9 +126,12 @@ class LocalCohClass:
     and zero form.
     """
 
-    curve: PrimeDivisor
-    order: int
-    form: DiffForm
+    __slots__ = ("curve", "order", "form")
+
+    def __init__(self, curve, order, form):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "form", form)
 
     @classmethod
     def of(cls, curve, beta):

@@ -358,6 +358,29 @@ class TestCli:
             "component V(x): 1/y",
         ]
 
+    def test_format_before_or_after_the_command_gives_the_same_bytes(self, capsysbinary):
+        outputs = []
+        for argv in (["--format", "structured", "tame", "--f", "x", "--g", "y"],
+                     ["tame", "--f", "x", "--g", "y", "--format", "structured"],
+                     ["--format=text", "tame", "--format", "structured", "--f", "x",
+                      "--g", "y"]):
+            assert cli.main(argv) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0].startswith(b"command: tame\n")
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert cli.main(["--format", "text", "tame", "--f", "x", "--g", "y"]) == 0
+        assert capsysbinary.readouterr().out == b"component V(y): x\ncomponent V(x): 1/y\n"
+
+    def test_command_beside_job_file_is_an_input_error(self, tmp_path, capsysbinary):
+        job = tmp_path / "job.txt"
+        job.write_text("command: tame\nf: x\ng: y\n")
+        status = cli.main(["--job", str(job), "div", "--f", "x*y"])
+        assert status == 2
+        assert capsysbinary.readouterr().out == (
+            b"error: InputError\n"
+            + f"message: --job {str(job)!r} and command 'div' given together; "
+              f"give one\n".encode())
+
     def test_job_file_repeatable_component(self, tmp_path):
         job = tmp_path / "job.txt"
         job.write_text("command: cycle-check\ncomponent: x | y\n"

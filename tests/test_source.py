@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import tamearc
@@ -154,3 +156,38 @@ def test_no_caches_that_outlive_a_call():
             found.extend(f"{path.name}:{node.lineno} functools.{name}"
                          for name in names & caches)
     assert not found, found
+
+
+def test_no_generated_code():
+    # value classes derive from tamearc.value.Value; generating their methods
+    # (dataclasses, exec, eval, compile) would cost every CLI job at import
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found.extend(f"{path.name}:{node.lineno} import {name}" for name in modules
+                         if name.split(".")[0] == "dataclasses")
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        and isinstance(func.value, ast.Name) and func.value.id == "builtins"
+                        else None)
+                if name in ("exec", "eval", "compile"):
+                    found.append(f"{path.name}:{node.lineno} {name}()")
+    assert not found, found
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # a fresh `python -m tamearc.cli` pays for every module it imports; these
+    # three cost about 9 ms and come only with dataclasses or source tooling
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tamearc.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == ""

@@ -29,7 +29,7 @@ from tamearc.ksymbols import (
     K1Cycle,
     MilnorSymbol,
 )
-from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
+from tamearc.poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import DiffForm, LocalCohClass
 from tamearc.value import Value
 
@@ -223,10 +223,3 @@ def test_validation_runs_in_the_order_of_the_fields():
         MilnorSymbol(((ZERO, x, 1), (x, t, 1)))
     with pytest.raises(InputError, match="different varieties"):
         MilnorSymbol(((x, t, 1), (ZERO, x, 1)))
-
-
-def test_multipoly_is_unchanged_by_a_failed_assignment():
-    p = MultiPoly.variable("x")
-    with pytest.raises(AttributeError, match="MultiPoly is immutable"):
-        p.cont = Fraction(2)
-    assert p == X

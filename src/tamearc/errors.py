@@ -60,4 +60,10 @@ class FactorIncomplete(CapabilityError):
 
 
 class ProjectionDisagreement(CapabilityError):
-    """The two independent projections produced different intersection cycles."""
+    """An intersection cycle could not be certified.
+
+    No shear put the curves in shape position, the fiber data did not
+    generate a residue field, or a computed point failed its exact check:
+    it does not lie on both curves, or its residue degree is not that of
+    the factor of the resultant it lies over.
+    """

@@ -15,12 +15,13 @@ its powers in one fraction-free echelon pass (`_solve_linear`) that also
 writes y in their basis; an x-coordinate in a proper subfield takes one
 more k x k solve (the tower law), whose rank certifies that the
 coordinates generate F.  Points of degree 1 and x-coordinates that are x
-or constants take closed forms.  Every cycle is recomputed under an
-independent second projection; disagreement is an error, never a silent
-answer.  A Gersten check (`div_on_curves`) reaches the primes of each residue
-by exact division by the check's own curves (`divide_by_primes`), factoring
-only a remainder, and intersects each unordered pair of curves once; both
-projections still run for that pair.
+or constants take closed forms.  One projection gives the whole cycle (the
+proof is in `_intersection_points`); each of its points is certified by
+exact substitution into both curves and by its residue degree, and a
+failure is an error, never a silent answer.  A Gersten check
+(`div_on_curves`) reaches the primes of each residue by exact division by
+the check's own curves (`divide_by_primes`), factoring only a remainder,
+and intersects each unordered pair of curves once.
 """
 
 from __future__ import annotations
@@ -530,10 +531,36 @@ def _shear_candidates(seed):
     return lams
 
 
+def _vanishes_at(f, u0, v0):
+    """Whether f reduces to 0 modulo (u0, v0), by Horner in y; v0 is monic in y."""
+    y = MultiPoly.variable("y")
+    n = v0.deg_in("y")
+    acc = MultiPoly.zero(VARS_XY)
+    for c in reversed(f.dense_in("y")):
+        acc = acc * y + c
+        if acc.deg_in("y") == n:
+            acc = acc - acc.lc_in("y") * v0
+        acc = rem(acc, u0, "x")
+    return acc.is_zero()
+
+
 def _intersection_points(p, h, seed, swap):
     """Intersection cycle of V(p) and V(h) as {ClosedPoint: multiplicity}.
 
     InputError when the curves share a component: then the resultant is zero.
+    swap projects along x instead of y, by exchanging x and y first.
+
+    One projection gives the whole cycle (Fulton, Algebraic Curves,
+    intersection numbers via resultants).  A shear x -> x + lam*y keeps
+    intersection multiplicities, and one is used only when both curves
+    keep their full degree in y: their leading coefficients in y are then
+    constants, no point goes to infinity, and the exponent of x - a in
+    R = Res_y is the sum of the multiplicities of the points over a.  If
+    each fiber gcd over F = Q[x]/(u) is g_n * (y - c)^n, each root a of u
+    has the one point (a, c(a)) over it, so u^e in R is one closed point
+    of residue degree deg u and multiplicity e, and deg R is the degree of
+    the cycle.  Each point is then certified: p and h vanish at (u0, v0)
+    and its residue degree is deg u, or ProjectionDisagreement.
     """
     given = p, h
     if swap:
@@ -573,6 +600,11 @@ def _intersection_points(p, h, seed, swap):
             if swap:
                 a_val, b_val = b_val, a_val
             pt = canonical_point(u, a_val, b_val)
+            if pt.residue_degree != u.deg_in("x") or not all(
+                    _vanishes_at(q, pt.u0, pt.v0) for q in given):
+                raise ProjectionDisagreement("{} is not a point of degree {} on V({}) . V({})"
+                                             .format(pt.render(), u.deg_in("x"),
+                                                     *(q.render() for q in given)))
             out[pt] = out.get(pt, 0) + term.multiplicity
         if good:
             return out
@@ -582,12 +614,7 @@ def _intersection_points(p, h, seed, swap):
 
 def intersection_cycle(p, h, seed=0):
     """Certified intersection cycle of the coprime curves V(p), V(h)."""
-    first = _intersection_points(p, h, seed, swap=False)
-    second = _intersection_points(p, h, seed, swap=True)
-    if first != second:
-        raise ProjectionDisagreement(
-            f"projections disagree for V({p.render()}) . V({h.render()})")
-    return first
+    return _intersection_points(p, h, seed, swap=False)
 
 
 def div_on_curve(g, seed=0, hints=None):

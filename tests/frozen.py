@@ -23,6 +23,10 @@ INTERSECTION_SWEEP_DIGEST = "30339cf0646076ea"
 # the same for the two random sextics of
 # test_acceptance.test_two_random_sextics_meet_within_budget
 SEXTIC_CYCLE_DIGEST = "af5ee639574b845f"
+# the same for the two random septics of
+# test_acceptance.test_two_random_septics_meet_within_budget, computed while
+# intersection_cycle still compared two projections
+SEPTIC_CYCLE_DIGEST = "471891f84de84a75"
 
 # sha256 prefix of the rendered certificates and errors of
 # test_tangent.diagram_sweep, and its verdict counts, computed with the class

@@ -3,13 +3,14 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Two exceptions read package objects. `subst` substitutes into a
+point. Three exceptions read package objects. `subst` substitutes into a
 package polynomial through its public ring operations, for tests that need a
 substitution the package does not offer. `class_differences` replays the
 class test that `diagram_check` ran before its exact-division test, through
-the package's reduced forms; it imports the package inside the function, so
-the script runs without it. Run as a script to print the frozen fixture
-values.
+the package's reduced forms, and `two_projection_cycle` replays the
+comparison of two projections that `intersection_cycle` ran before its
+substitution check; both import the package inside the function, so the
+script runs without it. Run as a script to print the frozen fixture values.
 """
 
 from __future__ import annotations
@@ -214,6 +215,27 @@ def class_differences(s):
         if not diff.is_zero():
             lines.append(f"{prime.render()}: {diff.render()}")
     return "; ".join(lines) if lines else "all zero"
+
+
+# the intersection cycle under both projections, along y and along x
+
+
+def two_projection_cycle(p, h, seed=0):
+    """The intersection cycle of V(p) and V(h), computed twice and compared.
+
+    Runs the package's `_intersection_points` projecting along y and, on
+    the swapped curves, along x: two subresultant chains, two resultant
+    factorizations and two presentations of every point.  Returns the
+    cycle when the two agree and raises AssertionError when they do not.
+    """
+    from tamearc.geometry import _intersection_points
+
+    first = _intersection_points(p, h, seed, swap=False)
+    second = _intersection_points(p, h, seed, swap=True)
+    if first != second:
+        raise AssertionError(
+            f"projections disagree for V({p.render()}) . V({h.render()})")
+    return first
 
 
 def main():

@@ -27,6 +27,7 @@ from tamearc.poly import DualRatFunc, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import DiffForm, diagram_check, tangent2
 
 import frozen
+import oracles
 from test_geometry import (
     V_X,
     V_Y,
@@ -111,8 +112,27 @@ def test_two_random_sextics_meet_within_budget():
     took = time.monotonic() - start
     degrees = sorted((pt.residue_degree, n) for pt, n in cycle.items())
     digest = hashlib.sha256(render_points(cycle).encode()).hexdigest()[:16]
+    # outside the timed region: the swapped projection gives the same cycle
+    agree = oracles.two_projection_cycle(p, h) == cycle
     report("two random sextics meet in the frozen cycle",
            degrees == [(1, 1), (35, 1)] and digest == frozen.SEXTIC_CYCLE_DIGEST
+           and took < 4.0 and agree,
+           f"points {degrees}, digest {digest}, projections agree {agree}, "
+           f"{took:.2f}s, budget 4s")
+
+
+def test_two_random_septics_meet_within_budget():
+    # one point of residue degree 49; the two projections took about 3 s
+    # together, the one projection and its substitution check under 1 s
+    rng = random.Random(1)
+    p, h = rand_monic_curve(rng, 7), rand_monic_curve(rng, 7)
+    start = time.monotonic()
+    cycle = intersection_cycle(p, h)
+    took = time.monotonic() - start
+    degrees = sorted((pt.residue_degree, n) for pt, n in cycle.items())
+    digest = hashlib.sha256(render_points(cycle).encode()).hexdigest()[:16]
+    report("two random septics meet in the frozen cycle",
+           degrees == [(49, 1)] and digest == frozen.SEPTIC_CYCLE_DIGEST
            and took < 4.0,
            f"points {degrees}, digest {digest}, {took:.2f}s, budget 4s")
 

@@ -222,6 +222,38 @@ class TestIntersection:
             intersection_cycle(p, h)
         assert f"V({p.render()}) and V({h.render()})" in str(err.value)
 
+    def test_point_off_the_curves_raises(self, monkeypatch):
+        # a presentation moved off the curves fails the substitution check
+        inner = geometry.canonical_point
+
+        def moved(u, a_val, b_val):
+            pt = inner(u, a_val, b_val)
+            return ClosedPoint(A2, u0=pt.u0, v0=pt.v0 + 1)
+
+        monkeypatch.setattr(geometry, "canonical_point", moved)
+        circle = X ** 2 + Y ** 2 - MultiPoly.const(VARS_XY, 2)
+        with pytest.raises(ProjectionDisagreement, match="is not a point of degree 1"):
+            intersection_cycle(circle, X - Y)
+
+    def test_point_of_the_wrong_degree_raises(self, monkeypatch):
+        # V(y) and V(x^3 - 2x) meet in (0, 0) and in a point of degree 2;
+        # (0, 0) lies on both curves, but not over the factor of degree 2
+        monkeypatch.setattr(geometry, "canonical_point",
+                            lambda u, a_val, b_val: ClosedPoint.rational(0, 0))
+        with pytest.raises(ProjectionDisagreement, match="not a point of degree 2"):
+            intersection_cycle(Y, X ** 3 - 2 * X)
+
+    def test_point_of_degree_two_in_y(self):
+        # the x-coordinate sqrt 2 of (sqrt 2, sqrt 3) spans half of its
+        # residue field, so v0 = y^2 - 3 and the check reduces by it
+        one = MultiPoly.const(VARS_XY, 1)
+        points = intersection_cycle(X ** 2 - 2 * one, Y ** 2 - 3 * one)
+        [(point, mult)] = points.items()
+        assert mult == 1 and point.residue_degree == 4
+        assert point.v0.deg_in("y") == 2 and point.v0 == Y ** 2 - 3 * one
+        assert geometry._vanishes_at(X ** 2 * Y ** 2 - 6 * one, point.u0, point.v0)
+        assert not geometry._vanishes_at(X * Y - 6 * one, point.u0, point.v0)
+
     def test_irrational_point_generators(self):
         points = intersection_cycle(X, Y ** 2 - MultiPoly.const(VARS_XY, 2))
         assert len(points) == 1
@@ -401,13 +433,12 @@ def render_points(cycle):
                       sorted(cycle.items(), key=lambda kv: kv[0].sort_key()))
 
 
-def intersection_sweep():
-    """One rendered line per curve pair of a seeded pool, and the residue degrees met.
+def sweep_pairs():
+    """The seeded pool of curve pairs of intersection_sweep.
 
-    The pool holds 300 random lines, conics and cubics, pairs meeting in
-    points whose x-coordinate generates a proper subfield of the residue
-    field, and four pairs of quartics monic in y.  A pair that raises
-    renders its error.
+    It holds 300 random lines, conics and cubics, pairs meeting in points
+    whose x-coordinate generates a proper subfield of the residue field,
+    and four pairs of quartics monic in y.
     """
     rng = random.Random(41)
     one = MultiPoly.const(VARS_XY, 1)
@@ -419,8 +450,17 @@ def intersection_sweep():
               (X ** 2 - 5 * one, (Y - X * X) ** 2 - 7 * one)]
     pairs += [(rand_monic_curve(r, 4), rand_monic_curve(r, 4))
               for r in map(random.Random, range(4))]
+    return pairs
+
+
+def intersection_sweep():
+    """One rendered line per pair of sweep_pairs(), and the residue degrees met.
+
+    Pair i is intersected with seed i % 3.  A pair that raises renders its
+    error.
+    """
     lines, degrees = [], set()
-    for i, (p, h) in enumerate(pairs):
+    for i, (p, h) in enumerate(sweep_pairs()):
         try:
             cycle = intersection_cycle(p, h, seed=i % 3)
         except (InputError, ProjectionDisagreement) as err:
@@ -440,6 +480,19 @@ class TestIntersectionSweep:
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
         assert digest == frozen.INTERSECTION_SWEEP_DIGEST
         assert len(lines) == 309 and {1, 2, 3, 4, 6, 15, 16} <= degrees
+
+    def test_both_projections_give_the_one_projection_cycle(self):
+        # the comparison intersection_cycle ran at run time before its
+        # substitution check, replayed on every pair, errors included
+        def outcome(run, p, h, seed):
+            try:
+                return run(p, h, seed)
+            except (InputError, ProjectionDisagreement) as err:
+                return type(err)
+
+        for i, (p, h) in enumerate(sweep_pairs()):
+            assert (outcome(oracles.two_projection_cycle, p, h, i % 3)
+                    == outcome(intersection_cycle, p, h, i % 3)), (p.render(), h.render())
 
 
 class TestIntersectionSymmetry:

@@ -122,8 +122,8 @@ def test_two_random_sextics_meet_within_budget():
 
 
 def test_two_random_septics_meet_within_budget():
-    # one point of residue degree 49; the two projections took about 3 s
-    # together, the one projection and its substitution check under 1 s
+    # one point of residue degree 49; the two projections took 3-5 s
+    # together, the one projection and its substitution check about 1 s
     rng = random.Random(1)
     p, h = rand_monic_curve(rng, 7), rand_monic_curve(rng, 7)
     start = time.monotonic()

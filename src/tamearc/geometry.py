@@ -1,24 +1,27 @@
 """Varieties P1 and A2, prime divisors, valuations, and 0-cycle arithmetic.
 
-Intersection cycles on plane curves are computed through a sheared resultant:
-after a change of coordinates x -> x + lam*y that puts both curves in shape
-position, the order of each irreducible factor of Res_y equals the local
-intersection multiplicity at the single fiber point, which is recovered
-exactly from the fiber gcd; both are read from one subresultant chain of the
-sheared pair (`poly.subresultants`).  The residue field F = Q[x]/(u) of a
-fiber and the polynomials over it are MultiPoly reduced by `poly.rem`, and
-inverses in F come from `poly.invmod`.  A point is then presented by its
-canonical generators (u0, v0) (`canonical_point`): u0 is the minimal
-polynomial of the x-coordinate, whose characteristic polynomial as an
-element of F of degree k is u0^(k/k0), found as the first dependency among
-its powers in one fraction-free echelon pass (`_solve_linear`) that also
-writes y in their basis; an x-coordinate in a proper subfield takes one
-more k x k solve (the tower law), whose rank certifies that the
-coordinates generate F.  Points of degree 1 and x-coordinates that are x
-or constants take closed forms.  One projection gives the whole cycle (the
-proof is in `_intersection_points`); each of its points is certified by
-exact substitution into both curves and by its residue degree, and a
-failure is an error, never a silent answer.  A Gersten check
+Intersection cycles on plane curves take one of two routes.  When one
+curve is a graph y = phi(x) (or x = psi(y)), the cycle is read off the
+factors of the univariate g(x, phi(x)), by the isomorphism
+Q[x, y]/(y - phi, g) = Q[x]/(g(x, phi)).  Any other pair goes through a
+sheared resultant: after a change of coordinates x -> x + lam*y that puts
+both curves in shape position, the order of each irreducible factor of
+Res_y equals the local intersection multiplicity at the single fiber
+point, which is recovered exactly from the fiber gcd; both are read from
+one subresultant chain of the sheared pair (`poly.subresultants`).  The
+residue field F = Q[x]/(u) of a fiber and the polynomials over it are
+MultiPoly reduced by `poly.rem`, and inverses in F come from
+`poly.invmod`.  A point is then presented by its canonical generators
+(u0, v0) (`canonical_point`): u0 is the minimal polynomial of the
+x-coordinate, whose characteristic polynomial as an element of F of
+degree k is u0^(k/k0), found as the first dependency among its powers in
+one fraction-free echelon pass (`_solve_linear`) that also writes y in
+their basis; an x-coordinate in a proper subfield takes one more k x k
+solve (the tower law), whose rank certifies that the coordinates
+generate F.  Points of degree 1 and x-coordinates that are x or constants
+take closed forms.  On either route each point is certified by exact
+substitution into both curves and by its residue degree (`_certified`),
+and a failure is an error, never a silent answer.  A Gersten check
 (`div_on_curves`) reaches the primes of each residue by exact division by
 the check's own curves (`divide_by_primes`), factoring only a remainder,
 and intersects each unordered pair of curves once.
@@ -532,7 +535,14 @@ def _shear_candidates(seed):
 
 
 def _vanishes_at(f, u0, v0):
-    """Whether f reduces to 0 modulo (u0, v0), by Horner in y; v0 is monic in y."""
+    """Whether f reduces to 0 modulo (u0, v0); u0 is in x alone, v0 monic in y.
+
+    At a point of degree 1, (x - a, y - b), that is f(a, b) = 0.  Otherwise
+    Horner in y, reducing by v0 and by u0 at every step.
+    """
+    if u0.degree() == v0.degree() == 1 and v0.deg_in("x") == 0:
+        a = -u0.terms.get((0, 0), _ZERO) / u0.terms[(1, 0)]
+        return f.eval_all({"x": a, "y": -v0.terms.get((0, 0), _ZERO)}) == 0
     y = MultiPoly.variable("y")
     n = v0.deg_in("y")
     acc = MultiPoly.zero(VARS_XY)
@@ -542,6 +552,25 @@ def _vanishes_at(f, u0, v0):
             acc = acc - acc.lc_in("y") * v0
         acc = rem(acc, u0, "x")
     return acc.is_zero()
+
+
+def _certified(pt, u, given):
+    """pt, once both curves given vanish at it and its residue degree is deg u.
+
+    A point that fails either check raises ProjectionDisagreement.
+    """
+    if pt.residue_degree != u.deg_in("x") or not all(
+            _vanishes_at(q, pt.u0, pt.v0) for q in given):
+        raise ProjectionDisagreement("{} is not a point of degree {} on V({}) . V({})"
+                                     .format(pt.render(), u.deg_in("x"),
+                                             *(q.render() for q in given)))
+    return pt
+
+
+def _shared_component(given):
+    """The InputError for a pair of curves with a common component."""
+    return InputError("V({}) and V({}) share a component".format(
+        *(q.render() for q in given)))
 
 
 def _intersection_points(p, h, seed, swap):
@@ -559,8 +588,7 @@ def _intersection_points(p, h, seed, swap):
     each fiber gcd over F = Q[x]/(u) is g_n * (y - c)^n, each root a of u
     has the one point (a, c(a)) over it, so u^e in R is one closed point
     of residue degree deg u and multiplicity e, and deg R is the degree of
-    the cycle.  Each point is then certified: p and h vanish at (u0, v0)
-    and its residue degree is deg u, or ProjectionDisagreement.
+    the cycle.  Each point is then certified (_certified).
     """
     given = p, h
     if swap:
@@ -575,8 +603,7 @@ def _intersection_points(p, h, seed, swap):
         chain = subresultants(*((p2, h2) if p.degree() >= h.degree() else (h2, p2)), "y")
         R = chain[-1][0]
         if R.is_zero():
-            raise InputError("V({}) and V({}) share a component".format(
-                *(q.render() for q in given)))
+            raise _shared_component(given)
         if R.is_const():
             return {}
         out = {}
@@ -599,12 +626,7 @@ def _intersection_points(p, h, seed, swap):
             b_val = c_val
             if swap:
                 a_val, b_val = b_val, a_val
-            pt = canonical_point(u, a_val, b_val)
-            if pt.residue_degree != u.deg_in("x") or not all(
-                    _vanishes_at(q, pt.u0, pt.v0) for q in given):
-                raise ProjectionDisagreement("{} is not a point of degree {} on V({}) . V({})"
-                                             .format(pt.render(), u.deg_in("x"),
-                                                     *(q.render() for q in given)))
+            pt = _certified(canonical_point(u, a_val, b_val), u, given)
             out[pt] = out.get(pt, 0) + term.multiplicity
         if good:
             return out
@@ -612,8 +634,63 @@ def _intersection_points(p, h, seed, swap):
         f"no shear put V({p.render()}) and V({h.render()}) in shape position")
 
 
+def _is_graph(q, var):
+    """Whether q = c*var - f(other variable) for a nonzero constant c."""
+    return q.deg_in(var) == 1 and q.lc_in(var).is_const()
+
+
+def _graph_points(q, g, given, swap):
+    """Intersection cycle of a graph V(q) and V(g), {ClosedPoint: multiplicity}.
+
+    q = c*y - f(x) with c a constant, or with swap, c*x - f(y); given is
+    the pair as the caller named it, for the certificates and the errors.
+    """
+    if swap:
+        q, g = q.swap_xy(), g.swap_xy()
+    low, top = q.dense_in("y")
+    phi = low * (-1 / top.const_value())
+    r = MultiPoly.zero(VARS_XY)
+    for c in reversed(g.dense_in("y")):
+        r = r * phi + c
+    if r.is_zero():
+        raise _shared_component(given)
+    if r.is_const():
+        return {}
+    x = MultiPoly.variable("x")
+    out = {}
+    for term in factor_univariate(r).factors:
+        u = term.poly * (1 / term.poly.lc())
+        a_val, b_val = rem(x, u, "x"), rem(phi, u, "x")
+        if swap:
+            a_val, b_val = b_val, a_val
+        pt = _certified(canonical_point(u, a_val, b_val), u, given)
+        out[pt] = out.get(pt, 0) + term.multiplicity
+    return out
+
+
 def intersection_cycle(p, h, seed=0):
-    """Certified intersection cycle of the coprime curves V(p), V(h)."""
+    """Certified intersection cycle of the coprime curves V(p), V(h).
+
+    When one of the curves is a graph q = c*y - f(x), c a nonzero
+    constant, and g is the other, the cycle is read off one univariate
+    polynomial.  With phi = f/c, y - phi(x) is in the ideal, so
+    Q[x, y]/(q, g) is isomorphic to Q[x]/(r) for r = g(x, phi(x)) (Fulton,
+    Algebraic Curves, intersection numbers).  Each factor u^e of r is then
+    one closed point (u, y - phi mod u), and e is its intersection
+    multiplicity: that is the length of the local ring of the intersection
+    at the point, here Q[x]/(r) localized at u, which is Q[x]_(u)/(u^e), of
+    length e.  r = 0 means the curves share a component, and a nonzero
+    constant r that they do not meet.  A graph q = c*x - f(y) takes the
+    same route with x and y exchanged, and the coordinates are exchanged
+    back before the point is presented.  A pair with no graph is projected
+    (_intersection_points), and only that path uses the seed, to order its
+    shears.  On both paths every point is presented by canonical_point and
+    certified by exact substitution and its residue degree (_certified).
+    """
+    for var in ("y", "x"):
+        for q, g in ((p, h), (h, p)):
+            if _is_graph(q, var):
+                return _graph_points(q, g, (p, h), swap=var == "x")
     return _intersection_points(p, h, seed, swap=False)
 
 

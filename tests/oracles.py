@@ -227,6 +227,9 @@ def two_projection_cycle(p, h, seed=0):
     the swapped curves, along x: two subresultant chains, two resultant
     factorizations and two presentations of every point.  Returns the
     cycle when the two agree and raises AssertionError when they do not.
+    It is the reference for both paths of `intersection_cycle`: the
+    projection it replays, and the substitution into a graph
+    c*y - f(x) or c*x - f(y), which never builds a resultant.
     """
     from tamearc.geometry import _intersection_points
 

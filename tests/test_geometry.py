@@ -243,6 +243,39 @@ class TestIntersection:
         with pytest.raises(ProjectionDisagreement, match="not a point of degree 2"):
             intersection_cycle(Y, X ** 3 - 2 * X)
 
+    def test_graph_along_x_point_of_the_wrong_degree_raises(self, monkeypatch):
+        # V(x) is the graph x = 0: the mirror of the pair above, intersected
+        # with x and y exchanged and the coordinates exchanged back
+        monkeypatch.setattr(geometry, "canonical_point",
+                            lambda u, a_val, b_val: ClosedPoint.rational(0, 0))
+        with pytest.raises(ProjectionDisagreement, match="not a point of degree 2"):
+            intersection_cycle(X, Y ** 3 - 2 * Y)
+
+    def test_projected_point_off_the_curves_raises(self, monkeypatch):
+        # neither curve is a graph, so the projection presents the points
+        inner = geometry.canonical_point
+
+        def moved(u, a_val, b_val):
+            pt = inner(u, a_val, b_val)
+            return ClosedPoint(A2, u0=pt.u0, v0=pt.v0 + 1)
+
+        monkeypatch.setattr(geometry, "canonical_point", moved)
+        one = MultiPoly.const(VARS_XY, 1)
+        p, h = X ** 2 + Y ** 2 - 2 * one, X ** 2 - Y ** 2
+        with pytest.raises(ProjectionDisagreement, match="is not a point of degree 1"):
+            intersection_cycle(p, h)
+
+    def test_projected_point_of_the_wrong_degree_raises(self, monkeypatch):
+        # V(y^2 - x^2) and V(y^2 - x^3 - x^2 + 2x), neither a graph, meet in
+        # (0, 0) and in two points of degree 2 over x^2 - 2; (0, 0) lies on
+        # both curves, but not over a factor of degree 2
+        one = MultiPoly.const(VARS_XY, 1)
+        p, h = Y ** 2 - X ** 2, Y ** 2 - X ** 3 - X ** 2 + 2 * X
+        monkeypatch.setattr(geometry, "canonical_point",
+                            lambda u, a_val, b_val: ClosedPoint.rational(0, 0))
+        with pytest.raises(ProjectionDisagreement, match="not a point of degree 2"):
+            intersection_cycle(p, h)
+
     def test_point_of_degree_two_in_y(self):
         # the x-coordinate sqrt 2 of (sqrt 2, sqrt 3) spans half of its
         # residue field, so v0 = y^2 - 3 and the check reduces by it
@@ -253,6 +286,17 @@ class TestIntersection:
         assert point.v0.deg_in("y") == 2 and point.v0 == Y ** 2 - 3 * one
         assert geometry._vanishes_at(X ** 2 * Y ** 2 - 6 * one, point.u0, point.v0)
         assert not geometry._vanishes_at(X * Y - 6 * one, point.u0, point.v0)
+
+    def test_substitution_check_at_a_rational_point(self):
+        # at a point of degree 1 the check evaluates f(a, b), with no Horner
+        # step, and a needs no denominator cleared
+        one = MultiPoly.const(VARS_XY, 1)
+        point = ClosedPoint.rational(Fraction(1, 2), Fraction(-3))
+        on = 2 * X * Y + 3 * one
+        assert geometry._vanishes_at(on, point.u0, point.v0)
+        assert geometry._vanishes_at(on * (Y ** 3 - X), point.u0, point.v0)
+        assert not geometry._vanishes_at(on + X, point.u0, point.v0)
+        assert geometry._vanishes_at(MultiPoly.zero(VARS_XY), point.u0, point.v0)
 
     def test_irrational_point_generators(self):
         points = intersection_cycle(X, Y ** 2 - MultiPoly.const(VARS_XY, 2))
@@ -493,6 +537,24 @@ class TestIntersectionSweep:
         for i, (p, h) in enumerate(sweep_pairs()):
             assert (outcome(oracles.two_projection_cycle, p, h, i % 3)
                     == outcome(intersection_cycle, p, h, i % 3)), (p.render(), h.render())
+
+    def test_both_paths_are_swept(self, monkeypatch):
+        # a pair holding a graph is intersected by substitution, any other by
+        # one projection, so the digest and the oracle cover both paths
+        taken = []
+        for name in ("_graph_points", "_intersection_points"):
+            def counted(*args, inner=getattr(geometry, name), name=name, **kwargs):
+                taken.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(geometry, name, counted)
+        for i, (p, h) in enumerate(sweep_pairs()):
+            try:
+                intersection_cycle(p, h, seed=i % 3)
+            except (InputError, ProjectionDisagreement):
+                pass
+        assert len(taken) == 309
+        assert taken.count("_graph_points") == 237
+        assert taken.count("_intersection_points") == 72
 
 
 class TestIntersectionSymmetry:

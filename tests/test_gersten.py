@@ -19,7 +19,7 @@ from tamearc.geometry import A2, PrimeDivisor, ResidueFunc
 from tamearc.ksymbols import MilnorSymbol, tame
 from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY
 
-from test_geometry import V_X, V_Y, t, x, y
+from test_geometry import V_X, V_Y, X, Y, t, x, y
 from test_ksymbols import ONE_T, ONE_XY, rand_linear_rational
 
 
@@ -147,17 +147,16 @@ class TestComplexSquareZero:
             assert cert.verdict, (f.render(), g.render(), trial)
 
     def test_each_pair_of_curves_intersected_once_per_call(self, monkeypatch):
-        # one projection runs once per unordered pair, and nothing is kept
+        # one intersection runs once per unordered pair, and nothing is kept
         # from one call to the next
         calls = []
-        inner = geometry._intersection_points
+        inner = geometry.intersection_cycle
 
-        def counted(p, h, seed, swap):
-            assert not swap
+        def counted(p, h, seed=0):
             calls.append(frozenset((p, h)))
-            return inner(p, h, seed, swap)
+            return inner(p, h, seed)
 
-        monkeypatch.setattr(geometry, "_intersection_points", counted)
+        monkeypatch.setattr(geometry, "intersection_cycle", counted)
         f, g = coprime_pool_pair(random.Random(102))
         first = complex_check_q2(f, g, seed=102)
         pairs = set(calls)
@@ -166,6 +165,24 @@ class TestComplexSquareZero:
         calls.clear()
         assert complex_check_q2(f, g, seed=102) == first
         assert len(calls) == len(pairs) and set(calls) == pairs
+
+    def test_graph_pairs_are_never_projected(self, monkeypatch):
+        # the pool's lines and parabolas are graphs, intersected by
+        # substitution; a pair with no graph takes one projection
+        calls = []
+        inner = geometry._intersection_points
+
+        def counted(p, h, seed, swap):
+            calls.append((p, h))
+            return inner(p, h, seed, swap)
+
+        monkeypatch.setattr(geometry, "_intersection_points", counted)
+        f, g = coprime_pool_pair(random.Random(102))
+        assert complex_check_q2(f, g, seed=102).verdict
+        assert calls == []
+        p, h = X ** 2 + Y ** 2 - MultiPoly.const(VARS_XY, 2), X ** 2 - Y ** 2
+        assert len(geometry.intersection_cycle(p, h)) == 4
+        assert calls == [(p, h)]
 
     def test_residues_reach_their_primes_by_division(self, monkeypatch):
         # each residue of tame({f, g}) is a product of the curves of f and

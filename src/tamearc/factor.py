@@ -6,17 +6,16 @@ SYMSAC 1976); a plane curve first loses its content in y, which is
 factored as a polynomial in x.  Each squarefree part is factored once.  A
 univariate part stays in integers: one of degree 1 is irreducible, one
 of degree 2 is decided by whether its discriminant is a square, and any
-other is split by a modular lift and a recombination of the lifted
-factors.  A plane part of degree 1 in y is irreducible, and a higher one
-is split by a power-series lift at a good specialization, on MultiPoly
-truncated in x with `poly.invmod` and `poly.rem` in y, and the same
-recombination (see `_split_primitive_y` for the two irreducibility
-arguments).  Recombination tries subsets of the lifted factors, which is
-exponential in their number, so each search is exhaustive within
-RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.  Every
-factor found is therefore tagged "proved".  A factor that a caller
-supplied is checked to divide, but its irreducibility is trusted, so it is
-tagged "user-asserted".
+other is split by a q-adic lift of its factors mod a prime q.  A plane
+part of degree 1 in y is irreducible, and a higher one is split by an
+x-adic lift of the factors of a good specialization, on MultiPoly
+truncated in x with `poly.invmod` and `poly.rem` in y.  Both lifts share
+one Hensel tree, `_hensel_tree`, and one subset search, `_recombine`,
+whose docstring holds the irreducibility proof: each search is exhaustive
+within RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.
+Every factor found is therefore tagged "proved".  A factor that a caller
+supplied is checked to divide, but its irreducibility is trusted, so it
+is tagged "user-asserted".
 """
 
 from __future__ import annotations
@@ -292,28 +291,11 @@ def _hensel_pair_int(target, u, v, u0, v0, s, q, big):
     return u, v
 
 
-def _hensel_tree_int(target, pool, q, big):
-    """Lift the monic mod-q factor pool of the monic target to mod big."""
-    if len(pool) == 1:
-        return [utrim([c % big for c in target])]
-    half = len(pool) // 2
-    left, right = pool[:half], pool[half:]
-    u0 = [1]
-    for f in left:
-        u0 = _zmul(u0, f, q)
-    v0 = [1]
-    for f in right:
-        v0 = _zmul(v0, f, q)
-    s = _zinv(u0, v0, q)
-    u, v = _hensel_pair_int(target, list(u0), list(v0), u0, v0, s, q, big)
-    return _hensel_tree_int(u, left, q, big) + _hensel_tree_int(v, right, q, big)
-
-
 def _zassenhaus(g):
     """Complete factorization of a primitive squarefree integer polynomial.
 
-    Returns (factors, note); factors are dense integer-primitive lists.  The
-    recombination is exhaustive or raises, so the result is a proof either way.
+    Returns (factors, note); factors are dense integer-primitive lists,
+    proved irreducible by `_recombine`.
     """
     n = udeg(g)
     lc = g[-1]
@@ -350,20 +332,28 @@ def _zassenhaus(g):
     while big < bound:
         big *= q
     lc_inv = pow(lc, -1, big)
-    target = [(c * lc_inv) % big for c in g]
-    target[-1] = 1
-    lifted = _hensel_tree_int(target, pool, q, big)
-    work = list(g)
-    found = []
-    while len(lifted) > 1:
-        hit = _recombine_int(work, lifted, big)
-        if hit is None:
-            break
-        subset, cand, work = hit
-        found.append(cand)
-        lifted = [f for i, f in enumerate(lifted) if i not in subset]
-    found.append(work)
-    return found, f"lift and recombination mod {q}"
+    target = [(c * lc_inv) % big for c in g[:-1]] + [1]
+
+    def lift(target, left, right):
+        u0, v0 = [1], [1]
+        for f in left:
+            u0 = _zmul(u0, f, q)
+        for f in right:
+            v0 = _zmul(v0, f, q)
+        return _hensel_pair_int(target, list(u0), list(v0), u0, v0, _zinv(u0, v0, q), q, big)
+
+    def candidate(work):
+        def of(factors):
+            acc = [work[-1]]
+            for f in factors:
+                acc = _zmul(acc, f, big)
+            cand = [_center(c, big) for c in acc]
+            cont = _int_gcd(*cand)
+            return [c // cont for c in cand]
+        return of
+
+    found, rest = _recombine(list(g), _hensel_tree(target, pool, lift), candidate, _idiv_exact)
+    return found + [rest], f"lift and recombination mod {q}"
 
 
 def _subsets(n):
@@ -383,25 +373,42 @@ def _subsets(n):
             yield subset
 
 
-def _recombine_int(work, lifted, big):
-    """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
+def _hensel_tree(target, pool, lift):
+    """One lift of target per pool member: lift(target, left, right) lifts each halving."""
+    if len(pool) == 1:
+        return [target]
+    half = len(pool) // 2
+    left, right = pool[:half], pool[half:]
+    u, v = lift(target, left, right)
+    return _hensel_tree(u, left, lift) + _hensel_tree(v, right, lift)
 
-    A subset splits work when its product times the leading coefficient of
-    work, centered mod big and divided by its content, divides work over Z.
-    The centered leading coefficient is that of work, as big > 2 lc(work).
+
+def _recombine(work, lifted, candidate, divide):
+    """Zassenhaus recombination: (factors split off, rest) of work, all irreducible.
+
+    candidate(work) maps the lifted factors of a subset to the factor of
+    work they give, and divide(work, cand) is work / cand or None.  The
+    caller shows that each factor of work and its cofactor come from
+    complementary subsets, so one of the two from a subset of at most
+    len(lifted) // 2.  `_subsets` tries those smallest first, so a hit has
+    no proper factor: its subset would be smaller and tried first.  Each
+    hit and its subset go until one lifted factor is left or no subset
+    divides, so the rest has no proper factor either.  A search that would
+    pass RECOMBINATION_BUDGET subsets raises FactorIncomplete instead.
     """
-    wlc = work[-1]
-    for subset in _subsets(len(lifted)):
-        prod = [wlc]
-        for i in subset:
-            prod = _zmul(prod, lifted[i], big)
-        cand = [_center(c, big) for c in prod]
-        cont = _int_gcd(*cand)
-        cand = [c // cont for c in cand]
-        quot = _idiv_exact(work, cand)
-        if quot is not None:
-            return subset, cand, quot
-    return None
+    found = []
+    while len(lifted) > 1:
+        of = candidate(work)
+        for subset in _subsets(len(lifted)):
+            cand = of([lifted[i] for i in subset])
+            quot = divide(work, cand)
+            if quot is not None:
+                break
+        else:
+            break
+        found.append(cand)
+        work, lifted = quot, [f for i, f in enumerate(lifted) if i not in subset]
+    return found, work
 
 
 def _yun(f, var):
@@ -504,15 +511,6 @@ def _hensel_pair_series(target, u0, v0, k):
     return u, v
 
 
-def _hensel_tree_series(target, pool, k):
-    if len(pool) == 1:
-        return [target]
-    half = len(pool) // 2
-    left, right = pool[:half], pool[half:]
-    u, v = _hensel_pair_series(target, prod(left), prod(right), k)
-    return _hensel_tree_series(u, left, k) + _hensel_tree_series(v, right, k)
-
-
 def _pick_specialization(p):
     cy = p.dense_in("y")
     lc = cy[-1]
@@ -544,16 +542,13 @@ def _split_primitive_y(p):
     u = a(x0, y)*b(x0, y) would split.  Hence p is irreducible.
 
     Case 2, u splits.  Shift x0 to 0 and lift the monic factors of u to
-    precision k = 2*deg_x + 1 over Q[[x]].  A true factor a of `work`,
-    made monic in y over Q[[x]], is the product of a subset of the lifted
+    precision k = 2*deg_x + 1 over Q[[x]].  A factor a of `work`, made
+    monic in y over Q[[x]], is the product of a subset of the lifted
     factors, because u is squarefree.  Then lc_y(work) * product =
     lc_y(work/a) * a has x-degree at most deg_x(work) <= deg_x(p) < k, so
-    truncating at x^k gives it exactly.  `_recombine` tries every subset
-    of at most half the factors, smallest first, each checked by exact
-    division, so it finds a or its cofactor, and the first hit has no
-    proper factor.  When the search finds nothing, `work` is irreducible
-    (Lecerf, Math. Comp. 2006, has sharper precision bounds).  A search
-    that would pass RECOMBINATION_BUDGET subsets raises instead.
+    truncating at x^k and taking the y-primitive part gives a exactly, and
+    `_recombine` proves the rest (Lecerf, Math. Comp. 2006, has sharper
+    precision bounds).
     """
     x0, u = _pick_specialization(p)
     u_fact = factor_univariate(u)
@@ -572,42 +567,27 @@ def _split_primitive_y(p):
     pool = sorted((MultiPoly.from_dense(p.vars, "y", t.poly.dense_fractions("t"))
                    * (1 / t.poly.lc()) for t in u_fact.factors),
                   key=lambda f: f.dense_fractions("y"))
-    lifted = _hensel_tree_series(target, pool, k)
-    entries = []
-    work = shifted
-    while work.deg_in("y") > 1:
-        hit = _recombine(work, lifted, k)
-        if hit is None:
-            break
-        subset, cand, work = hit
-        entries.append((cand.shear(0, -x0).primitive(), 1, PROVED,
-                        f"series lift at x = {x0}"))
-        lifted = [f for i, f in enumerate(lifted) if i not in subset]
-    wy = work.deg_in("y")
-    if wy > 0:
-        note = ("degree 1 in y and primitive" if wy == 1 else
-                f"series lift at x = {x0} admits no polynomial recombination")
-        entries.append((work.shear(0, -x0).primitive(), 1, PROVED, note))
-    return entries
 
+    def lift(target, left, right):
+        return _hensel_pair_series(target, prod(left), prod(right), k)
 
-def _recombine(work, lifted, k):
-    """(subset, factor, work / factor) for the first subset of lifted factors that splits work.
+    def candidate(work):
+        lead = _lc_series(work, k)
 
-    A subset splits work when its product times the leading coefficient of
-    work, made primitive in y, divides work exactly.
-    """
-    c_poly = _lc_series(work, k)
-    for subset in _subsets(len(lifted)):
-        prod = MultiPoly.const(work.vars, 1)
-        for i in subset:
-            prod = _trunc_x(prod * lifted[i], k)
-        cand = _trunc_x(c_poly * prod, k)
-        cand = cand.div_exact(content_in(cand, "y")).primitive()
-        quot = work.div_exact(cand)
-        if quot is not None:
-            return subset, cand, quot
-    return None
+        def of(factors):
+            cand = lead
+            for f in factors:
+                cand = _trunc_x(cand * f, k)
+            return cand.div_exact(content_in(cand, "y")).primitive()
+        return of
+
+    found, rest = _recombine(shifted, _hensel_tree(target, pool, lift), candidate,
+                             MultiPoly.div_exact)
+    notes = [f"series lift at x = {x0}"] * len(found) + [
+        "degree 1 in y and primitive" if rest.deg_in("y") == 1 else
+        f"series lift at x = {x0} admits no polynomial recombination"]
+    return [(f.shear(0, -x0).primitive(), 1, PROVED, note)
+            for f, note in zip(found + [rest], notes)]
 
 
 def _univariate_entries(p):

@@ -48,3 +48,8 @@ RES_T_T2MINUS2_TPLUS3 = 7
 # that preceded the command table
 CLI_CORPUS_DIGEST = "8c80ecd6c301c0ac"
 CLI_CORPUS_STATUSES = {0: 152, 1: 16, 2: 216}
+
+# sha256 prefix of the rendered factorizations of
+# test_factor.factorization_sweep, computed while the univariate and the
+# plane factorizer each had their own Hensel tree and subset search
+FACTORIZATION_SWEEP_DIGEST = "f631c1a4ee29d203"

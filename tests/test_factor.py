@@ -1,5 +1,6 @@
 """Factorization layer: certificates, hints, and agreement with sympy."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from tamearc.factor import (
 )
 from tamearc.poly import MultiPoly, VARS_T, VARS_XY, poly_gcd
 
+import frozen
 from oracles import subst
 from test_poly import T, X, Y, rand_poly, to_sympy, _ST, _SX, _SY
 
@@ -193,7 +195,8 @@ class TestRecombinationBudget:
         monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 161)
         with pytest.raises(FactorIncomplete, match="of 8 lifted factors") as exc:
             factor_univariate(s4)
-        assert "_recombine_int" in [entry.name for entry in exc.traceback]
+        names = [entry.name for entry in exc.traceback]
+        assert names.index("_zassenhaus") < names.index("_recombine")
         assert "supply a factor hint" in str(exc.value)
 
     def test_plane_search_raises_past_the_budget(self, monkeypatch):
@@ -206,7 +209,9 @@ class TestRecombinationBudget:
         monkeypatch.setattr(tamearc.factor, "RECOMBINATION_BUDGET", 161)
         with pytest.raises(FactorIncomplete, match="of 8 lifted factors") as exc:
             factor_plane_curve(p)
-        assert "_recombine" in [entry.name for entry in exc.traceback]
+        names = [entry.name for entry in exc.traceback]
+        assert names.index("_split_primitive_y") < names.index("_recombine")
+        assert "_zassenhaus" not in names
 
     def test_thirteen_lifted_factors_stay_exhaustive(self):
         # 4,095 subsets of at most 6 of 13 factors fit in the default budget
@@ -381,3 +386,51 @@ class TestPlaneCurve:
         fac = factor_plane_curve(p)
         assert fac.verify(p)
         assert fac.unit == Fraction(-3, 2)
+
+
+def factorization_sweep():
+    """One rendered line per polynomial of a seeded pool that reaches both searches.
+
+    The pool: random univariate products of degree at most 9, S_2 to S_4,
+    t^4 + 1 and (t^2 - 2)(t^2 - 3); random plane products of cubics,
+    lines_plus_x(n) for n = 3, 5, 8 and (y^2 - x - 1)(y^2 - x - 4).  Each
+    line renders the unit and, per factor, its poly, multiplicity, tag and
+    evidence note.
+    """
+    rng = random.Random(23)
+    pool = []
+    while len(pool) < 40:
+        parts = [rand_poly(rng, VARS_T, rng.randint(1, 4), terms=4)
+                 for _ in range(rng.randint(2, 3))]
+        if any(q.degree() < 1 for q in parts):
+            continue
+        p = parts[0]
+        for q in parts[1:]:
+            p = p * q
+        if p.degree() <= 9:
+            pool.append(p)
+    pool += [swinnerton_dyer(n) for n in (2, 3, 4)]
+    pool += [T ** 4 + 1, (T ** 2 - 2) * (T ** 2 - 3)]
+    while len(pool) < 85:
+        parts = [rand_poly(rng, VARS_XY, 3, terms=4) for _ in range(2)]
+        if any(q.deg_in("y") < 1 for q in parts):
+            continue
+        pool.append(parts[0] * parts[1])
+    pool += [lines_plus_x(n) for n in (3, 5, 8)]
+    pool.append((Y ** 2 - X - 1) * (Y ** 2 - X - 4))
+    lines = []
+    for p in pool:
+        factor = factor_univariate if p.vars == VARS_T else factor_plane_curve
+        fac = factor(p)
+        rendered = "; ".join(f"{t.poly.render()} ^{t.multiplicity} {t.certificate} ({t.evidence})"
+                             for t in fac.factors)
+        lines.append(f"{p.render()} = {fac.unit} * {rendered}\n")
+    return lines
+
+
+def test_factorizations_hash_as_before():
+    # frozen while each factorizer still had its own Hensel tree and subset search
+    lines = factorization_sweep()
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+    assert digest == frozen.FACTORIZATION_SWEEP_DIGEST
+    assert len(lines) == 89

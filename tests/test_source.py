@@ -121,6 +121,24 @@ def test_one_remainder_sequence():
     assert not found, found
 
 
+def test_one_hensel_tree_and_one_subset_search():
+    # both factorizers lift through one halving recursion and recombine in
+    # one loop over _subsets; a second copy of either would be a proof that
+    # can drift from the first
+    tree = ast.parse((PACKAGE / "factor.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def calls(fn, name):
+        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == name for node in ast.walk(fn))
+
+    searches = [fn.name for fn in functions if calls(fn, "_subsets")]
+    # besides the equal-degree split, the one recursion is the Hensel tree
+    recursions = [fn.name for fn in functions if calls(fn, fn.name)]
+    assert searches == ["_recombine"], searches
+    assert recursions == ["_edf", "_hensel_tree"], recursions
+
+
 def _is_empty_container(value):
     if isinstance(value, ast.Dict):
         return not value.keys

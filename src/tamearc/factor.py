@@ -11,11 +11,11 @@ part of degree 1 in y is irreducible, and a higher one is split by an
 x-adic lift of the factors of a good specialization, on MultiPoly
 truncated in x with `poly.invmod` and `poly.rem` in y.  Both lifts share
 one Hensel tree, `_hensel_tree`, and one subset search, `_recombine`,
-whose docstring holds the irreducibility proof: each search is exhaustive
-within RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.
-Every factor found is therefore tagged "proved".  A factor that a caller
-supplied is checked to divide, but its irreducibility is trusted, so it
-is tagged "user-asserted".
+exponential in the number of lifted factors, whose docstring holds the
+proof: each search is exhaustive within RECOMBINATION_BUDGET subsets and
+raises FactorIncomplete past it.  Every factor found is therefore tagged
+"proved".  A factor that a caller supplied is checked to divide, but its
+irreducibility is trusted, so it is tagged "user-asserted".
 """
 
 from __future__ import annotations

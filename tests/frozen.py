@@ -53,3 +53,8 @@ CLI_CORPUS_STATUSES = {0: 152, 1: 16, 2: 216}
 # test_factor.factorization_sweep, computed while the univariate and the
 # plane factorizer each had their own Hensel tree and subset search
 FACTORIZATION_SWEEP_DIGEST = "f631c1a4ee29d203"
+
+# sha256 prefix of the rendered factorizations of
+# test_factor.linear_factor_sweep, computed while a degree-1 polynomial left
+# after the hints still took the squarefree split and the sort key
+LINEAR_FACTOR_SWEEP_DIGEST = "6287060a1bcb8893"

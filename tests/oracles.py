@@ -3,9 +3,11 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Three exceptions read package objects. `subst` substitutes into a
+point. Four exceptions read package objects. `subst` substitutes into a
 package polynomial through its public ring operations, for tests that need a
-substitution the package does not offer. `class_differences` replays the
+substitution the package does not offer. `fraction_render` renders a package
+polynomial from its `Fraction` coefficients, as `MultiPoly.render` did before
+it read the integer parts. `class_differences` replays the
 class test that `diagram_check` ran before its exact-division test, through
 the package's reduced forms, and `two_projection_cycle` replays the
 comparison of two projections that `intersection_cycle` ran before its
@@ -181,6 +183,45 @@ def subst(p, assignments):
                 term = term * power(v, n)
         result = result + term
     return result
+
+
+# rendering from the Fraction coefficients
+
+
+def fraction_render(p):
+    """The text of a package MultiPoly, built from its Fraction view `terms`.
+
+    Terms in descending graded-lex order; a coefficient of absolute value 1
+    is left off a monomial, and the first term carries its sign unspaced.
+    """
+    if not p.terms:
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(p.vars, e) if k)
+        a = abs(c)
+        if mono:
+            body = mono if a == 1 else f"{a}*{mono}"
+        else:
+            body = str(a)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts)
+
+
+def fraction_render_ratfunc(r):
+    """The text of a package RatFunc: num, or num/den with compound parts in parentheses."""
+    num, den = fraction_render(r.num), fraction_render(r.den)
+    if den == "1":
+        return num
+
+    def atom(s):
+        if (s.isidentifier() and len(s) == 1) or s.isdigit():
+            return s
+        return f"({s})"
+    return f"{atom(num)}/{atom(den)}"
 
 
 # the class test of diagram_check by reduced forms, one arc at a time

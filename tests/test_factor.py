@@ -434,3 +434,58 @@ def test_factorizations_hash_as_before():
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
     assert digest == frozen.FACTORIZATION_SWEEP_DIGEST
     assert len(lines) == 89
+
+
+
+def linear_factor_sweep():
+    """One rendered line per polynomial of a seeded pool of linear factors.
+
+    factor_univariate gets lines in t, in x and in y with rational
+    contents: alone, with themselves as hint, times another line given as
+    hint, and times another line without a hint.  factor_plane_curve gets
+    y - c, x - c and x + y - c with rational contents; x*y + 2 and
+    (x - 1)*(x*y + 2), with and without the hint x - 1; and repeated
+    linear factors, which still take the squarefree split: (x - 1)^3,
+    (y - x^2)^2, (x + y)^4.  Each line renders the unit and, per factor,
+    its poly, multiplicity, tag and evidence note, as in
+    factorization_sweep.
+    """
+    rng = random.Random(41)
+
+    def scalar():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    pool = []
+    for var in (T, X, Y):
+        for _ in range(6):
+            line = var * scalar() + MultiPoly.const(var.vars, scalar())
+            other = var - MultiPoly.const(var.vars, rng.randint(-5, 5))
+            pool += [(factor_univariate, p, hints) for p, hints in (
+                (line, None), (line, [line]), (line * other, [other]),
+                (line * other * scalar(), None))]
+    plane = []
+    for c in rng.sample(range(-9, 10), 6):
+        c = MultiPoly.const(VARS_XY, c)
+        plane += [(Y - c, None), (X - c, None), ((X + Y - c) * scalar(), None),
+                  ((Y - c) * scalar(), None)]
+    hyperbola = X * Y + 2
+    plane += [(hyperbola, None), ((X - 1) * hyperbola, None),
+              ((X - 1) * hyperbola * scalar(), [X - 1]), ((Y - 3) * hyperbola, [Y - 3])]
+    plane += [((X - 1) ** 3, None), ((Y - X ** 2) ** 2, None), ((X + Y) ** 4, None),
+              ((X - 1) ** 3 * scalar(), None)]
+    pool += [(factor_plane_curve, p, hints) for p, hints in plane]
+    lines = []
+    for factor, p, hints in pool:
+        fac = factor(p, hints)
+        rendered = "; ".join(f"{t.poly.render()} ^{t.multiplicity} {t.certificate} ({t.evidence})"
+                             for t in fac.factors)
+        lines.append(f"{p.render()} = {fac.unit} * {rendered}\n")
+    return lines
+
+
+def test_linear_factorizations_hash_as_before():
+    # frozen while a degree-1 remainder still took the squarefree split
+    lines = linear_factor_sweep()
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+    assert digest == frozen.LINEAR_FACTOR_SWEEP_DIGEST
+    assert len(lines) == 104

@@ -28,7 +28,7 @@ from tamearc.poly import (
 )
 
 import frozen
-from oracles import subst
+from oracles import fraction_render, fraction_render_ratfunc, subst
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -748,6 +748,69 @@ class TestRatFunc:
             return
         f = RatFunc(p, q)
         assert f * (f ** -1) == RatFunc.from_const(VARS_T, 1)
+
+
+def render_pool():
+    """A seeded pool of 2,400 polynomials for the render oracle.
+
+    Both variable sets; coefficients drawn as +-1, integers and fractions
+    with denominators up to 6, so contents carry denominators and some
+    coefficients reduce to integers; each polynomial is scaled by a content
+    that may be negative or fractional.  Degree 0 draws give constants, and
+    a draw of no terms the zero polynomial.
+    """
+    rng = random.Random(17)
+    scales = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(12, 7)]
+    pool = []
+    while len(pool) < 2400:
+        vars = rng.choice((VARS_T, VARS_XY))
+        deg = rng.randint(0, 4)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            if vars == VARS_T:
+                e = (rng.randint(0, deg),)
+            else:
+                a = rng.randint(0, deg)
+                e = (a, rng.randint(0, deg - a))
+            kind = rng.randrange(3)
+            if kind == 0:
+                c = rng.choice((1, -1))
+            elif kind == 1:
+                c = rng.randint(-12, 12)
+            else:
+                c = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+            terms[e] = c
+        pool.append(MultiPoly(vars, terms) * rng.choice(scales))
+    return pool
+
+
+class TestRender:
+    def test_pool_covers_the_cases(self):
+        pool = render_pool()
+        nonzero = [p for p in pool if not p.is_zero()]
+        assert {p.vars for p in pool} == {VARS_T, VARS_XY}
+        assert any(p.is_zero() for p in pool)
+        assert any(p.is_const() for p in nonzero)
+        assert any(p.content().denominator != 1 and any(
+            c.denominator == 1 for c in p.terms.values()) for p in nonzero)
+        assert any(p.lc() < 0 for p in nonzero)
+        assert any(abs(c) == 1 for p in nonzero for c in p.terms.values())
+
+    def test_multipoly_render_matches_the_fraction_oracle(self):
+        for p in render_pool():
+            assert p.render() == fraction_render(p)
+
+    def test_ratfunc_render_matches_the_fraction_oracle(self):
+        pool = render_pool()
+        rng = random.Random(19)
+        for num in pool[:1200]:
+            den = rng.choice(pool)
+            if den.is_zero():
+                den = MultiPoly.const(num.vars, 1)
+            elif den.vars != num.vars:
+                den = MultiPoly.const(num.vars, den.lc())
+            r = RatFunc(num, den)
+            assert r.render() == fraction_render_ratfunc(r)
 
 
 class TestDualRatFunc:

@@ -3,7 +3,9 @@
 Both factorizers divide out the hint factors named for the polynomial
 itself, then split the rest once by Yun's squarefree decomposition (Yun,
 SYMSAC 1976); a plane curve first loses its content in y, which is
-factored as a polynomial in x.  Each squarefree part is factored once.  A
+factored as a polynomial in x.  A rest of degree 1 skips Yun: it is one
+irreducible factor as it stands, for a plane curve when it has degree 1
+in y and involves x.  Each squarefree part is factored once.  A
 univariate part stays in integers: one of degree 1 is irreducible, one
 of degree 2 is decided by whether its discriminant is a square, and any
 other is split by a q-adic lift of its factors mod a prime q.  A plane
@@ -106,7 +108,9 @@ def _finish(p, found):
     lc_prod = _ONE
     for poly, mult, _, _ in found:
         lc_prod *= poly.lc() ** mult
-    terms = sorted((FactorTerm(*entry) for entry in found), key=lambda t: t.poly.sort_key())
+    terms = [FactorTerm(*entry) for entry in found]
+    if len(terms) > 1:
+        terms.sort(key=lambda t: t.poly.sort_key())
     return Factorization(p.lc() / lc_prod, tuple(terms))
 
 
@@ -462,11 +466,13 @@ def _active_variable(p):
 def factor_univariate(p, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
-    Each squarefree part of Yun's split goes to the modular lift, unless it
-    has degree 1 or 2 (see `_factor_squarefree`); its recombination raises
-    FactorIncomplete past RECOMBINATION_BUDGET subsets, and the size of the
-    coefficients costs only lift precision.  Verified hint factors are divided out first, so
-    pre-factored input needs no recombination.
+    Verified hint factors are divided out first, so pre-factored input
+    needs no recombination.  What is left is irreducible when it has
+    degree 1, and skips Yun's split.  Otherwise each squarefree part of the
+    split goes to the modular lift, unless it has degree 1 or 2 (see
+    `_factor_squarefree`); its recombination raises FactorIncomplete past
+    RECOMBINATION_BUDGET subsets, and the size of the coefficients costs
+    only lift precision.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -474,6 +480,9 @@ def factor_univariate(p, hints=None):
     if var is None:
         return Factorization(p.const_value(), ())
     work, entries = _extract_hints(p, _hinted(hints, p))
+    if work.deg_in(var) == 1:
+        entries.append((work.primitive(), 1, PROVED, "degree 1"))
+        return _finish(p, entries)
     for sqf, mult in _yun(work, var):
         # sqf has content 1 and one live variable, so stride 1 lists its coefficients
         for fac, note in _factor_squarefree(_pack(sqf.ints, 1)):
@@ -599,9 +608,11 @@ def factor_plane_curve(p, hints=None):
     """Factor a bivariate polynomial into primitive irreducible parts.
 
     After the hint factors for p are divided out, a polynomial in x alone
-    goes to factor_univariate; otherwise the y-content is factored in x, and
-    each part of Yun's split in y is factored once; the part's index is the
-    multiplicity of its factors.
+    goes to factor_univariate; otherwise the y-content is factored in x.  A
+    rest of degree 1 in y that involves x is irreducible (its y-content is
+    1) and skips Yun's split; any other rest is split by Yun in y and each
+    part factored once; the part's index is the multiplicity of its
+    factors.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -616,6 +627,9 @@ def factor_plane_curve(p, hints=None):
     if not cont.is_const():
         entries.extend(_univariate_entries(cont))
         work = work.div_exact(cont)
+    if work.deg_in("y") == 1 and work.deg_in("x") >= 1:
+        entries.append((work.primitive(), 1, PROVED, "degree 1 in y and primitive"))
+        return _finish(p, entries)
     for part, mult in _yun(work, "y"):
         if part.deg_in("x") == 0:
             found = _univariate_entries(part)

@@ -18,8 +18,10 @@ degree k is u0^(k/k0), found as the first dependency among its powers in
 one fraction-free echelon pass (`_solve_linear`) that also writes y in
 their basis; an x-coordinate in a proper subfield takes one more k x k
 solve (the tower law), whose rank certifies that the coordinates
-generate F.  Points of degree 1 and x-coordinates that are x or constants
-take closed forms.  On either route each point is certified by exact
+generate F.  Only a point of degree 1 takes a closed form: on the graph
+route it is (a, phi(a)) for a factor x - a, by evaluation with no
+remainder, and its substitution check is one sum on the integer parts
+(`_cleared_value`).  On either route each point is certified by exact
 substitution into both curves and by its residue degree (`_certified`),
 and a failure is an error, never a silent answer.  A Gersten check
 (`div_on_curves`) reaches the primes of each residue by exact division by
@@ -534,15 +536,31 @@ def _shear_candidates(seed):
     return lams
 
 
+def _cleared_value(f, an, ad, bn=0, bd=1):
+    """f(an/ad, bn/bd) * ad^dx * bd^dy / content(f), an integer; ad, bd nonzero.
+
+    dx and dy are the degrees of f in x and in y, so every term
+    v * an^i * ad^(dx - i) * bn^j * bd^(dy - j) of the sum is an integer.
+    """
+    if f.is_zero():
+        return 0
+    dx, dy = f.deg_in("x"), f.deg_in("y")
+    xs = [an ** i * ad ** (dx - i) for i in range(dx + 1)]
+    ys = [bn ** j * bd ** (dy - j) for j in range(dy + 1)]
+    return sum(v * xs[i] * ys[j] for (i, j), v in f.ints.items())
+
+
 def _vanishes_at(f, u0, v0):
     """Whether f reduces to 0 modulo (u0, v0); u0 is in x alone, v0 monic in y.
 
-    At a point of degree 1, (x - a, y - b), that is f(a, b) = 0.  Otherwise
-    Horner in y, reducing by v0 and by u0 at every step.
+    At a point of degree 1, (x - a, y - b), that is f(a, b) = 0, tested on
+    the integer parts (`_cleared_value`).  Otherwise Horner in y, reducing
+    by v0 and by u0 at every step.
     """
     if u0.degree() == v0.degree() == 1 and v0.deg_in("x") == 0:
-        a = -u0.terms.get((0, 0), _ZERO) / u0.terms[(1, 0)]
-        return f.eval_all({"x": a, "y": -v0.terms.get((0, 0), _ZERO)}) == 0
+        u, v = u0.ints, v0.ints
+        return _cleared_value(f, -u.get((0, 0), 0), u[(1, 0)],
+                              -v.get((0, 0), 0), v[(0, 1)]) == 0
     y = MultiPoly.variable("y")
     n = v0.deg_in("y")
     acc = MultiPoly.zero(VARS_XY)
@@ -660,7 +678,14 @@ def _graph_points(q, g, given, swap):
     out = {}
     for term in factor_univariate(r).factors:
         u = term.poly * (1 / term.poly.lc())
-        a_val, b_val = rem(x, u, "x"), rem(phi, u, "x")
+        if u.deg_in("x") == 1:
+            # u = x - a, so the point is (a, phi(a))
+            an, ad = -u.ints.get((0, 0), 0), u.ints[(1, 0)]
+            b = phi.cont * Fraction(_cleared_value(phi, an, ad), ad ** max(phi.deg_in("x"), 0))
+            a_val = MultiPoly.const(VARS_XY, Fraction(an, ad))
+            b_val = MultiPoly.const(VARS_XY, b)
+        else:
+            a_val, b_val = rem(x, u, "x"), rem(phi, u, "x")
         if swap:
             a_val, b_val = b_val, a_val
         pt = _certified(canonical_point(u, a_val, b_val), u, given)

@@ -414,10 +414,14 @@ class MultiPoly(Value):
     # rendering (canonical, parseable by tamearc.expr)
 
     def render(self):
-        if not self.ints:
+        ints = self.ints
+        if not ints:
             return "0"
+        cont = self.cont
+        whole, num = cont.denominator == 1, cont.numerator
         parts = []
-        for e, c in self.sorted_terms():
+        for e in sorted(ints, key=_glex, reverse=True):
+            c = num * ints[e] if whole else cont * ints[e]
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k
             )

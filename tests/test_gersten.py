@@ -230,3 +230,22 @@ class TestWeilReciprocity:
         f = t ** 2 - RatFunc.from_const(VARS_T, 2)
         g = t ** 2 - RatFunc.from_const(VARS_T, 3)
         assert weil_check_p1(f, g).verdict
+
+
+def test_complex_pool_work_counts(monkeypatch):
+    # squarefree splits and divisions with remainder over the 100 plane pairs
+    # of the complex acceptance pool; a degree-1 factor or point takes a
+    # closed form, so neither runs for most of them
+    import tamearc.factor
+    import tamearc.poly
+
+    counts = {"_yun": 0, "divmod_in": 0}
+    for module, name in ((tamearc.factor, "_yun"), (tamearc.poly, "divmod_in")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(102)
+    for _ in range(100):
+        assert complex_check_q2(*coprime_pool_pair(rng)).verdict
+    assert counts == {"_yun": 29, "divmod_in": 36}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamearc import geometry
+from tamearc import factor, geometry, poly
 from tamearc.errors import InputError
 from tamearc.gersten import (
     Certificate,
@@ -236,11 +236,8 @@ def test_complex_pool_work_counts(monkeypatch):
     # squarefree splits and divisions with remainder over the 100 plane pairs
     # of the complex acceptance pool; a degree-1 factor or point takes a
     # closed form, so neither runs for most of them
-    import tamearc.factor
-    import tamearc.poly
-
     counts = {"_yun": 0, "divmod_in": 0}
-    for module, name in ((tamearc.factor, "_yun"), (tamearc.poly, "divmod_in")):
+    for module, name in ((factor, "_yun"), (poly, "divmod_in")):
         def counted(*args, _inner=getattr(module, name), _name=name):
             counts[_name] += 1
             return _inner(*args)

@@ -58,3 +58,8 @@ FACTORIZATION_SWEEP_DIGEST = "f631c1a4ee29d203"
 # test_factor.linear_factor_sweep, computed while a degree-1 polynomial left
 # after the hints still took the squarefree split and the sort key
 LINEAR_FACTOR_SWEEP_DIGEST = "6287060a1bcb8893"
+
+# sha256 prefix of the rendered factorizations of
+# test_factor.large_factor_sweep, computed at the parent of the change that
+# moved factor.py's F_q[t] arithmetic into poly's dense kernel
+LARGE_FACTOR_SWEEP_DIGEST = "a40c5927b2213e08"

@@ -388,6 +388,13 @@ class TestPlaneCurve:
         assert fac.unit == Fraction(-3, 2)
 
 
+def rendered_factorization(p, fac):
+    """p, the unit and, per factor, its poly, multiplicity, tag and evidence note."""
+    rendered = "; ".join(f"{t.poly.render()} ^{t.multiplicity} {t.certificate} ({t.evidence})"
+                         for t in fac.factors)
+    return f"{p.render()} = {fac.unit} * {rendered}\n"
+
+
 def factorization_sweep():
     """One rendered line per polynomial of a seeded pool that reaches both searches.
 
@@ -418,14 +425,8 @@ def factorization_sweep():
         pool.append(parts[0] * parts[1])
     pool += [lines_plus_x(n) for n in (3, 5, 8)]
     pool.append((Y ** 2 - X - 1) * (Y ** 2 - X - 4))
-    lines = []
-    for p in pool:
-        factor = factor_univariate if p.vars == VARS_T else factor_plane_curve
-        fac = factor(p)
-        rendered = "; ".join(f"{t.poly.render()} ^{t.multiplicity} {t.certificate} ({t.evidence})"
-                             for t in fac.factors)
-        lines.append(f"{p.render()} = {fac.unit} * {rendered}\n")
-    return lines
+    return [rendered_factorization(p, (factor_univariate if p.vars == VARS_T
+                                       else factor_plane_curve)(p)) for p in pool]
 
 
 def test_factorizations_hash_as_before():
@@ -474,13 +475,7 @@ def linear_factor_sweep():
     plane += [((X - 1) ** 3, None), ((Y - X ** 2) ** 2, None), ((X + Y) ** 4, None),
               ((X - 1) ** 3 * scalar(), None)]
     pool += [(factor_plane_curve, p, hints) for p, hints in plane]
-    lines = []
-    for factor, p, hints in pool:
-        fac = factor(p, hints)
-        rendered = "; ".join(f"{t.poly.render()} ^{t.multiplicity} {t.certificate} ({t.evidence})"
-                             for t in fac.factors)
-        lines.append(f"{p.render()} = {fac.unit} * {rendered}\n")
-    return lines
+    return [rendered_factorization(p, factor(p, hints)) for factor, p, hints in pool]
 
 
 def test_linear_factorizations_hash_as_before():
@@ -489,3 +484,38 @@ def test_linear_factorizations_hash_as_before():
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
     assert digest == frozen.LINEAR_FACTOR_SWEEP_DIGEST
     assert len(lines) == 104
+
+
+def large_factor_sweep():
+    """One rendered line per polynomial of a seeded pool past factorization_sweep's degree 9.
+
+    The pool: 15 products of total degree 20 to 64 of two to four dense
+    integer polynomials of degree 2 to 20, each scaled by a rational, with
+    the first one repeated zero to two more times; then t^65 + t + 1, which
+    is (t^2 + t + 1) times an irreducible of degree 63, and S_4.  Lines
+    render as in factorization_sweep.
+    """
+    rng = random.Random(25)
+    pool = []
+    while len(pool) < 15:
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 20))] + [rng.randint(1, 5)]
+            coeffs[0] = coeffs[0] or 1
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            parts.append(MultiPoly.from_dense(VARS_T, "t", coeffs) * scale)
+        p = parts[0] ** rng.randint(0, 2)
+        for q in parts:
+            p = p * q
+        if 20 <= p.degree() <= 64:
+            pool.append(p)
+    pool += [T ** 65 + T + 1, swinnerton_dyer(4)]
+    return [rendered_factorization(p, factor_univariate(p)) for p in pool]
+
+
+def test_large_factorizations_hash_as_before():
+    # frozen while factor.py still held its own F_q[t] arithmetic
+    lines = large_factor_sweep()
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+    assert digest == frozen.LARGE_FACTOR_SWEEP_DIGEST
+    assert len(lines) == 17

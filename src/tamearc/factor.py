@@ -8,14 +8,15 @@ irreducible factor as it stands, for a plane curve when it has degree 1
 in y and involves x.  Each squarefree part is factored once.  A
 univariate part stays in integers: one of degree 1 is irreducible, one
 of degree 2 is decided by whether its discriminant is a square, and any
-other is split by a q-adic lift of its factors mod a prime q.  A plane
-part of degree 1 in y is irreducible, and a higher one is split by an
-x-adic lift of the factors of a good specialization, on MultiPoly
-truncated in x with `poly.invmod` and `poly.rem` in y.  Both lifts share
-one Hensel tree, `_hensel_tree`, and one subset search, `_recombine`,
-exponential in the number of lifted factors, whose docstring holds the
-proof: each search is exhaustive within RECOMBINATION_BUDGET subsets and
-raises FactorIncomplete past it.  Every factor found is therefore tagged
+other is split by a q-adic lift of its factors mod a prime q, whose
+F_q[t] arithmetic is poly's dense kernel.  A plane part of degree 1 in y
+is irreducible, and a higher one is split by an x-adic lift of the
+factors of a good specialization, on MultiPoly truncated in x with
+`poly.invmod` and `poly.rem` in y.  Both lifts share one Hensel tree,
+`_hensel_tree`, and one subset search, `_recombine`, exponential in the
+number of lifted factors, whose docstring holds the proof: each search
+is exhaustive within RECOMBINATION_BUDGET subsets and raises
+FactorIncomplete past it.  Every factor found is therefore tagged
 "proved".  A factor that a caller supplied is checked to divide, but its
 irreducibility is trusted, so it is tagged "user-asserted".
 """
@@ -24,20 +25,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _int_gcd, isqrt, prod
+from math import isqrt, prod
 from random import Random
 
 from .errors import FactorIncomplete, InexactDivision, InputError
 from .poly import (
     VARS_T,
     MultiPoly,
+    _center,
     _gcd_cofactors,
     _idiv_exact,
+    _iprimitive,
     _pack,
+    _zderiv,
+    _zdivmod,
+    _zgcd,
+    _zinv,
+    _zmonic,
+    _zmul,
+    _zpowmod,
+    _zred,
+    _zsub,
     content_in,
     invmod,
     poly_gcd,
     rem,
+    udeg,
 )
 from .value import Value
 
@@ -137,97 +150,6 @@ def _hinted(hints, p):
     return hints or ()
 
 
-# arithmetic in F_q[t], dense lowest-first integer lists
-
-def utrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def udeg(f):
-    return len(f) - 1
-
-
-def _zred(f, q):
-    return utrim([c % q for c in f])
-
-
-def _zsub(f, g, q):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _zred(out, q)
-
-
-def _zmul(f, g, q):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _zred(out, q)
-
-
-def _zdivmod(f, g, q):
-    f = list(f)
-    inv = pow(g[-1], -1, q)
-    quot = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = (f[-1] * inv) % q
-        shift = len(f) - len(g)
-        quot[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % q
-        f = utrim(f)
-        if not f:
-            break
-    return utrim(quot), f
-
-
-def _zgcd(f, g, q):
-    f, g = _zred(f, q), _zred(g, q)
-    while g:
-        f, g = g, _zdivmod(f, g, q)[1]
-    return _zmonic(f, q) if f else []
-
-
-def _zmonic(f, q):
-    inv = pow(f[-1], -1, q)
-    return [(c * inv) % q for c in f]
-
-
-def _zpowmod(base, e, mod, q):
-    result = [1]
-    base = _zdivmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = _zdivmod(_zmul(result, base, q), mod, q)[1]
-        base = _zdivmod(_zmul(base, base, q), mod, q)[1]
-        e >>= 1
-    return result
-
-
-def _zderiv(f, q):
-    return _zred([i * f[i] for i in range(1, len(f))], q)
-
-
-def _zinv(a, b, q):
-    """s with s·a ≡ 1 mod b over F_q, for coprime a, b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    while r1:
-        qt, r = _zdivmod(r0, r1, q)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zsub(s0, _zmul(qt, s1, q), q)
-    inv = pow(r0[-1], -1, q)
-    return _zred([c * inv for c in s0], q)
-
-
 def _odd_primes():
     n = 3
     while True:
@@ -272,11 +194,6 @@ def _edf(f, d, q, rng):
             return _edf(g, d, q, rng) + _edf(_zmonic(rest, q), d, q, rng)
 
 
-def _center(c, m):
-    c %= m
-    return c - m if 2 * c > m else c
-
-
 def _hensel_pair_int(target, u, v, u0, v0, s, q, big):
     """Lift target ≡ u·v from mod q to mod big = q^K; all three monic."""
     m = q
@@ -287,10 +204,8 @@ def _hensel_pair_int(target, u, v, u0, v0, s, q, big):
             b = _zdivmod(_zmul(s, e, q), v0, q)[1]
             num = _zsub(e, _zmul(b, u0, q), q)
             a = _zdivmod(num, v0, q)[0]
-            u = utrim([(x + m * y) % big for x, y in
-                       zip(u + [0] * len(a), a + [0] * len(u))])
-            v = utrim([(x + m * y) % big for x, y in
-                       zip(v + [0] * len(b), b + [0] * len(v))])
+            u = _zsub(u, [-m * c for c in a], big)
+            v = _zsub(v, [-m * c for c in b], big)
         m *= q
     return u, v
 
@@ -335,8 +250,7 @@ def _zassenhaus(g):
     big = q
     while big < bound:
         big *= q
-    lc_inv = pow(lc, -1, big)
-    target = [(c * lc_inv) % big for c in g[:-1]] + [1]
+    target = _zmonic(g, big)
 
     def lift(target, left, right):
         u0, v0 = [1], [1]
@@ -351,9 +265,7 @@ def _zassenhaus(g):
             acc = [work[-1]]
             for f in factors:
                 acc = _zmul(acc, f, big)
-            cand = [_center(c, big) for c in acc]
-            cont = _int_gcd(*cand)
-            return [c // cont for c in cand]
+            return _iprimitive([_center(c, big) for c in acc])
         return of
 
     found, rest = _recombine(list(g), _hensel_tree(target, pool, lift), candidate, _idiv_exact)
@@ -449,9 +361,8 @@ def _factor_squarefree(f):
         r = isqrt(disc) if disc >= 0 else -1
         if r * r != disc:
             return [(f, "degree 2, discriminant not a square")]
-        lines = ([b - r, 2 * a], [b + r, 2 * a])
-        return [([v // _int_gcd(*g) for v in g], "degree 2, discriminant a square")
-                for g in lines]
+        return [(_iprimitive(g), "degree 2, discriminant a square")
+                for g in ([b - r, 2 * a], [b + r, 2 * a])]
     factors, note = _zassenhaus(f)
     return [(g, note) for g in factors]
 

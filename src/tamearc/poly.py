@@ -27,7 +27,9 @@ numerators and denominators, never of the unreduced result, and with none
 when a denominator is 1; the public constructor `RatFunc(num, den)` and
 `derivative` take the full gcd of num and den.  One remainder sequence,
 the subresultant chain (`subresultants`), serves resultants, the gcd
-fallback and fibre gcds.
+fallback and fibre gcds.  Below MultiPoly sits one dense kernel, int lists
+lowest degree first: exact division and GCDHEU over Z, and the F_q[t]
+arithmetic of the modular factorization; factor keeps none of its own.
 """
 
 from __future__ import annotations
@@ -545,14 +547,38 @@ def invmod(a, u, var):
     return t0 * (1 / r0.cont)
 
 
-# integer kernel: exact division, and gcds by the heuristic GCDHEU with a
-# subresultant-chain fallback
+# dense kernel: polynomials as int lists, lowest degree first, over Z and
+# mod q; exact division, gcds by the heuristic GCDHEU with a
+# subresultant-chain fallback, and the F_q[t] arithmetic of the modular
+# factorization
 #
-# Integer polynomials are packed into dense int lists, lowest degree first:
-# the coefficient of x^i y^j sits at i + j*stride, so exact division of
-# bivariate polynomials is division in Z[z].
+# Integer polynomials are packed into dense lists: the coefficient of
+# x^i y^j sits at i + j*stride, so exact division of bivariate polynomials
+# is division in Z[z].
 
 _HEU_POINTS = 6  # evaluation points tried before the subresultant fallback
+
+
+def utrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def udeg(f):
+    return len(f) - 1
+
+
+def _center(c, m):
+    """The residue of c mod m in (-m/2, m/2]."""
+    c %= m
+    return c - m if 2 * c > m else c
+
+
+def _iprimitive(f):
+    """The primitive part, lc > 0, of a nonzero trimmed dense int list."""
+    g = _int_gcd(*f)
+    return [v // (g if f[-1] > 0 else -g) for v in f]
 
 
 def _pack(ints, stride):
@@ -602,14 +628,86 @@ def _ihorner(f, x0):
 def _sym_digits(n, base):
     """Digits of n in base `base`, each in (-base/2, base/2], lowest first."""
     out = []
-    half = base // 2
     while n:
-        d = n % base
-        if d > half:
-            d -= base
+        d = _center(n, base)
         out.append(d)
         n = (n - d) // base
     return out
+
+
+# arithmetic in F_q[t]; q may be a prime power for the Hensel lift's
+# products and differences, and every quotient needs a unit lc mod q
+
+def _zred(f, q):
+    return utrim([c % q for c in f])
+
+
+def _zsub(f, g, q):
+    return _zred([a - b for a, b in zip_longest(f, g, fillvalue=0)], q)
+
+
+def _zmul(f, g, q):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _zred(out, q)
+
+
+def _zdivmod(f, g, q):
+    f = list(f)
+    inv = pow(g[-1], -1, q)
+    quot = [0] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g):
+        c = (f[-1] * inv) % q
+        shift = len(f) - len(g)
+        quot[shift] = c
+        for i, b in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * b) % q
+        f = utrim(f)
+    return utrim(quot), f
+
+
+def _zgcd(f, g, q):
+    f, g = _zred(f, q), _zred(g, q)
+    while g:
+        f, g = g, _zdivmod(f, g, q)[1]
+    return _zmonic(f, q) if f else []
+
+
+def _zmonic(f, q):
+    inv = pow(f[-1], -1, q)
+    return [(c * inv) % q for c in f]
+
+
+def _zpowmod(base, e, mod, q):
+    result = [1]
+    base = _zdivmod(base, mod, q)[1]
+    while e:
+        if e & 1:
+            result = _zdivmod(_zmul(result, base, q), mod, q)[1]
+        base = _zdivmod(_zmul(base, base, q), mod, q)[1]
+        e >>= 1
+    return result
+
+
+def _zderiv(f, q):
+    return _zred([i * f[i] for i in range(1, len(f))], q)
+
+
+def _zinv(a, b, q):
+    """s with s·a ≡ 1 mod b over F_q, for coprime a, b."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    while r1:
+        qt, r = _zdivmod(r0, r1, q)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zsub(s0, _zmul(qt, s1, q), q)
+    inv = pow(r0[-1], -1, q)
+    return _zred([c * inv for c in s0], q)
 
 
 def _next_point(xi):
@@ -639,9 +737,7 @@ def _heu_gcd_z(f, g):
     for _ in range(_HEU_POINTS):
         fv, gv = _ihorner(f, xi), _ihorner(g, xi)
         if fv and gv:
-            h = _sym_digits(_int_gcd(fv, gv), xi)
-            hc = _int_gcd(*h)
-            h = [v // (hc if h[-1] > 0 else -hc) for v in h]
+            h = _iprimitive(_sym_digits(_int_gcd(fv, gv), xi))
             qf = _idiv_exact(f, h)
             if qf is not None:
                 qg = _idiv_exact(g, h)
@@ -657,9 +753,7 @@ def _eval_y(a, stride, xi):
     for j in range((len(a) - 1) // stride, -1, -1):
         row = a[j * stride:(j + 1) * stride]
         out = [u * xi + v for u, v in zip_longest(out, row, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return utrim(out)
 
 
 def _lift_y(gamma, xi, stride):
@@ -1126,18 +1220,12 @@ class DualRatFunc(Value):
         return self * self._coerce(other).invert()
 
     def __pow__(self, n):
+        """(a + eps*b)^n = a^n + eps * n*a^(n-1)*b for n >= 0; n < 0 inverts first."""
         if not isinstance(n, int):
             raise ValueError("dual powers take integers")
         if n < 0:
             return self.invert() ** (-n)
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return DualRatFunc(RatFunc.from_const(self.vars, 1)) if result is None else result
+        return DualRatFunc(self.body ** n, self.eps * n * self.body ** max(n - 1, 0))
 
     def _coerce(self, other):
         if isinstance(other, DualRatFunc):

@@ -17,8 +17,18 @@ from tamearc.poly import (
     RatFunc,
     VARS_T,
     VARS_XY,
+    _center,
     _gcd_cofactors,
     _gcd_prs,
+    _iprimitive,
+    _sym_digits,
+    _zdivmod,
+    _zgcd,
+    _zinv,
+    _zmul,
+    _zpowmod,
+    _zred,
+    _zsub,
     divmod_in,
     invmod,
     poly_gcd,
@@ -850,3 +860,120 @@ class TestDualRatFunc:
     def test_specialize(self):
         u = DualRatFunc(RatFunc(X), RatFunc(Y))
         assert u.specialize() == RatFunc(X)
+
+    def test_powers_match_repeated_products(self):
+        # (a + eps*b)^n = a^n + eps*n*a^(n-1)*b; a zero body or eps part
+        # only takes the non-negative powers or keeps eps at zero
+        rng = random.Random(25)
+        one = DualRatFunc(RatFunc.from_const(VARS_XY, 1))
+        zero = RatFunc.from_const(VARS_XY, 0)
+        duals = [DualRatFunc(zero, RatFunc(X)), DualRatFunc(RatFunc(Y)), DualRatFunc(zero)]
+        while len(duals) < 20:
+            body, eps = rand_poly(rng, VARS_XY, 2), rand_poly(rng, VARS_XY, 2)
+            den = rand_poly(rng, VARS_XY, 1)
+            if not den.is_zero():
+                duals.append(DualRatFunc(RatFunc(body, den), RatFunc(eps, den * den)))
+        for u in duals:
+            for n in range(-3, 7):
+                if n < 0 and u.body.is_zero():
+                    with pytest.raises(NotAUnit):
+                        u ** n
+                    continue
+                expected = one
+                for _ in range(abs(n)):
+                    expected = expected * u if n > 0 else expected / u
+                assert u ** n == expected, (u.render(), n)
+                assert (u ** n).render() == expected.render()
+
+
+def dense_pool(rng, q, count):
+    """Seeded dense lists mod q: zero, constants, then degrees up to 12."""
+    pool = [[], [1], [rng.randrange(1, q)]]
+    while len(pool) < count:
+        pool.append(_zred([rng.randrange(q) for _ in range(rng.randint(1, 13))], q))
+    return pool
+
+
+def sympy_fq(f, q):
+    return sympy.Poly(list(reversed(f)) or [0], _ST, modulus=q)
+
+
+def from_sympy_fq(p, q):
+    return _zred([int(c) for c in reversed(p.all_coeffs())], q)
+
+
+class TestDenseKernel:
+    """The dense kernel's F_q[t] routines, for primes q and one prime power."""
+
+    PRIMES = (3, 101, 10007)
+    PRIME_POWER = 3 ** 7
+
+    def test_divmod_rebuilds_the_dividend(self):
+        for q in (*self.PRIMES, self.PRIME_POWER):
+            rng = random.Random(q)
+            pool = dense_pool(rng, q, 25)
+            for f in pool:
+                for g in pool:
+                    # a quotient needs the divisor's lc to be a unit mod q
+                    if not g or gcd(g[-1], q) != 1:
+                        continue
+                    quot, rem = _zdivmod(f, g, q)
+                    assert len(rem) < len(g)
+                    assert _zsub(f, _zmul(quot, g, q), q) == rem
+
+    def test_gcd_is_monic_and_matches_sympy(self):
+        for q in self.PRIMES:
+            rng = random.Random(q)
+            pool = dense_pool(rng, q, 20)
+            common = _zred([rng.randrange(q) for _ in range(4)] + [1], q)
+            pool += [_zmul(f, common, q) for f in pool[3:8]]
+            for f in pool:
+                for g in pool:
+                    h = _zgcd(f, g, q)
+                    assert h == [] or h[-1] == 1
+                    assert h == from_sympy_fq(sympy_fq(f, q).gcd(sympy_fq(g, q)), q), (f, g, q)
+
+    def test_inverse_mod_a_coprime_polynomial(self):
+        for q in self.PRIMES:
+            rng = random.Random(q)
+            pool = dense_pool(rng, q, 20)
+            checked = 0
+            for a in pool:
+                for b in pool:
+                    if not b or _zgcd(a, b, q) != [1]:
+                        continue
+                    s = _zinv(a, b, q)
+                    assert _zdivmod(_zmul(s, a, q), b, q)[1] == _zdivmod([1], b, q)[1]
+                    checked += 1
+            assert checked > 100
+
+    def test_powmod_matches_repeated_multiplication(self):
+        for q in (*self.PRIMES, self.PRIME_POWER):
+            rng = random.Random(q)
+            pool = dense_pool(rng, q, 12)
+            mods = [f[:-1] + [1] for f in pool if len(f) > 1]
+            for base in pool:
+                for mod in mods:
+                    power = [1]
+                    for e in range(9):
+                        assert _zpowmod(base, e, mod, q) == _zdivmod(power, mod, q)[1]
+                        power = _zmul(power, base, q)
+
+    def test_balanced_digits_round_trip(self):
+        # odd and even bases; an even base keeps the digit base/2 positive
+        rng = random.Random(7)
+        randoms = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(50)]
+        for base in (3, 4, 7, 10, 29, 30, 1000):
+            half = base // 2
+            for n in [0, 1, -1, half, -half, half + 1, base, -base, *randoms]:
+                digits = _sym_digits(n, base)
+                assert sum(d * base ** i for i, d in enumerate(digits)) == n
+                assert all(-base < 2 * d <= base for d in digits)
+                assert digits == [] or digits[-1] != 0
+            assert _center(half, base) == half and _center(-half, base) == (
+                half if base % 2 == 0 else -half)
+
+    def test_primitive_part(self):
+        assert _iprimitive([4, -6, -2]) == [-2, 3, 1]
+        assert _iprimitive([-5]) == [1]
+        assert _iprimitive([0, 3, 9]) == [0, 1, 3]

@@ -139,6 +139,23 @@ def test_one_hensel_tree_and_one_subset_search():
     assert recursions == ["_edf", "_hensel_tree"], recursions
 
 
+def test_one_dense_kernel():
+    # arithmetic on dense lists, over Z and mod q, lives in poly alone; a
+    # second copy of a trim, a balanced residue or an F_q[t] routine can drift.
+    # _zassenhaus is an algorithm named after Zassenhaus, not an F_q[t] routine
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name.startswith("_z") and node.name != "_zassenhaus"
+                    or "trim" in node.name
+                    or node.name == "_center"):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, found
+
+
 def _is_empty_container(value):
     if isinstance(value, ast.Dict):
         return not value.keys

@@ -862,8 +862,8 @@ class TestDualRatFunc:
         assert u.specialize() == RatFunc(X)
 
     def test_powers_match_repeated_products(self):
-        # (a + eps*b)^n = a^n + eps*n*a^(n-1)*b; a zero body or eps part
-        # only takes the non-negative powers or keeps eps at zero
+        # __pow__ uses (a + eps*b)^n = a^n + eps*n*a^(n-1)*b; the pool has
+        # zero bodies, which have no negative powers, and zero eps parts
         rng = random.Random(25)
         one = DualRatFunc(RatFunc.from_const(VARS_XY, 1))
         zero = RatFunc.from_const(VARS_XY, 0)

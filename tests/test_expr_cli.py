@@ -331,6 +331,42 @@ class TestCli:
         r = run_cli("tangent-cocycle", "--arc", "x | 1 | y | +1")
         assert r.returncode == 1
 
+    def test_tangent_cocycle_repeated_arcs_structured_pinned(self):
+        # on V(x), x - 1 is -1, so the first two arcs there multiply to 1 and
+        # drop out before the third; the arcs on V(y - 2) cancel, and the two
+        # on V(x + y) square their unit
+        arcs = ["x + y | 1 | y + 3 | -1", "x | 1 | x - 1 | +1", "x | 1 | x - 1 | +1",
+                "y - 2 | x | x + 3 + eps*y | -1", "x | y | x - 1 | +1",
+                "x + y | 1 | y + 3 | -1", "y - 2 | x | x + 3 + eps*y | +1"]
+        argv = ["tangent-cocycle", "--format", "structured"]
+        for arc in arcs:
+            argv += ["--arc", arc]
+        r = run_cli(*argv)
+        assert r.returncode == 1
+        assert r.stdout.decode().splitlines() == [
+            "command: tangent-cocycle",
+            "variety: A2",
+            "seed: 0",
+            "arg arc:",
+            *(f"  {arc}" for arc in arcs),
+            "claim: TangentCocycle",
+            "verdict: fail",
+            "input arcs: arc(V(x + y), datum 1, unit y + 3, sign -1); "
+            "arc(V(x), datum 1, unit x - 1, sign +1); "
+            "arc(V(x), datum 1, unit x - 1, sign +1); "
+            "arc(V(y - 2), datum x, unit x + 3 + eps*y, sign -1); "
+            "arc(V(x), datum y, unit x - 1, sign +1); "
+            "arc(V(x + y), datum 1, unit y + 3, sign -1); "
+            "arc(V(y - 2), datum x, unit x + 3 + eps*y, sign +1)",
+            "witness eps=0 cycle: (1/(x - 1) at V(x)) * (y^2 + 6*y + 9 at V(x + y))",
+            "witness tangent classes: V(x): [((-y - 2)/(x - 1))*dx] / (x); "
+            "V(x + y): [(2/(y + 3))*dy] / (x + y)",
+            "provenance scope: tangent classes of families not arising from the "
+            "symbol boundary are computed by the same formula but carry no "
+            "independent cross-check",
+            "status: 1",
+        ]
+
     def test_weil_structured(self):
         r = run_cli("weil-check", "--f", "t - 1", "--g", "t - 5",
                     "--format", "structured")

@@ -258,7 +258,11 @@ class ResidueFunc(Value):
     """A unit of the residue field of a prime divisor, up to the ideal of the prime.
 
     On P1 the representative is canonical: the residue mod the point's monic
-    equation, or a constant at INF.  On A2 it is kept as given.
+    equation, or a constant at INF.  On A2 it is kept as given, and the
+    constructor checks that p divides neither its numerator nor its
+    denominator.  A product, inverse or power of units along V(p) is a unit
+    there, p being prime (proved, or asserted by a hint), so on A2 those
+    three build their result through _of_units, which skips the check.
     """
 
     __slots__ = ("curve", "rep")
@@ -274,6 +278,16 @@ class ResidueFunc(Value):
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "rep", rep)
 
+    @classmethod
+    def _of_units(cls, curve, rep):
+        """The class of rep, a product or power of units along the curve."""
+        if curve.variety.kind == "P1":
+            return cls(curve, rep)
+        out = object.__new__(cls)
+        object.__setattr__(out, "curve", curve)
+        object.__setattr__(out, "rep", rep)
+        return out
+
     def _vanishes(self, h):
         return h.is_zero() or (not self.curve.at_infinity and self.curve.poly.divides(h))
 
@@ -288,13 +302,13 @@ class ResidueFunc(Value):
     def __mul__(self, other):
         if self.curve != other.curve:
             raise ValueError("residue functions on different curves")
-        return ResidueFunc(self.curve, self.rep * other.rep)
+        return ResidueFunc._of_units(self.curve, self.rep * other.rep)
 
     def inverse(self):
-        return ResidueFunc(self.curve, self.rep ** -1)
+        return ResidueFunc._of_units(self.curve, self.rep ** -1)
 
     def __pow__(self, n):
-        return ResidueFunc(self.curve, self.rep ** n)
+        return ResidueFunc._of_units(self.curve, self.rep ** n)
 
     def render(self):
         return f"{self.rep.render()} on {self.curve.render()}"

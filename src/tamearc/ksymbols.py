@@ -205,7 +205,9 @@ class GGArc(Value):
 
     curve: the supporting prime divisor; datum: the first-order displacement
     of the defining equation (regular along the curve); unit: g + eps*g1 with
-    g a unit along the curve; sign: +1 or -1.
+    g a unit along the curve; sign: +1 or -1.  The constructor checks all of
+    this; d_eps, whose bodies share no component, builds through
+    _of_component, which checks only what the symbol does not guarantee.
     """
 
     __slots__ = ("curve", "datum", "unit", "sign")
@@ -237,16 +239,38 @@ class GGArc(Value):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "sign", sign)
 
+    @classmethod
+    def _of_component(cls, curve, datum, unit, sign):
+        """The arc that d_eps attaches to a component of the other body's divisor.
+
+        d_eps keeps only terms whose bodies share no curve component, so
+        the unit's body is a unit along the curve and coprime to it, and
+        _component_arcs has tested the datum for a pole; of __init__'s
+        checks only the one on the unit's eps part is left to run.
+        """
+        if not unit.eps.is_zero() and valuation(unit.eps, curve) < 0:
+            raise EpsDatumIrregular(
+                f"unit eps part {unit.eps.render()} has a pole along "
+                f"{curve.render()}")
+        out = object.__new__(cls)
+        object.__setattr__(out, "curve", curve)
+        object.__setattr__(out, "datum", datum)
+        object.__setattr__(out, "unit", unit)
+        object.__setattr__(out, "sign", sign)
+        return out
+
     def render(self):
         return (f"arc({self.curve.render()}, datum {self.datum.render()}, "
                 f"unit {self.unit.render()}, sign {self.sign:+d})")
 
 
-def _component_arcs(this, other, family_sign, hints):
+def _component_arcs(this, other, family_sign, hints, factored):
     """Arcs for every irreducible component of div(body of this).
 
     The datum is built from the prime's own equation p, the one whose dp
     tangent3 reads, so both sides of the tangent square share one p.
+    factored maps each body numerator or denominator already factored in
+    this d_eps call to its prime divisors.
     """
     F = this.body
     F1 = this.eps
@@ -254,7 +278,9 @@ def _component_arcs(this, other, family_sign, hints):
     for part, part_sign in ((F.num, 1), (F.den, -1)):
         if part.is_const():
             continue
-        for prime, mult in prime_divisors(part, variety_of(F.vars), hints):
+        if part not in factored:
+            factored[part] = prime_divisors(part, variety_of(F.vars), hints)
+        for prime, mult in factored[part]:
             p = prime.poly
             m = part_sign * mult
             datum = (RatFunc(p) * F1) / (RatFunc.from_const(F.vars, m) * F)
@@ -263,7 +289,7 @@ def _component_arcs(this, other, family_sign, hints):
                     f"eps datum for component {prime.render()} is irregular: "
                     f"nu({F1.render()}) < {abs(m) - 1} along the component")
             sign = family_sign if m > 0 else -family_sign
-            arcs.extend([GGArc(curve=prime, datum=datum, unit=other, sign=sign)] * abs(m))
+            arcs.extend([GGArc._of_component(prime, datum, other, sign)] * abs(m))
     return arcs
 
 
@@ -271,8 +297,14 @@ def d_eps(s, hints=None):
     """Green-Griffiths arcs of a dual symbol, one per component of each body divisor.
 
     Terms whose two bodies share a curve component contribute nothing.
+    Within one call each distinct body numerator or denominator is factored
+    once, and the arcs of each (body, other unit, sign) are built once, so
+    a symbol that repeats a body or a term, or holds both {u, v} and
+    {v, u}, reuses them.
     """
     arcs = []
+    factored = {}  # body numerator or denominator -> its prime divisors
+    built = {}  # (this, other, family sign) -> _component_arcs
     for u, v, coeff in s.terms:
         F, G = u.body, v.body
         if F.vars == VARS_T:
@@ -284,8 +316,10 @@ def d_eps(s, hints=None):
         if shared.degree() > 0:
             continue
         sign = 1 if coeff > 0 else -1
-        arcs.extend((_component_arcs(u, v, sign, hints)
-                     + _component_arcs(v, u, -sign, hints)) * abs(coeff))
+        for key in ((u, v, sign), (v, u, -sign)):
+            if key not in built:
+                built[key] = _component_arcs(*key, hints, factored)
+        arcs.extend((built[u, v, sign] + built[v, u, -sign]) * abs(coeff))
     return arcs
 
 
@@ -296,11 +330,34 @@ def arc_specialize(a):
 
 
 def specialize_arcs(arcs, variety):
-    """Product of the eps = 0 images of a family of arcs."""
-    total = K1Cycle.trivial(variety)
+    """Product of the eps = 0 images of a family of arcs.
+
+    One pass over the arcs, in order, keeps a running product per curve.
+    The image of each distinct (curve, unit body, sign) is computed once;
+    an image that is one is skipped, and a running product that becomes
+    one is dropped, so a later arc on its curve starts a new one.  This is
+    the cycle that multiplying the arc_specialize cycles in turn gives, term
+    for term: K1Cycle.build drops identity components the same way.
+    """
+    images = {}
+    acc = {}
     for a in arcs:
-        total = total * arc_specialize(a)
-    return total
+        key = (a.curve, a.unit.body, a.sign)
+        if key not in images:
+            rf = ResidueFunc(a.curve, a.unit.body) ** (-a.sign)
+            images[key] = None if rf.is_one() else rf
+        rf = images[key]
+        if rf is None:
+            continue
+        if a.curve not in acc:
+            acc[a.curve] = rf
+            continue
+        rf = acc[a.curve] * rf
+        if rf.is_one():
+            del acc[a.curve]
+        else:
+            acc[a.curve] = rf
+    return K1Cycle(variety, sorted(acc.items(), key=lambda item: item[0].sort_key()))
 
 
 class DoubleSES(Value):

@@ -626,7 +626,13 @@ def _ihorner(f, x0):
 
 
 def _sym_digits(n, base):
-    """Digits of n in base `base`, each in (-base/2, base/2], lowest first."""
+    """Digits of n in base `base`, each in (-base/2, base/2], lowest first.
+
+    The base must be at least 3: base 2 has no digit -1, so a negative n
+    would keep its value forever.
+    """
+    if base < 3:
+        raise ValueError(f"balanced digits need a base of at least 3, not {base}")
     out = []
     while n:
         d = _center(n, base)

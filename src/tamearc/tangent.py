@@ -16,8 +16,17 @@ symbol the eps = 0 face reads.  Along each prime the check reduces nothing
 unless the square fails there.  The arcs on the prime are summed as one
 unreduced fraction, built from products only, whose denominator p divides
 once per distinct arc; whether tangent2 minus that sum has a pole along
-V(p) is one exact division of a numerator by a power of p.  Only a nonzero
-difference is reduced to its canonical class, to be rendered.
+V(p) is one exact division of a numerator by a power of p, after a
+coefficient denominator that divides the sum's denominator has been
+divided out of it.  Only a nonzero difference is reduced to its canonical
+class, to be rendered.
+
+Nor does the check prove again what d_eps guarantees.  d_eps keeps only
+terms whose bodies share no component, so it builds its arcs without
+GGArc's unit and datum checks, and the residue products of the eps = 0
+face skip the unit test that their factors have passed
+(`geometry.ResidueFunc`); the face is one pass over the arcs
+(`ksymbols.specialize_arcs`).
 """
 
 from __future__ import annotations
@@ -262,25 +271,31 @@ def _difference_class(prime, beta, arc_sum):
 
     The entry (nums, den, k) has p dividing den exactly k times; None, for
     a prime without arcs or whose arcs cancel, stands for 0/1 with k = 0.
-    With e = v_p(c.den), each coefficient of the difference,
-    (c.num*den - n*c.den) / (c.den*den), is regular along V(p) exactly when
-    p^(k+e) divides its numerator: one exact division.  Only a nonzero
-    class is reduced, by LocalCohClass.of.
+    Each coefficient c of beta minus its numerator n over den is
+    (c.num*den - n*c.den) / (c.den*den).  When c.den divides den, as it
+    mostly does, the difference is (c.num*(den/c.den) - n) / den, regular
+    along V(p) exactly when p^k divides that numerator.  Otherwise, with
+    e = v_p(c.den), it is regular exactly when p^(k+e) divides
+    c.num*den - n*c.den.  Either way the test is one exact division.  Only
+    a nonzero class is reduced, by LocalCohClass.of, from the second form
+    of every coefficient.
     """
     p = prime.poly
     vars = beta.vars
     nums, den, k = arc_sum or ((MultiPoly.zero(vars),) * len(vars), MultiPoly.const(vars, 1), 0)
-    diffs = tuple(c.num * den - n * c.den for c, n in zip(beta.coeffs, nums))
-    for c, r in zip(beta.coeffs, diffs):
-        if r.is_zero():
-            continue
-        e = 0 if c.den.is_const() else c.den.divide_out(p)[1]
-        if k + e and not (p ** (k + e)).divides(r):
+    for c, n in zip(beta.coeffs, nums):
+        q = den.div_exact(c.den)
+        if q is not None:
+            r, order = c.num * q - n, k
+        else:
+            r = c.num * den - n * c.den
+            order = k + c.den.divide_out(p)[1]
+        if order and not r.is_zero() and not (p ** order).divides(r):
             break
     else:
         return None
     return LocalCohClass.of(prime, DiffForm(vars, tuple(
-        RatFunc(r, c.den * den) for c, r in zip(beta.coeffs, diffs))))
+        RatFunc(c.num * den - n * c.den, c.den * den) for c, n in zip(beta.coeffs, nums))))
 
 
 def diagram_check(s, hints=None):

@@ -16,11 +16,13 @@ from tamearc.gersten import (
     weil_check_p1,
 )
 from tamearc.geometry import A2, PrimeDivisor, ResidueFunc
-from tamearc.ksymbols import MilnorSymbol, tame
-from tamearc.poly import MultiPoly, RatFunc, VARS_T, VARS_XY
+from tamearc.ksymbols import DualMilnorSymbol, GGArc, MilnorSymbol, tame
+from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
+from tamearc.tangent import diagram_check
 
 from test_geometry import V_X, V_Y, X, Y, t, x, y
 from test_ksymbols import ONE_T, ONE_XY, rand_linear_rational
+from test_poly import rand_poly
 
 
 def coprime_pool_pair(rng, max_each=2):
@@ -246,3 +248,27 @@ def test_complex_pool_work_counts(monkeypatch):
     for _ in range(100):
         assert complex_check_q2(*coprime_pool_pair(rng)).verdict
     assert counts == {"_yun": 29, "divmod_in": 36}
+
+
+def test_diagram_pool_work_counts(monkeypatch):
+    # exact divisions, checked residue classes and checked arcs over the
+    # first 16 dual symbols of the diagram acceptance pool (seed 105).  d_eps
+    # builds its arcs unchecked, since its bodies share no component; a
+    # product or power of residue units is a unit, so only the classes built
+    # from a function are checked; and a coefficient denominator that
+    # divides the arcs' summed denominator is divided out of the class test
+    counts = {"_div_ints": 0, "ResidueFunc": 0, "GGArc": 0}
+    for owner, name, key in ((poly, "_div_ints", "_div_ints"),
+                             (ResidueFunc, "__init__", "ResidueFunc"),
+                             (GGArc, "__init__", "GGArc")):
+        def counted(*args, _inner=getattr(owner, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    rng = random.Random(105)
+    for _ in range(16):
+        f, g = coprime_pool_pair(rng)
+        s = DualMilnorSymbol.of(DualRatFunc(f, rand_poly(rng, VARS_XY, 2)),
+                                DualRatFunc(g, rand_poly(rng, VARS_XY, 2)))
+        assert diagram_check(s).verdict
+    assert counts == {"_div_ints": 1014, "ResidueFunc": 96, "GGArc": 0}

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from tamearc import ksymbols
 from tamearc.errors import (
     EpsDatumIrregular,
     InputError,
@@ -296,6 +298,60 @@ class TestDEps:
         assert d_eps(s)[0].render() == (
             "arc(1/2, datum 1/2*t + 5/2, unit (t + 3)/(t - 7) + eps*t, sign +1)")
 
+    def test_repeated_terms_factor_each_body_once(self, monkeypatch):
+        # {u,v} - {u,v} + 2{u,v}: two nonconstant body parts, each factored
+        # once, and the arcs of each (body, other unit, sign) built once
+        calls = []
+        inner = ksymbols.prime_divisors
+
+        def counted(poly, X, hints=None):
+            calls.append(poly)
+            return inner(poly, X, hints)
+
+        monkeypatch.setattr(ksymbols, "prime_divisors", counted)
+        u = parse_expr("x*(y - 1) + eps*y")
+        v = parse_expr("(x + y - 3)*(y - x^2) + eps*x")
+        arcs = d_eps(DualMilnorSymbol(((u, v, 1), (u, v, -1), (u, v, 2))))
+        assert len(calls) == 2
+        plus, minus = (d_eps(DualMilnorSymbol.of(u, v, c)) for c in (1, -1))
+        assert arcs == plus + minus + plus * 2
+        assert len(arcs) == 16 and len({id(a) for a in arcs}) == 8
+        # {v,u} reads the same two families of arcs as -{u,v}
+        calls.clear()
+        both = d_eps(DualMilnorSymbol(((u, v, -1), (v, u, 1))))
+        assert len(calls) == 2
+        assert both == minus + d_eps(DualMilnorSymbol.of(v, u))
+        assert len({id(a) for a in both}) == 4
+
+    def test_unit_eps_pole_is_reported_as_before(self):
+        # the one check that d_eps's arcs still run, with GGArc's message
+        s = DualMilnorSymbol.of(parse_expr("x + eps*y"), parse_expr("y - 1 + eps/x"))
+        with pytest.raises(EpsDatumIrregular) as info:
+            d_eps(s)
+        assert str(info.value) == "unit eps part 1/x has a pole along V(x)"
+
+    def test_arcs_pass_every_check_of_the_constructor(self):
+        # d_eps builds its arcs without GGArc's checks on the unit and the
+        # datum; the same arcs built with every check are equal
+        rng = random.Random(45)
+        done = 0
+        while done < 40:
+            vars_ = VARS_T if done % 4 == 0 else VARS_XY
+            f = rand_ratfunc(rng, vars_, 2)
+            g = rand_ratfunc(rng, vars_, 2)
+            f1 = rand_ratfunc(rng, vars_, 1)
+            g1 = rand_ratfunc(rng, vars_, 1)
+            if f.is_zero() or g.is_zero():
+                continue
+            s = DualMilnorSymbol.of(DualRatFunc(f, f1), DualRatFunc(g, g1))
+            try:
+                arcs = d_eps(s)
+            except (EpsDatumIrregular, ScopeError):
+                continue
+            for a in arcs:
+                assert GGArc(curve=a.curve, datum=a.datum, unit=a.unit, sign=a.sign) == a
+            done += 1
+
 
 class TestArcSpecialize:
     def test_inverse_for_positive_sign(self):
@@ -323,6 +379,75 @@ class TestArcSpecialize:
             arcs = d_eps(s)
             assert specialize_arcs(arcs, A2).same_cycle(tame(s.specialize()))
             done += 1
+
+
+def _fold(arcs, variety):
+    """specialize_arcs as a product of the arc_specialize cycles, one at a time."""
+    return reduce(K1Cycle.__mul__, map(arc_specialize, arcs), K1Cycle.trivial(variety))
+
+
+def _arc_family(rng, variety):
+    """2-12 arcs on a few curves, with repeated units and both signs."""
+    if variety == P1:
+        curves = [PrimeDivisor(P1, p) for p in (T, T - 1, T ** 2 + 1, 2 * T + 3)]
+        units = [t - RatFunc.from_const(VARS_T, c) for c in (2, -3, 5)] + [t ** 2 + ONE_T]
+        zero = ZERO_T
+    else:
+        curves = [V_X, V_Y, PrimeDivisor(A2, X - 1), PrimeDivisor(A2, Y - X ** 2)]
+        units = [y + ONE_XY, x - ONE_XY, (x - y) / (y - RatFunc.from_const(VARS_XY, 3)),
+                 x + y - RatFunc.from_const(VARS_XY, 5), RatFunc.from_const(VARS_XY, -2)]
+        zero = ZERO_XY
+    arcs = []
+    while len(arcs) < rng.randint(2, 12):
+        curve = rng.choice(curves)
+        unit = rng.choice(units)
+        try:
+            arc = GGArc(curve=curve, datum=zero, unit=DualRatFunc(unit, zero),
+                        sign=rng.choice([1, -1]))
+        except NotAUnitAlongY:
+            continue
+        arcs.extend([arc] * rng.choice([1, 1, 2, 3]))
+    return arcs
+
+
+class TestSpecializeArcs:
+    def _assert_same_as_fold(self, arcs, variety):
+        got, want = specialize_arcs(arcs, variety), _fold(arcs, variety)
+        assert got.variety == want.variety
+        assert [key for key, _ in got.terms] == [key for key, _ in want.terms]
+        assert [val.rep for _, val in got.terms] == [val.rep for _, val in want.terms]
+        assert got.render() == want.render()
+
+    def test_a_product_that_becomes_one_is_dropped(self):
+        # on V(x), x - 1 is -1: two arcs of sign +1 multiply to 1 and drop
+        # out, and the third starts a new product
+        unit = DualRatFunc(x - ONE_XY, ZERO_XY)
+        arcs = [GGArc(curve=V_X, datum=ONE_XY, unit=unit, sign=1)] * 3
+        for n, rendered in ((2, "1"), (3, "(1/(x - 1) at V(x))")):
+            self._assert_same_as_fold(arcs[:n], A2)
+            assert specialize_arcs(arcs[:n], A2).render() == rendered
+
+    def test_an_image_that_is_one_is_skipped(self):
+        arc = GGArc(curve=V_X, datum=ONE_XY, unit=DualRatFunc(x + ONE_XY, ZERO_XY), sign=-1)
+        assert specialize_arcs([arc, arc], A2).is_trivial()
+        self._assert_same_as_fold([arc, arc], A2)
+
+    def test_one_pass_equals_the_fold(self):
+        rng = random.Random(46)
+        for trial in range(120):
+            variety = P1 if trial % 3 == 0 else A2
+            self._assert_same_as_fold(_arc_family(rng, variety), variety)
+
+    def test_d_eps_families_equal_the_fold(self):
+        rng = random.Random(47)
+        for _ in range(25):
+            F = ((x - RatFunc.from_const(VARS_XY, rng.randint(-3, 3))) ** rng.choice([1, 2, -1])
+                 * (y - x ** 2) ** rng.choice([1, -1]))
+            G = y - RatFunc.from_const(VARS_XY, rng.randint(4, 9))
+            s = DualMilnorSymbol(((DualRatFunc(F, ZERO_XY), DualRatFunc(G, x), 1),
+                                  (DualRatFunc(G, ONE_XY), DualRatFunc(F, ZERO_XY),
+                                   rng.choice([1, -2]))))
+            self._assert_same_as_fold(d_eps(s), A2)
 
 
 class TestGGArcValidation:

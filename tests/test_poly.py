@@ -973,6 +973,13 @@ class TestDenseKernel:
             assert _center(half, base) == half and _center(-half, base) == (
                 half if base % 2 == 0 else -half)
 
+    def test_balanced_digits_reject_a_base_below_three(self):
+        # base 2 has no digit -1, so -1 would stay -1 forever; the check
+        # comes before the loop, for zero too
+        for n, base in [(-1, 2), (0, 2), (5, 2), (1, 1), (0, 0), (3, -5)]:
+            with pytest.raises(ValueError, match="at least 3"):
+                _sym_digits(n, base)
+
     def test_primitive_part(self):
         assert _iprimitive([4, -6, -2]) == [-2, 3, 1]
         assert _iprimitive([-5]) == [1]

@@ -78,6 +78,26 @@ def test_trusted_constructors_stay_in_poly():
     assert not found, found
 
 
+def test_trusted_arcs_and_residues_stay_in_their_modules():
+    # GGArc._of_component skips the checks that d_eps's coprime bodies make
+    # true, and ResidueFunc._of_units the unit test that a product of units
+    # passes; a caller elsewhere could not keep either promise in view
+    owners = {"_of_component": "ksymbols.py", "_of_units": "geometry.py"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names}
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else set())
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names
+                         if owners.get(name, path.name) != path.name)
+    assert not found, found
+    named = {name: [path.name for path in PACKAGE.glob("*.py")
+                    if name in path.read_text()] for name in owners}
+    assert named == {name: [owner] for name, owner in owners.items()}
+
+
 def test_no_uncalled_private_functions():
     # a private module-level function or class that no other code names is dead
     defined = {}

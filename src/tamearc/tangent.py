@@ -276,9 +276,9 @@ def _difference_class(prime, beta, arc_sum):
     mostly does, the difference is (c.num*(den/c.den) - n) / den, regular
     along V(p) exactly when p^k divides that numerator.  Otherwise, with
     e = v_p(c.den), it is regular exactly when p^(k+e) divides
-    c.num*den - n*c.den.  Either way the test is one exact division.  Only
-    a nonzero class is reduced, by LocalCohClass.of, from the second form
-    of every coefficient.
+    c.num*den - n*c.den.  Either way one exact division by a power of p
+    decides.  Only a nonzero class is reduced, by LocalCohClass.of, from
+    the second form of every coefficient.
     """
     p = prime.poly
     vars = beta.vars

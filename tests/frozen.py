@@ -63,3 +63,8 @@ LINEAR_FACTOR_SWEEP_DIGEST = "6287060a1bcb8893"
 # test_factor.large_factor_sweep, computed at the parent of the change that
 # moved factor.py's F_q[t] arithmetic into poly's dense kernel
 LARGE_FACTOR_SWEEP_DIGEST = "a40c5927b2213e08"
+
+# sha256 prefix of the rendered arcs of test_tangent.multiplicity_sweep,
+# computed while d_eps built each datum by three RatFunc products and an
+# inverse
+MULTIPLICITY_SWEEP_DIGEST = "d742e151a2af6de5"

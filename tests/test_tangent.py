@@ -500,6 +500,51 @@ class TestDiagramCheck:
                     assert (lcls - rcls).is_zero()
 
 
+def multiplicity_sweep():
+    """(symbol, rendered line) per dual symbol of a seeded pool of high multiplicities.
+
+    40 symbols on A2 with one or two terms.  Each body is a constant times
+    two curves of _sweep_curves to exponents in -9..9 other than 0, and the
+    two bodies of a term share no curve.  Each eps part is zero, or a
+    polynomial times every curve of its body that has a positive exponent
+    e, to the power e - 1 and one time in three e; so it is regular along
+    every component and every datum is regular.  Each line renders the
+    symbol's arcs.
+    """
+    rng = random.Random(27)
+    out = []
+    for _ in range(40):
+        curves = _sweep_curves(rng, VARS_XY)
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            rng.shuffle(curves)
+            units = []
+            for own in (curves[:2], curves[2:]):
+                body = RatFunc.from_const(VARS_XY, rng.choice([1, 2, -3]))
+                eps = RatFunc(rand_poly(rng, VARS_XY, 2, terms=3))
+                for curve in own:
+                    e = rng.choice([-1, 1]) * rng.randint(1, 9)
+                    body = body * curve ** e
+                    if e > 0:
+                        eps = eps * curve ** (e - (rng.random() < 2 / 3))
+                if rng.random() < 1 / 6:
+                    eps = RatFunc.from_const(VARS_XY, 0)
+                units.append(DualRatFunc(body, eps))
+            terms.append((*units, rng.choice([1, -1, 2, -3])))
+        s = DualMilnorSymbol(tuple(terms))
+        out.append((s, f"{s.render()} => {'; '.join(a.render() for a in d_eps(s))}\n"))
+    return out
+
+
+class TestMultiplicitySweep:
+    def test_arcs_hash_as_before(self):
+        # data built at exponents up to 9, frozen before d_eps built each
+        # datum as one fraction
+        sweep = multiplicity_sweep()
+        digest = hashlib.sha256("".join(line for _, line in sweep).encode()).hexdigest()[:16]
+        assert digest == frozen.MULTIPLICITY_SWEEP_DIGEST
+
+
 class TestDiagramSweep:
     def test_witnesses_match_the_reduced_form_oracle(self):
         # the exact-division test renders every certificate and error as the

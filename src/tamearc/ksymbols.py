@@ -268,7 +268,11 @@ def _component_arcs(this, other, family_sign, hints, factored):
     """Arcs for every irreducible component of div(body of this).
 
     The datum is built from the prime's own equation p, the one whose dp
-    tangent3 reads, so both sides of the tangent square share one p.
+    tangent3 reads, so both sides of the tangent square share one p.  It
+    is p*F1/(m*F) for the body F, its eps part F1 and the order m of F
+    along p, built as the one fraction p*F1.num*F.den / (m*F1.den*F.num)
+    and reduced by a single gcd; its normal form is unique, so it is the
+    datum that products and an inverse of rational functions would give.
     factored maps each body numerator or denominator already factored in
     this d_eps call to its prime divisors.
     """
@@ -283,7 +287,7 @@ def _component_arcs(this, other, family_sign, hints, factored):
         for prime, mult in factored[part]:
             p = prime.poly
             m = part_sign * mult
-            datum = (RatFunc(p) * F1) / (RatFunc.from_const(F.vars, m) * F)
+            datum = RatFunc(p * F1.num * F.den, F1.den * F.num * m)
             if not datum.is_zero() and valuation(datum, prime) < 0:
                 raise EpsDatumIrregular(
                     f"eps datum for component {prime.render()} is irregular: "

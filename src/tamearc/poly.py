@@ -251,6 +251,13 @@ class MultiPoly(Value):
         A, B = self.ints, other.ints
         if not A or not B:
             return MultiPoly.zero(self.vars)
+        ca, cb = self.cont, other.cont
+        cont = cb if ca == 1 else ca if cb == 1 else ca * cb
+        # a constant's integer part is {(0, ...): 1}: only the contents multiply
+        if len(B) == 1 and not any(next(iter(B))):
+            return _from_primitive(self.vars, cont, A)
+        if len(A) == 1 and not any(next(iter(A))):
+            return _from_primitive(self.vars, cont, B)
         prod = {}
         get = prod.get
         if len(self.vars) == 1:
@@ -263,8 +270,6 @@ class MultiPoly(Value):
                 for (i2, j2), b in B.items():
                     e = (i1 + i2, j1 + j2)
                     prod[e] = get(e, 0) + a * b
-        ca, cb = self.cont, other.cont
-        cont = cb if ca == 1 else ca if cb == 1 else ca * cb
         # primitive with lc > 0 by Gauss's lemma; only cancelled terms go
         return _from_primitive(self.vars, cont, {e: v for e, v in prod.items() if v})
 
@@ -303,6 +308,10 @@ class MultiPoly(Value):
             return None
         if self.is_zero():
             return self
+        if divisor.is_const():
+            return _from_primitive(self.vars, self.cont / divisor.cont, self.ints)
+        if self.is_const():
+            return None
         q = _div_ints(self.ints, divisor.ints, len(self.vars))
         if q is None:
             return None
@@ -732,6 +741,8 @@ def _heu_gcd_z(f, g):
     2 * min(|f|, |g|) + 2, the primitive part of the balanced xi-adic
     expansion of gcd(f(xi), g(xi)) is the gcd as soon as it divides f and
     g (Char, Geddes and Gonnet, JSC 1989), so only the division is checked.
+    The candidate 1 divides everything: then f and g are coprime after
+    their contents, and they are their own cofactors with no division.
     """
     c = _int_gcd(_int_gcd(*f), _int_gcd(*g))
     if c > 1:
@@ -744,6 +755,8 @@ def _heu_gcd_z(f, g):
         fv, gv = _ihorner(f, xi), _ihorner(g, xi)
         if fv and gv:
             h = _iprimitive(_sym_digits(_int_gcd(fv, gv), xi))
+            if h == [1]:
+                return [c], f, g
             qf = _idiv_exact(f, h)
             if qf is not None:
                 qg = _idiv_exact(g, h)
@@ -794,13 +807,19 @@ def _heu_gcd_xy(a, b, stride):
 
     GCDHEU with y evaluated first: the same bound on xi makes the primitive
     part of the coefficientwise xi-adic expansion of the gcd in Z[x] of
-    a(x, xi), b(x, xi) the gcd of a and b once it divides both.
+    a(x, xi), b(x, xi) the gcd of a and b once it divides both.  An inner
+    gcd of exactly 1 lifts to 1, which divides both, so a and b are coprime
+    and their own cofactors.  A constant inner gcd c > 1 is no such proof:
+    its xi-adic digits lift to a polynomial in y, as for x*(y + 1) and
+    (x + 1)*(y + 1), whose inner gcd is xi + 1 and whose gcd is y + 1.
     """
     xi = _first_point(a, b)
     for _ in range(_HEU_POINTS):
         av, bv = _eval_y(a, stride, xi), _eval_y(b, stride, xi)
         inner = av and bv and _heu_gcd_z(av, bv)
         if inner:
+            if inner[0] == [1]:
+                return [1], a, b
             h = _lift_y(inner[0], xi, stride)
             qa = _idiv_packed(a, h, stride)
             if qa is not None:
@@ -822,13 +841,19 @@ def _div_ints(num, den, width):
 
 
 def _heu_gcd(A, B, width):
-    """GCDHEU on integer-primitive {exps: int} polynomials; dicts or None."""
+    """GCDHEU on integer-primitive {exps: int} polynomials; dicts or None.
+
+    A gcd of 1 comes back as ({}, A, B): coprime operands are their own
+    cofactors, and nothing is unpacked.
+    """
     stride = max(e[0] for e in (*A, *B)) + 1
     a, b = _pack(A, stride), _pack(B, stride)
     if width == 1 or (len(a) <= stride and len(b) <= stride):
         out = _heu_gcd_z(a, b)
     else:
         out = _heu_gcd_xy(a, b, stride)
+    if out and out[0] == [1]:
+        return {}, A, B
     return out and tuple(_unpack(p, stride, width) for p in out)
 
 
@@ -884,6 +909,8 @@ def _gcd_cofactors(a, b):
         g = _gcd_prs(a, b)
         return g, a.div_exact(g), b.div_exact(g)
     h, qa, qb = out
+    if not h:
+        return MultiPoly.const(a.vars, 1), a, b
     vars = a.vars
     return (_from_primitive(vars, _ONE, h), _from_primitive(vars, a.cont, qa),
             _from_primitive(vars, b.cont, qb))

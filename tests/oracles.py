@@ -3,11 +3,12 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Four exceptions read package objects. `subst` substitutes into a
+point. Five exceptions read package objects. `subst` substitutes into a
 package polynomial through its public ring operations, for tests that need a
 substitution the package does not offer. `fraction_render` renders a package
 polynomial from its `Fraction` coefficients, as `MultiPoly.render` did before
-it read the integer parts. `class_differences` replays the
+it read the integer parts, and `fraction_product` multiplies two package
+polynomials term by term on the same coefficients. `class_differences` replays the
 class test that `diagram_check` ran before its exact-division test, through
 the package's reduced forms, and `two_projection_cycle` replays the
 comparison of two projections that `intersection_cycle` ran before its
@@ -209,6 +210,16 @@ def fraction_render(p):
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(parts)
+
+
+def fraction_product(p, q):
+    """The product of two package polynomials as {exps: Fraction}, from their `terms`."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def fraction_render_ratfunc(r):

@@ -256,9 +256,14 @@ def test_diagram_pool_work_counts(monkeypatch):
     # builds its arcs unchecked, since its bodies share no component; a
     # product or power of residue units is a unit, so only the classes built
     # from a function are checked; and a coefficient denominator that
-    # divides the arcs' summed denominator is divided out of the class test
-    counts = {"_div_ints": 0, "ResidueFunc": 0, "GGArc": 0}
+    # divides the arcs' summed denominator is divided out of the class test.
+    # A division by a constant or of a constant by a non-constant reaches no
+    # packed division, a GCDHEU candidate 1 is no trial division and no
+    # unpack, and d_eps reduces each datum by one gcd
+    counts = {"_div_ints": 0, "_idiv_exact": 0, "_unpack": 0, "ResidueFunc": 0, "GGArc": 0}
     for owner, name, key in ((poly, "_div_ints", "_div_ints"),
+                             (poly, "_idiv_exact", "_idiv_exact"),
+                             (poly, "_unpack", "_unpack"),
                              (ResidueFunc, "__init__", "ResidueFunc"),
                              (GGArc, "__init__", "GGArc")):
         def counted(*args, _inner=getattr(owner, name), _key=key, **kwargs):
@@ -271,4 +276,5 @@ def test_diagram_pool_work_counts(monkeypatch):
         s = DualMilnorSymbol.of(DualRatFunc(f, rand_poly(rng, VARS_XY, 2)),
                                 DualRatFunc(g, rand_poly(rng, VARS_XY, 2)))
         assert diagram_check(s).verdict
-    assert counts == {"_div_ints": 1014, "ResidueFunc": 96, "GGArc": 0}
+    assert counts == {"_div_ints": 770, "_idiv_exact": 972, "_unpack": 479,
+                      "ResidueFunc": 96, "GGArc": 0}

@@ -38,7 +38,7 @@ from tamearc.poly import (
 )
 
 import frozen
-from oracles import fraction_render, fraction_render_ratfunc, subst
+from oracles import fraction_product, fraction_render, fraction_render_ratfunc, subst
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -228,6 +228,52 @@ class TestRepresentation:
                     assert_canonical(r)
 
 
+def constant_operand_pool(rng, vars):
+    """Seeded polynomials with zero, constants, rational contents and negative leads."""
+    pool = [MultiPoly.zero(vars), MultiPoly.const(vars, Fraction(-7, 4))]
+    for _ in range(15):
+        p = rand_poly(rng, vars, 4)
+        pool.extend([p, -p * Fraction(3, 5)])
+    return pool
+
+
+class TestConstantOperands:
+    CONSTANTS = (0, 1, -1, 6, Fraction(-2, 3), Fraction(5, 7))
+
+    @pytest.mark.parametrize("vars", [VARS_T, VARS_XY])
+    def test_products_match_the_fraction_reference(self, vars):
+        rng = random.Random(271)
+        for p in constant_operand_pool(rng, vars):
+            for c in self.CONSTANTS:
+                k = MultiPoly.const(vars, c)
+                for r in (p * k, k * p):
+                    assert r.terms == fraction_product(p, k), (p.render(), c)
+                    assert_canonical(r)
+                    # only the contents multiply: an operand's integer part is reused
+                    assert not c or p.is_zero() or any(r.ints is s.ints for s in (p, k))
+
+    @pytest.mark.parametrize("vars", [VARS_T, VARS_XY])
+    def test_exact_quotients_match_the_fraction_reference(self, vars):
+        rng = random.Random(272)
+        for p in constant_operand_pool(rng, vars):
+            for c in self.CONSTANTS:
+                k = MultiPoly.const(vars, c)
+                if c:
+                    q = p.div_exact(k)
+                    assert q.terms == fraction_product(p, MultiPoly.const(vars, 1 / Fraction(c)))
+                    assert_canonical(q)
+                else:
+                    assert p.div_exact(k) is None
+                q = k.div_exact(p)
+                if p.is_zero():
+                    assert q is None
+                elif p.is_const():
+                    assert q == MultiPoly.const(vars, c / p.const_value())
+                else:
+                    # a nonzero constant is never a multiple of a non-constant
+                    assert q is None if c else q.is_zero()
+
+
 class TestGcd:
     def test_pinned(self):
         g = poly_gcd((X + Y) * (X - Y), (X + Y) * X)
@@ -290,6 +336,34 @@ class TestGcd:
             for p, q in ((a, b), (b, a)):
                 g, qp, qq = _gcd_cofactors(p, q)
                 assert (g, qp, qq) == (MultiPoly.const(v.vars, 1), p, q)
+
+    def test_constant_inner_gcd_still_lifts(self):
+        # at the first point xi = 31 the inner gcd of x*32 and (x + 1)*32 is
+        # the constant 32 = xi + 1, whose digits lift to y + 1: only an
+        # inner gcd of exactly 1 proves the operands coprime
+        a, b = X * (Y + 1), (X + 1) * (Y + 1)
+        assert _gcd_cofactors(a, b) == (Y + 1, X, X + 1)
+        assert _gcd_cofactors(a * Fraction(-3, 2), b) == (Y + 1, X * Fraction(-3, 2), X + 1)
+
+    def test_coprime_operands_are_their_own_cofactors(self):
+        rng = random.Random(27)
+        seen = 0
+        for vars, deg in ((VARS_T, 4), (VARS_XY, 3)):
+            one = MultiPoly.const(vars, 1)
+            for _ in range(40):
+                a, b = rand_poly(rng, vars, deg), rand_poly(rng, vars, deg)
+                if a.is_const() or b.is_const():
+                    continue
+                g, qa, qb = _gcd_cofactors(a, b)
+                if g == one:
+                    assert qa is a and qb is b, (a.render(), b.render())
+                    seen += 1
+        pairs = [(X * X + Y * Y - 1, X - 2), ((X + Y) * Fraction(-5, 3), Y * Y - X),
+                 (T ** 3 - T + 7, T * Fraction(2, 9) + 1)]
+        for a, b in pairs:
+            g, qa, qb = _gcd_cofactors(a, b)
+            assert g == MultiPoly.const(a.vars, 1) and qa is a and qb is b
+        assert seen >= 20
 
     def test_fallback_after_the_last_point(self, monkeypatch):
         calls = []

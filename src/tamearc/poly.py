@@ -10,11 +10,15 @@ is a view built on first use for renderers and callers outside the kernel.
 Kernel results come from one trusted constructor, `_from_primitive`, and
 meet its contract without a further gcd: a product is the product of the
 contents times the integer product, primitive by Gauss's lemma; an exact
-quotient is primitive for the same reason; negation, scalar products and
-`primitive()` touch only the content; sums, derivatives, dense slices and
-the integral substitutions `shear` and `swap_xy` take one content gcd
-(`_normalize`).  The public constructor validates its
-input and normalizes it the same way.
+quotient is primitive for the same reason; negation, scalar products,
+`primitive()`, a product with a constant operand and an exact quotient by
+a constant touch only the contents and reuse the other integer part, and
+a nonzero constant over a non-constant is refused before any packing;
+sums, derivatives, dense slices and the integral substitutions `shear`
+and `swap_xy` take one content gcd (`_normalize`).  The public
+constructor validates its input and normalizes it the same way.  A
+GCDHEU candidate of 1 proves the operands coprime, and the gcd returns
+them as their own cofactors, with no division and no unpacking.
 
 Division with remainder by a polynomial in one variable (`divmod_in`,
 `rem`) and the one extended Euclid over Q (`invmod`) also run on the
@@ -308,6 +312,8 @@ class MultiPoly(Value):
             return None
         if self.is_zero():
             return self
+        # a constant divides by its content alone, and a nonzero constant is
+        # a multiple of no non-constant polynomial
         if divisor.is_const():
             return _from_primitive(self.vars, self.cont / divisor.cont, self.ints)
         if self.is_const():
@@ -992,10 +998,6 @@ def resultant(p, q, var):
 
 def _exact_quotient(num, den):
     """num / den for a division the subresultant theorem makes exact."""
-    # a constant always divides; a chain from operands with constant leading
-    # coefficients in var (sheared curves) starts with constant g and h
-    if den.is_const():
-        return num * (1 / den.cont)
     quot = num.div_exact(den)
     if quot is None:
         raise InexactDivision(f"{den.render()} does not divide {num.render()}")

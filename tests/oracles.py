@@ -8,12 +8,13 @@ package polynomial through its public ring operations, for tests that need a
 substitution the package does not offer. `fraction_render` renders a package
 polynomial from its `Fraction` coefficients, as `MultiPoly.render` did before
 it read the integer parts, and `fraction_product` multiplies two package
-polynomials term by term on the same coefficients. `class_differences` replays the
-class test that `diagram_check` ran before its exact-division test, through
-the package's reduced forms, and `two_projection_cycle` replays the
-comparison of two projections that `intersection_cycle` ran before its
-substitution check; both import the package inside the function, so the
-script runs without it. Run as a script to print the frozen fixture values.
+polynomials term by term on the same coefficients. `class_differences`
+replays the class test that `diagram_check` ran before its exact-division
+test, through the package's reduced forms, and `two_projection_cycle`
+replays the comparison of two projections that `intersection_cycle` ran
+before its substitution check; both import the package inside the
+function, so the script runs without it. Run as a script to print the
+frozen fixture values.
 """
 
 from __future__ import annotations

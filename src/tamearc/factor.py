@@ -11,14 +11,16 @@ of degree 2 is decided by whether its discriminant is a square, and any
 other is split by a q-adic lift of its factors mod a prime q, whose
 F_q[t] arithmetic is poly's dense kernel.  A plane part of degree 1 in y
 is irreducible, and a higher one is split by an x-adic lift of the
-factors of a good specialization, on MultiPoly truncated in x with
-`poly.invmod` and `poly.rem` in y.  Both lifts share one Hensel tree,
-`_hensel_tree`, and one subset search, `_recombine`, exponential in the
-number of lifted factors, whose docstring holds the proof: each search
-is exhaustive within RECOMBINATION_BUDGET subsets and raises
-FactorIncomplete past it.  Every factor found is therefore tagged
-"proved".  A factor that a caller supplied is checked to divide, but its
-irreducibility is trusted, so it is tagged "user-asserted".
+factors of a good specialization, on the kernel's one division with
+remainder: the specialization p(x0, y) is `rem` by x - x0, a series is
+truncated by `rem` by x^k, and the corrections come from `poly.invmod`
+and `rem` in y.  Both lifts share one Hensel tree, `_hensel_tree`, and
+one subset search, `_recombine`, exponential in the number of lifted
+factors, whose docstring holds the proof: each search is exhaustive
+within RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.
+Every factor found is therefore tagged "proved".  A factor that a caller
+supplied is checked to divide, but its irreducibility is trusted, so it
+is tagged "user-asserted".
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from itertools import combinations
 from math import isqrt, prod
 from random import Random
 
-from .errors import FactorIncomplete, InexactDivision, InputError
+from .errors import FactorIncomplete, InputError
 from .poly import (
-    VARS_T,
     MultiPoly,
     _center,
+    _exact_quotient,
     _gcd_cofactors,
     _idiv_exact,
     _iprimitive,
@@ -407,24 +409,19 @@ def factor_univariate(p, hints=None):
 _SPECIALIZE_CANDIDATES = [0] + [s * k for k in range(1, 25) for s in (1, -1)]
 
 
-def _trunc_x(p, k):
-    return MultiPoly(p.vars, {e: c for e, c in p.terms.items() if e[0] < k})
-
-
 def _hensel_pair_series(target, u0, v0, k):
     """Lift target ≡ u0·v0 from mod x to mod x^k; u0, v0 in y alone, all monic in y."""
     s = invmod(u0, v0, "y")
     u, v = u0, v0
     for j in range(1, k):
-        diff = target - u * v
-        e = MultiPoly(target.vars, {(0, ey): c for (ex, ey), c in diff.terms.items() if ex == j})
-        if e.is_zero():
+        # target = u*v mod x^j, so the coefficient of x^j is the next correction
+        rows = (target - u * v).dense_in("x")
+        if len(rows) <= j or rows[j].is_zero():
             continue
+        e = rows[j]
         b = rem(s * e, v0, "y")
         # b*u0 = s*u0*e = e mod v0, so the division is exact
-        a = (e - b * u0).div_exact(v0)
-        if a is None:
-            raise InexactDivision(f"{v0.render()} does not divide the lift correction")
+        a = _exact_quotient(e - b * u0, v0)
         xj = MultiPoly(target.vars, {(j, 0): _ONE})
         u = u + xj * a
         v = v + xj * b
@@ -432,20 +429,15 @@ def _hensel_pair_series(target, u0, v0, k):
 
 
 def _pick_specialization(p):
-    cy = p.dense_in("y")
-    lc = cy[-1]
+    """(x0, u) with u = p(x0, y) squarefree and lc_y(p)(x0) != 0, as a polynomial in y."""
+    x, dy = MultiPoly.variable("x"), p.deg_in("y")
     for x0 in _SPECIALIZE_CANDIDATES:
-        if lc.eval_all({"x": x0, "y": 0}) == 0:
-            continue
-        u = MultiPoly.from_dense(VARS_T, "t", [c.eval_all({"x": x0, "y": 0}) for c in cy])
-        if poly_gcd(u, u.derivative("t")).degree() == 0:
+        # p mod (x - x0) is p(x0, y), of full y-degree exactly when lc_y(p)(x0) != 0
+        u = rem(p, x - x0, "x")
+        if u.deg_in("y") == dy and poly_gcd(u, u.derivative("y")).degree() == 0:
             return x0, u
     raise FactorIncomplete(
         f"no good specialization found for {p.render()!r}; supply a factor hint")
-
-
-def _lc_series(p, k):
-    return _trunc_x(p.lc_in("y"), k)
 
 
 def _split_primitive_y(p):
@@ -462,7 +454,10 @@ def _split_primitive_y(p):
     u = a(x0, y)*b(x0, y) would split.  Hence p is irreducible.
 
     Case 2, u splits.  Shift x0 to 0 and lift the monic factors of u to
-    precision k = 2*deg_x + 1 over Q[[x]].  A factor a of `work`, made
+    precision k = 2*deg_x + 1 over Q[[x]], truncating by `rem` by x^k.
+    The target is p times the inverse of lc_y(p) mod x^k, truncated; its
+    y^deg_y coefficient is lc_y(p) times that inverse mod x^k, which is 1,
+    so it is monic in y as it stands.  A factor a of `work`, made
     monic in y over Q[[x]], is the product of a subset of the lifted
     factors, because u is squarefree.  Then lc_y(work) * product =
     lc_y(work/a) * a has x-degree at most deg_x(work) <= deg_x(p) < k, so
@@ -476,28 +471,23 @@ def _split_primitive_y(p):
         return [(p.primitive(), 1, PROVED,
                  f"specialization x = {x0} stays irreducible")]
     shifted = p.shear(0, x0)
-    dy = shifted.deg_in("y")
     k = 2 * shifted.deg_in("x") + 1
     x_k = MultiPoly(p.vars, {(k, 0): _ONE})
-    target = _trunc_x(shifted * invmod(_lc_series(shifted, k), x_k, "x"), k)
-    terms = {e: c for e, c in target.terms.items() if e[1] < dy}
-    terms[(0, dy)] = _ONE
-    target = MultiPoly(p.vars, terms)
+    target = rem(shifted * invmod(shifted.lc_in("y"), x_k, "x"), x_k, "x")
     # sorted as the monic coefficient lists, lowest degree first
-    pool = sorted((MultiPoly.from_dense(p.vars, "y", t.poly.dense_fractions("t"))
-                   * (1 / t.poly.lc()) for t in u_fact.factors),
+    pool = sorted((t.poly * (1 / t.poly.lc()) for t in u_fact.factors),
                   key=lambda f: f.dense_fractions("y"))
 
     def lift(target, left, right):
         return _hensel_pair_series(target, prod(left), prod(right), k)
 
     def candidate(work):
-        lead = _lc_series(work, k)
+        lead = work.lc_in("y")
 
         def of(factors):
             cand = lead
             for f in factors:
-                cand = _trunc_x(cand * f, k)
+                cand = rem(cand * f, x_k, "x")
             return cand.div_exact(content_in(cand, "y")).primitive()
         return of
 

@@ -23,7 +23,8 @@ them as their own cofactors, with no division and no unpacking.
 Division with remainder by a polynomial in one variable (`divmod_in`,
 `rem`) and the one extended Euclid over Q (`invmod`) also run on the
 integer parts; residue fields Q[x]/(u), polynomials over them and
-truncated power series are MultiPoly reduced by `rem`.  Rational functions
+truncated power series are MultiPoly reduced by `rem`, and so is a
+specialization p(x0, y), the remainder of p by x - x0.  Rational functions
 are kept in a unique normal form (reduced, denominator with content 1),
 and gcds run on the integer parts.  Sums, differences, products and
 quotients reach that form by Henrici's rule, from gcds of the operands'
@@ -379,15 +380,6 @@ class MultiPoly(Value):
         if self.vars != VARS_XY:
             raise ValueError("swap_xy needs a polynomial in x, y")
         return _normalize(self.vars, self.cont, {(j, i): v for (i, j), v in self.ints.items()})
-
-    def eval_all(self, values):
-        total = 0
-        for e, v in self.ints.items():
-            for name, n in zip(self.vars, e):
-                if n:
-                    v *= _as_fraction(values[name]) ** n
-            total += v
-        return self.cont * total
 
     # content and normal forms
 

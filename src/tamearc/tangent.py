@@ -355,14 +355,19 @@ def tangent_cocycle(arcs):
 
     A pass means the specialized units multiply to the trivial K1 cycle, so
     the family represents a tangent-space element; the witness lists the
-    tangent classes of the arcs, the geometric tangent datum.
+    tangent classes of the arcs, the geometric tangent datum.  The arc
+    forms on each curve are summed as one fraction (_arc_sums) and reduced
+    once, to the sum of the tangent3 classes, represented by the summed
+    form whatever the order of the arcs.
     """
     variety = arcs[0].curve.variety if arcs else A2
     spec_cycle = specialize_arcs(arcs, variety)
     classes = {}
-    for a in arcs:
-        curve, cls = tangent3(a)
-        classes[curve] = classes[curve] + cls if curve in classes else cls
+    for curve, arc_sum in _arc_sums(arcs).items():
+        if arc_sum is not None:
+            nums, den, _ = arc_sum
+            classes[curve] = LocalCohClass.of(
+                curve, DiffForm(curve.poly.vars, tuple(RatFunc(n, den) for n in nums)))
     datum = "; ".join(
         f"{curve.render()}: {classes[curve].render()}"
         for curve in sorted(classes, key=lambda p: p.sort_key())

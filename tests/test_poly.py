@@ -38,7 +38,7 @@ from tamearc.poly import (
 )
 
 import frozen
-from oracles import fraction_product, fraction_render, fraction_render_ratfunc, subst
+from oracles import fraction_product, fraction_render, fraction_render_ratfunc, peval, subst
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -437,6 +437,28 @@ class TestDivmodIn:
         f = Fraction(1, 3) * X * Y ** 4 - Y
         assert divmod_in(f, g, "x") == (zero, f)
         self.check(f, g, "x", _SX)
+
+    def test_truncation_and_the_remainder_theorem(self):
+        # the plane factorizer's two jobs for rem: p mod x^k keeps exactly
+        # the terms of x-degree below k, and p mod (x - x0) is p(x0, y)
+        rng = random.Random(14)
+        one = MultiPoly.const(VARS_XY, 1)
+        pool = [MultiPoly.zero(VARS_XY), Fraction(-5, 3) * one,
+                Fraction(2, 7) * Y ** 3 - Y + 4 * one]
+        pool += [rand_poly(rng, VARS_XY, 7, 8) for _ in range(60)]
+        pool += [subst(rand_poly(rng, VARS_T, 5), {"t": Y}) for _ in range(10)]
+        points = (0, 1, -2, 7, Fraction(-3, 2), Fraction(5, 4))
+        for p in pool:
+            for k in range(1, max(p.deg_in("x"), 0) + 3):
+                want = {e: c for e, c in p.terms.items() if e[0] < k}
+                assert rem(p, X ** k, "x").terms == want, (p.render(), k)
+            for x0 in points:
+                want = {}
+                for (i, j), c in p.terms.items():
+                    want[(0, j)] = want.get((0, j), Fraction(0)) + c * Fraction(x0) ** i
+                got = rem(p, X - x0, "x")
+                assert got.terms == {e: c for e, c in want.items() if c}, (p.render(), x0)
+                assert peval(got.terms, 0, 3) == peval(p.terms, x0, 3)
 
     def test_errors(self):
         f = X ** 3 + Y

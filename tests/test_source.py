@@ -98,6 +98,15 @@ def test_trusted_arcs_and_residues_stay_in_their_modules():
     assert named == {name: [owner] for name, owner in owners.items()}
 
 
+def test_factor_reads_no_fraction_view():
+    # the factorizer runs on the kernel's integer parts, truncating and
+    # specializing by rem; the Fraction view `terms` is for renderers
+    tree = ast.parse((PACKAGE / "factor.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert not found, found
+
+
 def test_no_uncalled_private_functions():
     # a private module-level function or class that no other code names is dead
     defined = {}

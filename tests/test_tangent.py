@@ -586,3 +586,58 @@ class TestTangentCocycle:
         cert = tangent_cocycle([a1, a2])
         assert cert.verdict
         assert dict(cert.witness)["tangent classes"] != "0"
+
+    def test_classes_are_the_sums_of_tangent3_classes(self):
+        # one reduction per curve of the summed arc forms, against the
+        # tangent3 classes added arc by arc; families repeat arcs and flip
+        # signs.  Both are the same class.  They are the same text unless an
+        # arc's class or a running sum was zero over a nonzero form: a zero
+        # class keeps no form, so the sum arc by arc dropped that regular part
+        rng = random.Random(29)
+        curves = [V_X, V_Y, PrimeDivisor(A2, (x + y - ONE_XY).num),
+                  PrimeDivisor(A2, (y - x ** 2).num)]
+        dropped = cancelled = repeated = 0
+        for _ in range(60):
+            base = []
+            while len(base) < 3:
+                curve = rng.choice(curves)
+                body = rand_poly(rng, VARS_XY, 2) + rng.randint(1, 5)
+                if curve.poly.divides(body):
+                    continue
+                unit = DualRatFunc(RatFunc(body), RatFunc(rand_poly(rng, VARS_XY, 2)))
+                base.append((curve, RatFunc(rand_poly(rng, VARS_XY, 2)), unit))
+            arcs = [GGArc(*rng.choice(base), sign=rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 7))]
+            sums, forms, drops = {}, {}, set()
+            for a in arcs:
+                curve, cls = tangent3(a)
+                form = tangent.arc_form(a)
+                sums[curve] = sums[curve] + cls if curve in sums else cls
+                forms[curve] = forms[curve] + form if curve in forms else form
+                if any(c.is_zero() and not f.is_zero()
+                       for c, f in ((cls, form), (sums[curve], forms[curve]))):
+                    drops.add(curve)
+            want = []
+            for curve in sorted(sums, key=lambda p: p.sort_key()):
+                cls = LocalCohClass.of(curve, forms[curve])
+                assert (cls - sums[curve]).is_zero()
+                assert curve in drops or cls == sums[curve]
+                if not cls.is_zero():
+                    want.append(f"{curve.render()}: {cls.render()}")
+            assert (dict(tangent_cocycle(arcs).witness)["tangent classes"]
+                    == ("; ".join(want) or "0"))
+            dropped += bool(drops)
+            cancelled += any(cls.is_zero() for cls in sums.values())
+            repeated += len(set(arcs)) < len(arcs)
+        assert dropped > 3 and cancelled > 5 and repeated > 20, (dropped, cancelled, repeated)
+
+    def test_classes_do_not_depend_on_the_order_of_the_arcs(self):
+        # b1 + b2 is regular along V(x) but not zero; the class of the summed
+        # forms keeps that regular part whatever the order of the arcs
+        unit = DualRatFunc(y, ZERO_XY)
+        b1 = GGArc(curve=V_X, datum=ONE_XY, unit=unit, sign=1)
+        b2 = GGArc(curve=V_X, datum=ONE_XY + x, unit=unit, sign=-1)
+        assert tangent3(b1)[1] + tangent3(b2)[1] == LocalCohClass(V_X, 0, DiffForm.zero(VARS_XY))
+        for arcs in ([b1, b2, b1], [b1, b1, b2], [b2, b1, b1]):
+            assert (dict(tangent_cocycle(arcs).witness)["tangent classes"]
+                    == "V(x): [((x - 1)/y)*dy] / (x)")

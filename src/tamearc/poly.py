@@ -989,7 +989,11 @@ def resultant(p, q, var):
 
 
 def _exact_quotient(num, den):
-    """num / den for a division the subresultant theorem makes exact."""
+    """num / den for a division known to be exact.
+
+    The subresultant theorem makes the chain's divisions exact, and the
+    plane lift's corrections are exact by construction.
+    """
     quot = num.div_exact(den)
     if quot is None:
         raise InexactDivision(f"{den.render()} does not divide {num.render()}")

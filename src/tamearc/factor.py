@@ -3,21 +3,23 @@
 Both factorizers divide out the hint factors named for the polynomial
 itself, then split the rest once by Yun's squarefree decomposition (Yun,
 SYMSAC 1976); a plane curve first loses its content in y, which is
-factored as a polynomial in x.  A rest of degree 1 skips Yun: it is one
-irreducible factor as it stands, for a plane curve when it has degree 1
-in y and involves x.  Each squarefree part is factored once.  A
-univariate part stays in integers: one of degree 1 is irreducible, one
-of degree 2 is decided by whether its discriminant is a square, and any
-other is split by a q-adic lift of its factors mod a prime q, whose
-F_q[t] arithmetic is poly's dense kernel.  A plane part of degree 1 in y
-is irreducible, and a higher one is split by an x-adic lift of the
-factors of a good specialization, on the kernel's one division with
-remainder: the specialization p(x0, y) is `rem` by x - x0, a series is
-truncated by `rem` by x^k, and the corrections come from `poly.invmod`
-and `rem` in y.  Both lifts share one Hensel tree, `_hensel_tree`, and
-one subset search, `_recombine`, exponential in the number of lifted
-factors, whose docstring holds the proof: each search is exhaustive
-within RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.
+factored as a polynomial in x.  A rest of degree 1 (in y, for a plane
+curve) skips Yun: it is its own squarefree part.  Each squarefree part
+is factored once and never split again: a univariate one, a plane part
+without x and the squarefree specialization of the plane lift all go
+straight to the integer factorizer.  A univariate part stays in
+integers: one of degree 1 is irreducible, one of degree 2 is decided by
+whether its discriminant is a square, and any other is split by a q-adic
+lift of its factors mod a prime q, whose F_q[t] arithmetic is poly's
+dense kernel.  A plane part of degree 1 in y is irreducible, and a
+higher one is split by an x-adic lift of the factors of a good
+specialization, on the kernel's one division with remainder: the
+specialization p(x0, y) is `rem` by x - x0, a series is truncated by
+`rem` by x^k, and the corrections come from `poly.invmod` and `rem` in
+y.  Both lifts share one Hensel tree, `_hensel_tree`, and one subset
+search, `_recombine`, exponential in the number of lifted factors, whose
+docstring holds the proof: each search is exhaustive within
+RECOMBINATION_BUDGET subsets and raises FactorIncomplete past it.
 Every factor found is therefore tagged "proved".  A factor that a caller
 supplied is checked to divide, but its irreducibility is trusted, so it
 is tagged "user-asserted".
@@ -350,13 +352,12 @@ def _yun(f, var):
 def _factor_squarefree(f):
     """Irreducible factors of a squarefree dense integer-primitive list with lc > 0.
 
-    Complete; returns (dense integer-primitive factor, note) pairs, all proved.
-    A quadratic a*t^2 + b*t + c splits over Q exactly when D = b^2 - 4ac is
-    a square r^2, and then 4a*f = (2a*t + b - r)(2a*t + b + r); by Gauss's
-    lemma the primitive parts of the two factors multiply to f.
+    f has degree at least 2.  Complete; returns (dense integer-primitive
+    factor, note) pairs, all proved.  A quadratic a*t^2 + b*t + c splits
+    over Q exactly when D = b^2 - 4ac is a square r^2, and then 4a*f =
+    (2a*t + b - r)(2a*t + b + r); by Gauss's lemma the primitive parts of
+    the two factors multiply to f.
     """
-    if udeg(f) == 1:
-        return [(f, "degree 1")]
     if udeg(f) == 2:
         c, b, a = f
         disc = b * b - 4 * a * c
@@ -369,38 +370,51 @@ def _factor_squarefree(f):
     return [(g, note) for g in factors]
 
 
-def _active_variable(p):
-    live = [v for v in p.vars if p.deg_in(v) > 0]
-    if len(live) > 1:
-        raise ValueError(f"{p.render()!r} is not univariate")
-    return live[0] if live else None
+def _parts(f, var):
+    """Yun's split of f in var; at degree 1, f made primitive is its own part."""
+    if f.deg_in(var) == 1:
+        return [(f.primitive(), 1)]
+    return _yun(f, var)
+
+
+def _univariate_entries(parts, var):
+    """Entries for (squarefree part, multiplicity) pairs of polynomials in var alone.
+
+    A part of degree 1 is irreducible as it stands; any other goes to
+    `_factor_squarefree` once, with no second squarefree split.
+    """
+    entries = []
+    for part, mult in parts:
+        if part.deg_in(var) == 1:
+            entries.append((part, mult, PROVED, "degree 1"))
+            continue
+        # part has content 1 and one live variable, so stride 1 lists its coefficients
+        for fac, note in _factor_squarefree(_pack(part.ints, 1)):
+            entries.append((MultiPoly.from_dense(part.vars, var, fac), mult, PROVED, note))
+    return entries
 
 
 def factor_univariate(p, hints=None):
     """Complete factorization over Q of a polynomial in one variable.
 
     Verified hint factors are divided out first, so pre-factored input
-    needs no recombination.  What is left is irreducible when it has
-    degree 1, and skips Yun's split.  Otherwise each squarefree part of the
-    split goes to the modular lift, unless it has degree 1 or 2 (see
-    `_factor_squarefree`); its recombination raises FactorIncomplete past
-    RECOMBINATION_BUDGET subsets, and the size of the coefficients costs
-    only lift precision.
+    needs no recombination.  What is left is split once by Yun, unless it
+    has degree 1 and is its own part, and each squarefree part is factored
+    once: degree 1 is irreducible, degree 2 is decided by its discriminant
+    (see `_factor_squarefree`), and any other goes to the modular lift,
+    whose recombination raises FactorIncomplete past RECOMBINATION_BUDGET
+    subsets; the size of the coefficients costs only lift precision.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    var = _active_variable(p)
-    if var is None:
+    live = [v for v in p.vars if p.deg_in(v) > 0]
+    if len(live) > 1:
+        raise ValueError(f"{p.render()!r} is not univariate")
+    if not live:
         return Factorization(p.const_value(), ())
+    var, = live
     work, entries = _extract_hints(p, _hinted(hints, p))
-    if work.deg_in(var) == 1:
-        entries.append((work.primitive(), 1, PROVED, "degree 1"))
-        return _finish(p, entries)
-    for sqf, mult in _yun(work, var):
-        # sqf has content 1 and one live variable, so stride 1 lists its coefficients
-        for fac, note in _factor_squarefree(_pack(sqf.ints, 1)):
-            poly = MultiPoly.from_dense(p.vars, var, fac)
-            entries.append((poly, mult, PROVED, note))
+    entries.extend(_univariate_entries(_parts(work, var), var))
     return _finish(p, entries)
 
 
@@ -446,12 +460,14 @@ def _split_primitive_y(p):
     Every entry is proved irreducible.  p is y-primitive because
     `factor_plane_curve` removed `content_in(p, "y")`, so a factor of p with
     y-degree 0 is a constant.  `_pick_specialization` gives x0 with
-    lc_y(p)(x0) != 0 and u = p(x0, y) squarefree of full y-degree.
+    lc_y(p)(x0) != 0 and u = p(x0, y) squarefree of full y-degree, so u
+    goes to `_factor_squarefree` with no squarefree split of its own.
 
-    Case 1, u irreducible.  Suppose p = a*b, neither factor constant.
-    Neither lies in Q[x], so both have positive y-degree.  As lc_y(p) =
-    lc_y(a)*lc_y(b), neither leading coefficient vanishes at x0, so
-    u = a(x0, y)*b(x0, y) would split.  Hence p is irreducible.
+    Case 1, u has one factor, so it is irreducible.  Suppose p = a*b,
+    neither factor constant.  Neither lies in Q[x], so both have positive
+    y-degree.  As lc_y(p) = lc_y(a)*lc_y(b), neither leading coefficient
+    vanishes at x0, so u = a(x0, y)*b(x0, y) would split.  Hence p is
+    irreducible.
 
     Case 2, u splits.  Shift x0 to 0 and lift the monic factors of u to
     precision k = 2*deg_x + 1 over Q[[x]], truncating by `rem` by x^k.
@@ -466,8 +482,9 @@ def _split_primitive_y(p):
     precision bounds).
     """
     x0, u = _pick_specialization(p)
-    u_fact = factor_univariate(u)
-    if len(u_fact.factors) == 1 and u_fact.factors[0].multiplicity == 1:
+    # u has content 1 and y alone, so stride 1 lists its coefficients
+    u_factors = _factor_squarefree(_pack(u.ints, 1))
+    if len(u_factors) == 1:
         return [(p.primitive(), 1, PROVED,
                  f"specialization x = {x0} stays irreducible")]
     shifted = p.shear(0, x0)
@@ -475,8 +492,8 @@ def _split_primitive_y(p):
     x_k = MultiPoly(p.vars, {(k, 0): _ONE})
     target = rem(shifted * invmod(shifted.lc_in("y"), x_k, "x"), x_k, "x")
     # sorted as the monic coefficient lists, lowest degree first
-    pool = sorted((t.poly * (1 / t.poly.lc()) for t in u_fact.factors),
-                  key=lambda f: f.dense_fractions("y"))
+    monic = sorted([Fraction(c, fac[-1]) for c in fac] for fac, _ in u_factors)
+    pool = [MultiPoly.from_dense(p.vars, "y", f) for f in monic]
 
     def lift(target, left, right):
         return _hensel_pair_series(target, prod(left), prod(right), k)
@@ -500,19 +517,16 @@ def _split_primitive_y(p):
             for f, note in zip(found + [rest], notes)]
 
 
-def _univariate_entries(p):
-    return [(t.poly, t.multiplicity, t.certificate, t.evidence)
-            for t in factor_univariate(p).factors]
-
-
 def factor_plane_curve(p, hints=None):
     """Factor a bivariate polynomial into primitive irreducible parts.
 
     After the hint factors for p are divided out, a polynomial in x alone
-    goes to factor_univariate; otherwise the y-content is factored in x.  A
-    rest of degree 1 in y that involves x is irreducible (its y-content is
-    1) and skips Yun's split; any other rest is split by Yun in y and each
-    part factored once; the part's index is the multiplicity of its
+    takes factor_univariate's path; otherwise the y-content is factored in
+    x on that path, and the rest is split once by Yun in y, unless it has
+    degree 1 in y and is its own part.  Each part is factored once, with no
+    second split: one without x on the univariate path, one of degree 1 in
+    y as it stands (its y-content is 1), and any other by
+    `_split_primitive_y`; the part's index is the multiplicity of its
     factors.
     """
     if p.is_zero():
@@ -522,18 +536,15 @@ def factor_plane_curve(p, hints=None):
     work, entries = _extract_hints(p, _hinted(hints, p))
     if work.deg_in("y") < 1:
         if work.deg_in("x") >= 1:
-            entries.extend(_univariate_entries(work))
+            entries.extend(_univariate_entries(_parts(work, "x"), "x"))
         return _finish(p, entries)
     cont = content_in(work, "y")
     if not cont.is_const():
-        entries.extend(_univariate_entries(cont))
+        entries.extend(_univariate_entries(_parts(cont, "x"), "x"))
         work = work.div_exact(cont)
-    if work.deg_in("y") == 1 and work.deg_in("x") >= 1:
-        entries.append((work.primitive(), 1, PROVED, "degree 1 in y and primitive"))
-        return _finish(p, entries)
-    for part, mult in _yun(work, "y"):
+    for part, mult in _parts(work, "y"):
         if part.deg_in("x") == 0:
-            found = _univariate_entries(part)
+            found = _univariate_entries([(part, 1)], "y")
         elif part.deg_in("y") == 1:
             found = [(part, 1, PROVED, "degree 1 in y and primitive")]
         else:

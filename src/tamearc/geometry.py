@@ -59,7 +59,6 @@ from .poly import (
 )
 from .value import Value
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -424,38 +423,33 @@ def _fiber_gcd(chain, u):
 
 # canonical presentation of a closed point from residue-field data
 
-def _solve_linear(columns):
-    """The pivots and the dependencies of rational column vectors, fraction-free.
+def _solve_linear(columns, k):
+    """The pivots and the dependencies of reduced elements of F, fraction-free.
 
-    Each column is scaled to a primitive integer vector, and the matrix is
-    brought to reduced echelon form by Gauss-Jordan elimination over Z: a
-    row r is replaced by p * r - f * top for the pivot row top, with p the
-    pivot and f the entry of r in its column, both divided by their gcd,
-    and the new row is divided by its content.  Rows stay primitive, the
-    integer analogue of a primitive remainder sequence: every division is
-    exact, no Fraction is built inside the loop, and the entries stay the
-    size of the reduced echelon form's rows cleared of denominators.
-    (Bareiss's rule keeps the minors of the scaled matrix instead; on the
-    power basis of a residue-field element with large coefficients those
-    grow far beyond the answer.)  Returns (pivots, relations): pivots
-    lists, in order, the indices of the columns that are not combinations
-    of the columns before them, so the rank is len(pivots); relations maps
-    every other index j to the Fractions c with columns[j] = sum(c[i] *
-    columns[pivots[i]]) over the pivots before j.  The vectors e_j -
-    sum(c[i] * e_pivots[i]) are the reduced echelon basis of the kernel.
+    Each column is an element of F = Q[x]/(u), deg u = k, as a polynomial
+    in x of degree below k, and its coordinates in 1, x, ..., x^(k-1) are
+    its content times its integer part.  The integer part is already
+    primitive, so it is the column's vector and the content its scale; a
+    sign the content carries leaves every ratio of scales and entries
+    unchanged.  The matrix is brought to reduced echelon form by
+    Gauss-Jordan elimination over Z: a row r is replaced by p * r - f * top
+    for the pivot row top, with p the pivot and f the entry of r in its
+    column, both divided by their gcd, and the new row is divided by its
+    content.  Rows stay primitive, the integer analogue of a primitive
+    remainder sequence: every division is exact, no Fraction is built
+    inside the loop, and the entries stay the size of the reduced echelon
+    form's rows cleared of denominators.  (Bareiss's rule keeps the minors
+    of the scaled matrix instead; on the power basis of a residue-field
+    element with large coefficients those grow far beyond the answer.)
+    Returns (pivots, relations): pivots lists, in order, the indices of the
+    columns that are not combinations of the columns before them, so the
+    rank is len(pivots); relations maps every other index j to the
+    Fractions c with columns[j] = sum(c[i] * columns[pivots[i]]) over the
+    pivots before j.  The vectors e_j - sum(c[i] * e_pivots[i]) are the
+    reduced echelon basis of the kernel.
     """
-    scales, vectors = [], []
-    for column in columns:
-        den = 1
-        for c in column:
-            d = c.denominator
-            if d != 1:
-                den = den * d // _int_gcd(den, d)
-        ints = [c.numerator * (den // c.denominator) for c in column]
-        g = _int_gcd(*ints) or 1
-        scales.append(Fraction(g, den))
-        vectors.append([v // g for v in ints])
-    rows = [list(row) for row in zip(*vectors)]
+    scales = [c.cont for c in columns]
+    rows = [[c.ints.get((i, 0), 0) for c in columns] for i in range(k)]
     pivots, relations = [], {}
     for col in range(len(columns)):
         r = len(pivots)
@@ -477,12 +471,6 @@ def _solve_linear(columns):
                 rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
     return pivots, relations
-
-
-def _vec(a, k):
-    """The coordinates of a reduced element of F in the basis 1, x, ..., x^(k-1)."""
-    terms = a.terms
-    return [terms.get((i, 0), _ZERO) for i in range(k)]
 
 
 def canonical_point(u, a_val, b_val):
@@ -517,7 +505,7 @@ def canonical_point(u, a_val, b_val):
     pows = [one]
     for _ in range(k):
         pows.append(rem(pows[-1] * a_val, u, "x"))
-    _, relations = _solve_linear([_vec(a, k) for a in pows] + [_vec(b_val, k)])
+    _, relations = _solve_linear(pows + [b_val], k)
     k0 = min(relations)
     u0 = MultiPoly.from_dense(VARS_XY, "x", [-c for c in relations[k0]] + [_ONE])
     if k0 == k:
@@ -529,8 +517,8 @@ def canonical_point(u, a_val, b_val):
     for _ in range(J):
         b_pows.append(rem(b_pows[-1] * b_val, u, "x"))
     labels = [(i, j) for j in range(J) for i in range(k0)]
-    columns = [_vec(rem(b_pows[j] * pows[i], u, "x"), k) for i, j in labels]
-    pivots, relations = _solve_linear(columns + [_vec(b_pows[J], k)])
+    columns = [rem(b_pows[j] * pows[i], u, "x") for i, j in labels]
+    pivots, relations = _solve_linear(columns + [b_pows[J]], k)
     if len(pivots) < k:
         raise ProjectionDisagreement("fiber data does not generate the residue field")
     terms = {(0, J): _ONE}

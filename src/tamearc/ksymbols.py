@@ -230,6 +230,10 @@ class GGArc(Value):
         if not datum.is_zero() and valuation(datum, curve) < 0:
             raise EpsDatumIrregular(
                 f"datum {datum.render()} has a pole along {curve.render()}")
+        self._set_checking_eps(curve, datum, unit, sign)
+
+    def _set_checking_eps(self, curve, datum, unit, sign):
+        """Set the fields once the unit's eps part has no pole along the curve."""
         if not unit.eps.is_zero() and valuation(unit.eps, curve) < 0:
             raise EpsDatumIrregular(
                 f"unit eps part {unit.eps.render()} has a pole along "
@@ -248,15 +252,8 @@ class GGArc(Value):
         _component_arcs has tested the datum for a pole; of __init__'s
         checks only the one on the unit's eps part is left to run.
         """
-        if not unit.eps.is_zero() and valuation(unit.eps, curve) < 0:
-            raise EpsDatumIrregular(
-                f"unit eps part {unit.eps.render()} has a pole along "
-                f"{curve.render()}")
         out = object.__new__(cls)
-        object.__setattr__(out, "curve", curve)
-        object.__setattr__(out, "datum", datum)
-        object.__setattr__(out, "unit", unit)
-        object.__setattr__(out, "sign", sign)
+        out._set_checking_eps(curve, datum, unit, sign)
         return out
 
     def render(self):

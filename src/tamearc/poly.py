@@ -582,10 +582,10 @@ def _center(c, m):
     return c - m if 2 * c > m else c
 
 
-def _iprimitive(f):
-    """The primitive part, lc > 0, of a nonzero trimmed dense int list."""
+def _iprimitive(f, lead=-1):
+    """The primitive part of a nonzero dense int list with f[lead] > 0 (lc by default)."""
     g = _int_gcd(*f)
-    return [v // (g if f[-1] > 0 else -g) for v in f]
+    return [v // (g if f[lead] > 0 else -g) for v in f]
 
 
 def _pack(ints, stride):
@@ -781,9 +781,9 @@ def _lift_y(gamma, xi, stride):
             k = i + j * stride
             h.extend([0] * (k + 1 - len(h)))
             h[k] = d
-    hc = _int_gcd(*h)
+    # the graded-lex leading term: highest total degree, then highest x-degree
     _, _, lead = max((k % stride + k // stride, k % stride, k) for k, v in enumerate(h) if v)
-    return [v // (hc if h[lead] > 0 else -hc) for v in h]
+    return _iprimitive(h, lead)
 
 
 def _idiv_packed(f, h, stride):

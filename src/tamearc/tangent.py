@@ -74,13 +74,6 @@ class DiffForm(Value):
     def scale(self, factor):
         return DiffForm(self.vars, tuple(c * factor for c in self.coeffs))
 
-    def __eq__(self, other):
-        return (isinstance(other, DiffForm) and self.vars == other.vars
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.vars, self.coeffs))
-
     def render(self):
         parts = []
         for c, d in zip(self.coeffs, _DIFFS[self.vars]):

@@ -238,6 +238,32 @@ class TestPlaneCurve:
             (X - three, 2), (X * X + three, 1)}
         assert factor_plane_curve(MultiPoly.const(VARS_XY, 7)).factors == ()
 
+    def test_each_polynomial_is_split_once(self, monkeypatch):
+        # a Yun part without x and a squarefree specialization are factored
+        # as they stand, so one Yun split in y serves the whole curve
+        calls = []
+        inner = tamearc.factor._yun
+        monkeypatch.setattr(tamearc.factor, "_yun",
+                            lambda f, var: calls.append(var) or inner(f, var))
+        two = MultiPoly.const(VARS_XY, 2)
+        line = Y - 2 * X - MultiPoly.const(VARS_XY, 1)
+        cases = [
+            ((Y * Y - two) * (X * Y + 1) ** 2, [
+                (Y * Y - two, 1, "degree 2, discriminant not a square"),
+                (X * Y + 1, 2, "degree 1 in y and primitive")]),
+            # (y - x)*(y - 2x - 1) at x = 0 is y*(y - 1), which splits
+            ((Y - X) * line, [
+                (X - Y, 1, "degree 1 in y and primitive"),
+                (-line, 1, "series lift at x = 0")]),
+        ]
+        for p, expected in cases:
+            calls.clear()
+            fac = factor_plane_curve(p)
+            assert calls == ["y"]
+            assert fac.verify(p) and fac.unit == 1
+            assert [(t.poly, t.multiplicity, t.certificate, t.evidence)
+                    for t in fac.factors] == [(f, m, PROVED, note) for f, m, note in expected]
+
     def test_pinned_cuspidal(self):
         p = Y * Y - X ** 3
         fac = factor_plane_curve(p)

@@ -351,9 +351,11 @@ class TestFiber:
 class TestSolveLinear:
     def test_pivots_and_relations_match_sympy_rref(self):
         # columns with planted dependencies, zero columns and rational
-        # entries; the pivots are sympy's and each relation rebuilds its column
+        # entries, each passed as the element of F with those coordinates,
+        # whose content is negative when its last nonzero coordinate is; the
+        # pivots are sympy's and each relation rebuilds its column
         rng = random.Random(17)
-        ranks = set()
+        ranks, signs = set(), set()
         for _ in range(60):
             rows, n = rng.randint(1, 6), rng.randint(1, 8)
             columns = []
@@ -366,7 +368,9 @@ class TestSolveLinear:
                     column = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                               for _ in range(rows)]
                 columns.append(column)
-            pivots, relations = geometry._solve_linear(columns)
+            elements = [MultiPoly.from_dense(VARS_XY, "x", column) for column in columns]
+            signs.update(e.cont < 0 for e in elements)
+            pivots, relations = geometry._solve_linear(elements, rows)
             matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
                                     for c in row] for row in zip(*columns)])
             assert tuple(pivots) == matrix.rref()[1]
@@ -377,7 +381,7 @@ class TestSolveLinear:
                 assert [sum((c * columns[p][i] for c, p in zip(coeffs, before)), Fraction(0))
                         for i in range(rows)] == columns[j]
             ranks.add(len(pivots) == min(rows, n))
-        assert ranks == {True, False}
+        assert ranks == {True, False} and signs == {True, False}
 
 
 class TestCanonicalPoint:

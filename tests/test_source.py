@@ -255,3 +255,15 @@ def test_cli_import_loads_no_code_generation_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == ""
+
+
+def test_factor_never_calls_its_public_factorizers():
+    # each part is factored once on the private path; a call of
+    # factor_univariate or factor_plane_curve from inside would split it again
+    path = PACKAGE / "factor.py"
+    public = {"factor_univariate", "factor_plane_curve"}
+    found = [f"factor.py:{node.lineno} {node.func.id}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in public]
+    assert not found, found

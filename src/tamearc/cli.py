@@ -148,10 +148,12 @@ def _arc(fields, vars, hints):
     datum = _plain(datum, vars, "datum")
     unit = _dual(unit, vars)
     try:
-        sign = int(sign)
+        value = int(sign)
     except ValueError:
-        raise InputError(f"arc sign must be +1 or -1: {sign!r}") from None
-    return GGArc(curve=curve, datum=datum, unit=unit, sign=sign)
+        value = None
+    if value not in (1, -1):
+        raise InputError(f"arc sign must be +1 or -1: {sign!r}")
+    return GGArc(curve=curve, datum=datum, unit=unit, sign=value)
 
 
 def _arcs(job, vars, hints):

@@ -3,17 +3,19 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Five exceptions read package objects. `subst` substitutes into a
+point. Six exceptions read package objects. `subst` substitutes into a
 package polynomial through its public ring operations, for tests that need a
 substitution the package does not offer. `fraction_render` renders a package
 polynomial from its `Fraction` coefficients, as `MultiPoly.render` did before
 it read the integer parts, and `fraction_product` multiplies two package
-polynomials term by term on the same coefficients. `class_differences`
+polynomials term by term on the same coefficients. `composite_tangent2`
+builds `tangent2` by reduced rational-function operations, as it was built
+before it took one fraction per coefficient. `class_differences`
 replays the class test that `diagram_check` ran before its exact-division
 test, through the package's reduced forms, and `two_projection_cycle`
 replays the comparison of two projections that `intersection_cycle` ran
-before its substitution check; both import the package inside the
-function, so the script runs without it. Run as a script to print the
+before its substitution check. These three import the package inside
+the function, so the script runs without it. Run as a script to print the
 frozen fixture values.
 """
 
@@ -237,6 +239,25 @@ def fraction_render_ratfunc(r):
 
 
 # the class test of diagram_check by reduced forms, one arc at a time
+
+
+def composite_tangent2(s):
+    """tangent2 of the dual symbol s, sum of coeff*(g1*df - f1*dg)/(f*g).
+
+    Each term is built from differentials, scalings, a difference, a
+    product and an inverse of reduced rational functions, each reduced by
+    its own gcd.
+    """
+    from tamearc.poly import RatFunc
+    from tamearc.tangent import DiffForm, d_form
+
+    total = DiffForm.zero(s.vars)
+    for u, v, coeff in s.terms:
+        f, f1 = u.body, u.eps
+        g, g1 = v.body, v.eps
+        term = (d_form(f).scale(g1) - d_form(g).scale(f1)).scale((f * g) ** -1)
+        total = total + term.scale(RatFunc.from_const(s.vars, coeff))
+    return total
 
 
 def class_differences(s):

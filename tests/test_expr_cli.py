@@ -272,6 +272,20 @@ class TestCli:
             assert r.returncode == 2, curve
             assert f"message: curve {curve!r} is not irreducible" in r.stdout.decode()
 
+    @pytest.mark.parametrize("command, argv, message", [
+        ("tangent3", ["--curve", "x", "--datum", "1", "--unit", "y", "--sign", "2"],
+         b"message: arc sign must be +1 or -1: '2'\n"),
+        ("tangent3", ["--curve", "x", "--datum", "1", "--unit", "y", "--sign", "a"],
+         b"message: arc sign must be +1 or -1: 'a'\n"),
+        ("tangent-cocycle", ["--arc", "x | 1 | y | 2"],
+         b"message: arc sign must be +1 or -1: '2'\n"),
+    ])
+    def test_arc_sign_errors_name_the_field(self, command, argv, message, capsysbinary):
+        # a sign that parses as an integer other than +1 or -1 reads as one
+        # that does not parse
+        assert cli.main([command, *argv]) == 2
+        assert capsysbinary.readouterr().out == b"error: InputError\n" + message
+
     def test_p1_hinted_primes_are_tagged_user_asserted(self):
         r = run_cli(
             "diagram-check", "--variety", "P1",

@@ -259,12 +259,12 @@ def test_diagram_pool_work_counts(monkeypatch):
     # exact divisions, checked residue classes and checked arcs over the
     # first 16 dual symbols of the diagram acceptance pool (seed 105).  d_eps
     # builds its arcs unchecked, since its bodies share no component; a
-    # product or power of residue units is a unit, so only the classes built
-    # from a function are checked; and a coefficient denominator that
-    # divides the arcs' summed denominator is divided out of the class test.
-    # A division by a constant or of a constant by a non-constant reaches no
-    # packed division, a GCDHEU candidate 1 is no trial division and no
-    # unpack, and d_eps reduces each datum by one gcd
+    # passing eps = 0 face is decided by exponents, so it builds no residue
+    # class; and a coefficient denominator that divides the arcs' summed
+    # denominator is divided out of the class test.  A division by a
+    # constant or of a constant by a non-constant reaches no packed
+    # division, a GCDHEU candidate 1 is no trial division and no unpack,
+    # and d_eps and tangent2 reduce each datum and coefficient by one gcd
     counts = {"_div_ints": 0, "_idiv_exact": 0, "_unpack": 0, "ResidueFunc": 0, "GGArc": 0}
     for owner, name, key in ((poly, "_div_ints", "_div_ints"),
                              (poly, "_idiv_exact", "_idiv_exact"),
@@ -281,5 +281,5 @@ def test_diagram_pool_work_counts(monkeypatch):
         s = DualMilnorSymbol.of(DualRatFunc(f, rand_poly(rng, VARS_XY, 2)),
                                 DualRatFunc(g, rand_poly(rng, VARS_XY, 2)))
         assert diagram_check(s).verdict
-    assert counts == {"_div_ints": 770, "_idiv_exact": 972, "_unpack": 479,
-                      "ResidueFunc": 96, "GGArc": 0}
+    assert counts == {"_div_ints": 560, "_idiv_exact": 693, "_unpack": 413,
+                      "ResidueFunc": 0, "GGArc": 0}

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from tamearc import geometry, ksymbols, tangent
 from tamearc.errors import InputError
 from tamearc.factor import FactorHints
-from tamearc.geometry import A2, PrimeDivisor, valuation
+from tamearc.geometry import A2, PrimeDivisor, ResidueFunc, valuation
 from tamearc.ksymbols import DualMilnorSymbol, GGArc, d_eps
 from tamearc.poly import DualRatFunc, MultiPoly, RatFunc, VARS_T, VARS_XY
 from tamearc.tangent import (
@@ -56,6 +57,16 @@ class TestDiffForm:
 
     def test_d_of_constant_is_zero(self):
         assert d_form(RatFunc.from_const(VARS_XY, Fraction(3, 7))).is_zero()
+
+
+def _rand_eps(rng, vars):
+    """Zero, a polynomial, or a fraction, one time in three each."""
+    kind = rng.choice(["zero", "poly", "fraction"])
+    if kind == "zero":
+        return RatFunc.from_const(vars, 0)
+    if kind == "poly":
+        return RatFunc(rand_poly(rng, vars, 2, terms=3))
+    return rand_ratfunc(rng, vars, 1)
 
 
 class TestTangent2:
@@ -114,6 +125,25 @@ class TestTangent2:
                    + tangent2(DualMilnorSymbol.of(u, zh)))
             assert lhs == rhs
             done += 1
+
+
+    def test_matches_the_composite_formula(self):
+        # one fraction per coefficient, reduced once, is the normal form that
+        # the reduced products, differences and inverse build, on the plane
+        # and the line, with one to three terms, coefficients +-1 and +-2,
+        # and eps parts that are zero, polynomials or fractions
+        rng = random.Random(31)
+        for i in range(60):
+            vars = VARS_T if i % 3 == 0 else VARS_XY
+            s = DualMilnorSymbol(tuple(
+                (DualRatFunc(rand_ratfunc(rng, vars, 2), _rand_eps(rng, vars)),
+                 DualRatFunc(rand_ratfunc(rng, vars, 2), _rand_eps(rng, vars)),
+                 rng.choice([1, -1, 2, -2]))
+                for _ in range(rng.randint(1, 3))))
+            ours, theirs = tangent2(s), oracles.composite_tangent2(s)
+            for a, b in zip(ours.coeffs, theirs.coeffs):
+                assert (a.num, a.den) == (b.num, b.den), (i, s.render())
+            assert ours.render() == theirs.render()
 
 
 class TestLocalCohClass:
@@ -498,6 +528,93 @@ class TestDiagramCheck:
                     assert lcls.is_zero()
                 else:
                     assert (lcls - rcls).is_zero()
+
+
+def _residue_counter(monkeypatch):
+    """A list that grows by one per ResidueFunc construction."""
+    built = []
+    monkeypatch.setattr(ResidueFunc, "__init__", _counting(ResidueFunc.__init__, built))
+    return built
+
+
+def _certificate_hash(cert):
+    return hashlib.sha256(cert.render().encode()).hexdigest()[:12]
+
+
+class TestFaceByExponents:
+    def test_high_multiplicity_symbol_within_budget(self, monkeypatch):
+        # the (8, 4, 4) symbol's face took 21 s to expand; its exponent maps
+        # decide it, with the certificate the expansion gave
+        C = x ** 2 + y ** 2 - ONE_XY
+        xm2, yp3 = x - RatFunc.from_const(VARS_XY, 2), y + RatFunc.from_const(VARS_XY, 3)
+        xm1, yp2 = x - ONE_XY, y + RatFunc.from_const(VARS_XY, 2)
+        s = DualMilnorSymbol.of(
+            DualRatFunc(C ** 8 * xm2 ** 4 * yp3 ** 4, x * C ** 7 * xm2 ** 3 * yp3 ** 3),
+            DualRatFunc(xm1 ** 10 * yp2 ** 5, y * xm1 ** 9 * yp2 ** 4))
+        built = _residue_counter(monkeypatch)
+        start = time.monotonic()
+        cert = diagram_check(s)
+        took = time.monotonic() - start
+        assert cert.verdict
+        assert _certificate_hash(cert) == "ef00d243c452"
+        assert built == []
+        assert took < 2.0, took
+
+    def test_shared_component_renders_the_expansion(self, monkeypatch):
+        # the bodies share V(x), so d_eps skips the term: no arcs, and the
+        # tame side has a sign, so the face is expanded and its witness
+        # renders as before the exponent maps
+        s = DualMilnorSymbol.of(DualRatFunc(x * y, ONE_XY), DualRatFunc(x, ONE_XY))
+        built = _residue_counter(monkeypatch)
+        assert diagram_check(s).render() == (
+            "claim: DiagramCommutes\n"
+            "verdict: fail\n"
+            "input symbol: {x*y + eps, x + eps}\n"
+            "witness tangent2 form: ((y - 1)/(x^2*y))*dx + (1/(x*y))*dy\n"
+            "witness class differences: V(y): [((y - 1)/(x^2))*dx + (1/x)*dy] / (y); "
+            "V(x): [((y - 1)/y)*dx + (x/y)*dy] / (x)^2\n"
+            "witness eps=0 face: arcs give 1, tame gives (1/x at V(y)) * (-y at V(x))\n"
+            "provenance factor tags: proved\n"
+            "provenance arc count: 0")
+        assert built
+        assert tangent._face_by_exponents(s, d_eps(s), A2, None, ()) is None
+
+    def test_exponents_that_cancel_drop_their_prime(self, monkeypatch):
+        # 2{u, g} - 2{u', g'} with g and g' of one body: on V(x) the tame
+        # exponents of that body, -2 and +2, cancel, and so do its arcs
+        g = x + y - RatFunc.from_const(VARS_XY, 3)
+        s = DualMilnorSymbol((
+            (DualRatFunc(x * (y - ONE_XY), y), DualRatFunc(g, ONE_XY), 2),
+            (DualRatFunc(x * (y + RatFunc.from_const(VARS_XY, 2)), ONE_XY),
+             DualRatFunc(g, x), -2)))
+        arcs = d_eps(s)
+        tame_side, arc_side = tangent._face_by_exponents(s, arcs, A2, None, ())
+        assert any(a.curve == V_X for a in arcs)
+        assert tame_side == arc_side and V_X not in tame_side
+        built = _residue_counter(monkeypatch)
+        cert = diagram_check(s)
+        assert cert.verdict and built == []
+        assert _certificate_hash(cert) == "25a353ba8d68"
+
+    def test_p1_and_hinted_symbols(self, monkeypatch):
+        # points of P1 and a prime known only from a hint key the maps as
+        # they key the arcs; the tags come from the primes as before
+        one = RatFunc.from_const(VARS_T, 1)
+        p1 = DualMilnorSymbol.of(
+            DualRatFunc((t - one) / (t + one), one),
+            DualRatFunc((RatFunc.from_const(VARS_T, 2) * t - one)
+                        / (t + RatFunc.from_const(VARS_T, 3)), t))
+        f = x ** 2 - y ** 2
+        hints = FactorHints()
+        hints.add(f.num, [(x - y).num])
+        hinted = DualMilnorSymbol.of(DualRatFunc(f, ONE_XY),
+                                     DualRatFunc(y - RatFunc.from_const(VARS_XY, 3), x))
+        built = _residue_counter(monkeypatch)
+        p1_cert, hinted_cert = diagram_check(p1), diagram_check(hinted, hints)
+        assert built == []
+        assert p1_cert.verdict and hinted_cert.verdict
+        assert dict(hinted_cert.provenance)["factor tags"] == "proved, user-asserted"
+        assert (_certificate_hash(p1_cert), _certificate_hash(hinted_cert)) == ("6b4ca06e7092", "6ae6441739b0")
 
 
 def multiplicity_sweep():

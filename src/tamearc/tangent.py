@@ -11,8 +11,8 @@ divisible by p, makes the zero test sound and complete at this level.
 The diagram check needs no factorization of its own.  Every denominator of
 tangent2 is a product of the primes that d_eps has already found, so its
 primes come from hint factors and exact division by the arcs' primes
-(`geometry.divide_by_primes`), and so do those of the bodies whose tame
-symbol the eps = 0 face reads.  Along each prime the check reduces nothing
+(`geometry.divide_by_primes`), and so do those of the bodies whose orders
+the eps = 0 face reads.  Along each prime the check reduces nothing
 unless the square fails there.  The arcs on the prime are summed as one
 unreduced fraction, built from products only, whose denominator p divides
 once per distinct arc; whether tangent2 minus that sum has a pole along
@@ -23,9 +23,12 @@ class, to be rendered.
 
 Nor does the check prove again what d_eps guarantees.  d_eps keeps only
 terms whose bodies share no component, so it builds its arcs without
-GGArc's unit and datum checks, and the residue products of the eps = 0
-face skip the unit test that their factors have passed
-(`geometry.ResidueFunc`); the face is one pass over the arcs
+GGArc's unit and datum checks.  On such a symbol the eps = 0 face needs no
+residue: both sides are products of whole bodies to integer powers, and
+equal exponents decide it (`_face_agrees_by_exponents`).  Only a term
+whose bodies share a component, or exponents that differ, expand the face
+into residue products, which skip the unit test that their factors have
+passed (`geometry.ResidueFunc`), in one pass over the arcs
 (`ksymbols.specialize_arcs`).
 """
 
@@ -305,34 +308,29 @@ def _difference_class(prime, beta, arc_sum):
         RatFunc(c.num * den - n * c.den, c.den * den) for c, n in zip(beta.coeffs, nums))))
 
 
-def _face_by_exponents(s, arcs, variety, hints, primes):
-    """Both sides of the eps = 0 face as {prime: {body: exponent}}, or None.
+def _face_agrees_by_exponents(s, arcs, variety, hints, primes):
+    """Whether the two sides of the eps = 0 face agree by their exponents alone.
 
-    The tame side reads, for each term (u, v, coeff), the orders (m, n) of
-    the bodies f and g along each prime, and gives f the exponent n*coeff
+    The tame side gives, for each term (u, v, coeff) and each prime along
+    which the bodies f and g have the orders (m, n), f the exponent n*coeff
     and g the exponent -m*coeff; the arc side gives each arc's unit body
-    the exponent -sign on its curve.  Zero exponents and empty primes are
-    dropped.  None when some term's bodies share a component (m and n both
-    nonzero on one prime), a term that d_eps skips.
+    the exponent -sign on its curve.  The sides agree when the tame
+    exponent minus the arc exponent is zero for every (prime, body).
+    False when some term's bodies share a component (m and n both nonzero
+    on one prime), a term that d_eps skips.
     """
-    tame_side = {}
+    balance = {}
     for u, v, coeff in s.terms:
         f, g = u.body, v.body
         for prime, (m, n) in _prime_orders(f, g, variety, hints, primes).items():
             if m and n:
-                return None
-            exps = tame_side.setdefault(prime, {})
-            exps[f] = exps.get(f, 0) + n * coeff
-            exps[g] = exps.get(g, 0) - m * coeff
-    arc_side = {}
+                return False
+            balance[prime, f] = balance.get((prime, f), 0) + n * coeff
+            balance[prime, g] = balance.get((prime, g), 0) - m * coeff
     for a in arcs:
-        exps = arc_side.setdefault(a.curve, {})
-        exps[a.unit.body] = exps.get(a.unit.body, 0) - a.sign
-    sides = []
-    for side in (tame_side, arc_side):
-        kept = {prime: {body: e for body, e in exps.items() if e} for prime, exps in side.items()}
-        sides.append({prime: exps for prime, exps in kept.items() if exps})
-    return tuple(sides)
+        key = a.curve, a.unit.body
+        balance[key] = balance.get(key, 0) + a.sign
+    return not any(balance.values())
 
 
 def diagram_check(s, hints=None):
@@ -358,8 +356,8 @@ def diagram_check(s, hints=None):
     with (m, n) the orders of the bodies f and g along the prime.  When no
     term's bodies share a component, m*n = 0 on every prime, so no sign is
     left, and each side is a map from body to exponent
-    (_face_by_exponents).  Equal maps are the same product written twice,
-    hence equal functions on the prime, and the face agrees without
+    (_face_agrees_by_exponents).  Equal maps are the same product written
+    twice, hence equal functions on the prime, and the face agrees without
     expanding either product.  Otherwise both products are built and
     compared, which also renders the witness of a failing face.  The tame
     symbol reaches the arcs' primes by exact division too, since the bodies
@@ -380,8 +378,7 @@ def diagram_check(s, hints=None):
             mismatches.append(f"{prime.render()}: {diff.render()}")
 
     variety = variety_of(s.vars)
-    sides = _face_by_exponents(s, arcs, variety, hints, arc_primes)
-    face_ok = sides is not None and sides[0] == sides[1]
+    face_ok = _face_agrees_by_exponents(s, arcs, variety, hints, arc_primes)
     if not face_ok:
         spec_cycle = specialize_arcs(arcs, variety)
         tame_cycle = tame(s.specialize(), variety, hints=hints, primes=arc_primes)

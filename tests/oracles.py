@@ -238,7 +238,7 @@ def fraction_render_ratfunc(r):
     return f"{atom(num)}/{atom(den)}"
 
 
-# the class test of diagram_check by reduced forms, one arc at a time
+# tangent2 by reduced rational-function operations, one term at a time
 
 
 def composite_tangent2(s):
@@ -258,6 +258,9 @@ def composite_tangent2(s):
         term = (d_form(f).scale(g1) - d_form(g).scale(f1)).scale((f * g) ** -1)
         total = total + term.scale(RatFunc.from_const(s.vars, coeff))
     return total
+
+
+# the class test of diagram_check by reduced forms, one arc at a time
 
 
 def class_differences(s):

@@ -543,8 +543,8 @@ def _certificate_hash(cert):
 
 class TestFaceByExponents:
     def test_high_multiplicity_symbol_within_budget(self, monkeypatch):
-        # the (8, 4, 4) symbol's face took 21 s to expand; its exponent maps
-        # decide it, with the certificate the expansion gave
+        # the (8, 4, 4) symbol's face takes over 20 s to expand; its
+        # exponents decide it, with the certificate the expansion renders
         C = x ** 2 + y ** 2 - ONE_XY
         xm2, yp3 = x - RatFunc.from_const(VARS_XY, 2), y + RatFunc.from_const(VARS_XY, 3)
         xm1, yp2 = x - ONE_XY, y + RatFunc.from_const(VARS_XY, 2)
@@ -561,9 +561,8 @@ class TestFaceByExponents:
         assert took < 2.0, took
 
     def test_shared_component_renders_the_expansion(self, monkeypatch):
-        # the bodies share V(x), so d_eps skips the term: no arcs, and the
-        # tame side has a sign, so the face is expanded and its witness
-        # renders as before the exponent maps
+        # the bodies share V(x), so d_eps skips the term and builds no arcs;
+        # the face is expanded, and its witness names both products
         s = DualMilnorSymbol.of(DualRatFunc(x * y, ONE_XY), DualRatFunc(x, ONE_XY))
         built = _residue_counter(monkeypatch)
         assert diagram_check(s).render() == (
@@ -577,28 +576,29 @@ class TestFaceByExponents:
             "provenance factor tags: proved\n"
             "provenance arc count: 0")
         assert built
-        assert tangent._face_by_exponents(s, d_eps(s), A2, None, ()) is None
+        assert not tangent._face_agrees_by_exponents(s, d_eps(s), A2, None, ())
 
-    def test_exponents_that_cancel_drop_their_prime(self, monkeypatch):
+    def test_exponents_that_cancel(self, monkeypatch):
         # 2{u, g} - 2{u', g'} with g and g' of one body: on V(x) the tame
-        # exponents of that body, -2 and +2, cancel, and so do its arcs
+        # exponents of that body, -2 and +2, cancel, and so do its arcs; the
+        # pinned hash is that of the certificate the expansion renders
         g = x + y - RatFunc.from_const(VARS_XY, 3)
         s = DualMilnorSymbol((
             (DualRatFunc(x * (y - ONE_XY), y), DualRatFunc(g, ONE_XY), 2),
             (DualRatFunc(x * (y + RatFunc.from_const(VARS_XY, 2)), ONE_XY),
              DualRatFunc(g, x), -2)))
         arcs = d_eps(s)
-        tame_side, arc_side = tangent._face_by_exponents(s, arcs, A2, None, ())
-        assert any(a.curve == V_X for a in arcs)
-        assert tame_side == arc_side and V_X not in tame_side
+        assert {a.sign for a in arcs if a.curve == V_X and a.unit.body == g} == {1, -1}
+        assert tangent._face_agrees_by_exponents(s, arcs, A2, None, ())
         built = _residue_counter(monkeypatch)
         cert = diagram_check(s)
         assert cert.verdict and built == []
         assert _certificate_hash(cert) == "25a353ba8d68"
 
     def test_p1_and_hinted_symbols(self, monkeypatch):
-        # points of P1 and a prime known only from a hint key the maps as
-        # they key the arcs; the tags come from the primes as before
+        # points of P1 and a prime known only from a hint key the exponents
+        # as they key the arcs; the pinned hashes are those of the
+        # certificates the expansion renders
         one = RatFunc.from_const(VARS_T, 1)
         p1 = DualMilnorSymbol.of(
             DualRatFunc((t - one) / (t + one), one),
@@ -614,7 +614,8 @@ class TestFaceByExponents:
         assert built == []
         assert p1_cert.verdict and hinted_cert.verdict
         assert dict(hinted_cert.provenance)["factor tags"] == "proved, user-asserted"
-        assert (_certificate_hash(p1_cert), _certificate_hash(hinted_cert)) == ("6b4ca06e7092", "6ae6441739b0")
+        assert _certificate_hash(p1_cert) == "6b4ca06e7092"
+        assert _certificate_hash(hinted_cert) == "6ae6441739b0"
 
 
 def multiplicity_sweep():

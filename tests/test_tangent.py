@@ -126,7 +126,6 @@ class TestTangent2:
             assert lhs == rhs
             done += 1
 
-
     def test_matches_the_composite_formula(self):
         # one fraction per coefficient, reduced once, is the normal form that
         # the reduced products, differences and inverse build, on the plane

@@ -141,8 +141,7 @@ class PrimeDivisor(Value):
         if self.at_infinity:
             return "INF"
         if self.variety.kind == "P1" and self.poly.degree() == 1:
-            a = -self.poly.dense_fractions("t")[0]
-            return str(a)
+            return str(-self.poly.dense_in("t")[0].const_value())
         return f"V({self.poly.render()})"
 
 

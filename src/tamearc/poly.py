@@ -4,8 +4,9 @@ Exact arithmetic only.  The term order is graded lexicographic with
 x > y > t.  A MultiPoly is stored as content times an integer polynomial:
 `cont` is its signed rational content (1 for zero) and `ints` maps exponent
 tuples to integers whose gcd is 1, with a positive leading coefficient, so
-equality is structural.  `terms`, the Fraction coefficient of each monomial,
-is a view built on first use for renderers and callers outside the kernel.
+equality is structural; that pair is a polynomial's only state.  `terms`,
+the Fraction coefficient of each monomial, is built from it on each read,
+for callers outside the kernel.
 
 Kernel results come from one trusted constructor, `_from_primitive`, and
 meet its contract without a further gcd: a product is the product of the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd as _int_gcd, isqrt
+from math import comb, gcd as _int_gcd, isqrt, lcm
 
 from .errors import DivisionByZero, InexactDivision, NotAUnit
 from .value import Value
@@ -87,7 +88,7 @@ def _primitive_parts(ints):
 class MultiPoly(Value):
     """Sparse polynomial over Q in variables ('t',) or ('x', 'y')."""
 
-    __slots__ = ("vars", "cont", "ints", "_terms", "_hash")
+    __slots__ = ("vars", "cont", "ints", "_hash")
 
     def __init__(self, vars, terms):
         vars = _checked_vars(vars)
@@ -100,36 +101,19 @@ class MultiPoly(Value):
             c = _as_fraction(c)
             if c:
                 clean[exps] = clean[exps] + c if exps in clean else c
-        clean = {e: c for e, c in clean.items() if c}
-        cont, ints = _ONE, {}
-        if clean:
-            den = 1
-            for c in clean.values():
-                d = c.denominator
-                if d != 1:
-                    den = den * d // _int_gcd(den, d)
-            g, ints = _primitive_parts(
-                {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
-            cont = Fraction(g, den)
+        den = lcm(*(c.denominator for c in clean.values()))
+        p = _normalize(vars, Fraction(1, den),
+                       {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
         _set_vars(self, vars)
-        _set_cont(self, cont)
-        _set_ints(self, ints)
-        _set_terms(self, clean)
+        _set_cont(self, p.cont)
+        _set_ints(self, p.ints)
         _set_hash(self, None)
 
     @property
     def terms(self):
-        """{exps: Fraction}, the coefficients as rationals; read-only."""
-        terms = self._terms
-        if terms is None:
-            c = self.cont
-            if c.denominator == 1:
-                n = c.numerator
-                terms = {e: Fraction(n * v) for e, v in self.ints.items()}
-            else:
-                terms = {e: c * v for e, v in self.ints.items()}
-            _set_terms(self, terms)
-        return terms
+        """{exps: Fraction}, the coefficients as rationals, built on each read."""
+        c = self.cont
+        return {e: c * v for e, v in self.ints.items()}
 
     # construction helpers
 
@@ -183,15 +167,11 @@ class MultiPoly(Value):
         i = self.vars.index(var)
         return max(e[i] for e in self.ints)
 
-    def lead(self):
-        """Leading (exponents, coefficient) in graded-lex order."""
+    def lc(self):
+        """The coefficient of the graded-lex leading monomial."""
         if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.ints, key=_glex)
-        return e, self.cont * self.ints[e]
-
-    def lc(self):
-        return self.lead()[1]
+        return self.cont * self.ints[max(self.ints, key=_glex)]
 
     def lc_in(self, var):
         """The leading coefficient in var, a polynomial in the other variables."""
@@ -199,11 +179,14 @@ class MultiPoly(Value):
         top = {e[:i] + (0,) + e[i + 1:]: v for e, v in self.ints.items() if e[i] == d}
         return _normalize(self.vars, self.cont, top)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
-
     def sort_key(self):
-        return (self.degree(), tuple(self.sorted_terms()))
+        """(degree, the (exps, coefficient) pairs in descending graded-lex order)."""
+        ints, c = self.ints, self.cont
+        # an integral content multiplies as an int: equal keys, no Fraction products
+        if c.denominator == 1:
+            c = c.numerator
+        order = sorted(ints, key=_glex, reverse=True)
+        return (self.degree(), tuple((e, c * ints[e]) for e in order))
 
     # ring operations
 
@@ -381,11 +364,7 @@ class MultiPoly(Value):
             raise ValueError("swap_xy needs a polynomial in x, y")
         return _normalize(self.vars, self.cont, {(j, i): v for (i, j), v in self.ints.items()})
 
-    # content and normal forms
-
-    def content(self):
-        """Signed rational content: self / content() is integer-primitive with lc > 0."""
-        return self.cont
+    # normal forms
 
     def primitive(self):
         if self.cont == 1:
@@ -412,13 +391,6 @@ class MultiPoly(Value):
         i = vars.index(var)
         return cls(vars, {tuple(n if j == i else 0 for j in range(len(vars))): c
                           for n, c in enumerate(coeffs)})
-
-    def dense_fractions(self, var):
-        """Dense Fraction list (lowest first); requires the other variables absent."""
-        out = []
-        for c in self.dense_in(var):
-            out.append(c.const_value())
-        return out
 
     # rendering (canonical, parseable by tamearc.expr)
 
@@ -449,7 +421,6 @@ class MultiPoly(Value):
 _set_vars = MultiPoly.vars.__set__
 _set_cont = MultiPoly.cont.__set__
 _set_ints = MultiPoly.ints.__set__
-_set_terms = MultiPoly._terms.__set__
 _set_hash = MultiPoly._hash.__set__
 
 
@@ -465,7 +436,6 @@ def _from_primitive(vars, cont, ints):
     _set_vars(p, vars)
     _set_cont(p, cont)
     _set_ints(p, ints)
-    _set_terms(p, None)
     _set_hash(p, None)
     return p
 
@@ -898,7 +868,7 @@ def _gcd_cofactors(a, b):
         if a.is_zero() and b.is_zero():
             return zero, zero, zero
         p = a if b.is_zero() else b
-        c = MultiPoly.const(a.vars, p.content())
+        c = MultiPoly.const(a.vars, p.cont)
         return (p.primitive(), zero, c) if a.is_zero() else (p.primitive(), c, zero)
     if a.is_const() or b.is_const():
         return MultiPoly.const(a.vars, 1), a, b

@@ -3,12 +3,14 @@
 Everything here is deliberately written without importing the package under
 test: plain dict polynomials with Fraction coefficients, naive Gaussian
 elimination, and sympy for cross-checks. Slow is fine; independent is the
-point. Six exceptions read package objects. `subst` substitutes into a
+point. Seven exceptions read package objects. `subst` substitutes into a
 package polynomial through its public ring operations, for tests that need a
 substitution the package does not offer. `fraction_render` renders a package
 polynomial from its `Fraction` coefficients, as `MultiPoly.render` did before
-it read the integer parts, and `fraction_product` multiplies two package
-polynomials term by term on the same coefficients. `composite_tangent2`
+it read the integer parts, `fraction_product` multiplies two package
+polynomials term by term on the same coefficients, and `fraction_sort_key`
+builds the sort key of a package polynomial from them, as
+`MultiPoly.sort_key` did before it read the integer parts. `composite_tangent2`
 builds `tangent2` by reduced rational-function operations, as it was built
 before it took one fraction per coefficient. `class_differences`
 replays the class test that `diagram_check` ran before its exact-division
@@ -223,6 +225,12 @@ def fraction_product(p, q):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def fraction_sort_key(p):
+    """(degree, (exps, Fraction) pairs in descending graded-lex order), from p.terms."""
+    return (p.degree(), tuple(sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]),
+                                     reverse=True)))
 
 
 def fraction_render_ratfunc(r):

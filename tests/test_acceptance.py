@@ -54,7 +54,7 @@ def p1_tame_as_map(cycle):
         if point.at_infinity:
             out["INF"] = val.rep.const_value()
         else:
-            out[int(-point.poly.dense_fractions("t")[0])] = val.rep.const_value()
+            out[int(-point.poly.dense_in("t")[0].const_value())] = val.rep.const_value()
     return out
 
 

@@ -1,6 +1,7 @@
 """Core arithmetic: MultiPoly, RatFunc, DualRatFunc, gcd, resultant."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -38,7 +39,9 @@ from tamearc.poly import (
 )
 
 import frozen
-from oracles import fraction_product, fraction_render, fraction_render_ratfunc, peval, subst
+from oracles import (
+    fraction_product, fraction_render, fraction_render_ratfunc, fraction_sort_key, peval, subst,
+)
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -88,6 +91,37 @@ class TestMultiPoly:
     def test_normal_form_drops_zeros(self):
         p = X - X
         assert p.is_zero() and p.terms == {}
+        # the public constructor: (terms, cont, ints) it must make of them
+        cases = [
+            ((VARS_XY, {}), 1, {}),
+            ((VARS_T, {}), 1, {}),
+            ((VARS_XY, {(1, 0): 0, (0, 1): Fraction(0)}), 1, {}),
+            ((VARS_XY, {(2, 0): 0, (0, 1): Fraction(2, 3)}), Fraction(2, 3), {(0, 1): 1}),
+            ((VARS_XY, {(2, 0): 3, (0, 1): Fraction(3, 2)}), Fraction(3, 2),
+             {(2, 0): 2, (0, 1): 1}),
+            ((VARS_XY, {(1, 0): Fraction(2, 3), (0, 0): Fraction(4, 9)}), Fraction(2, 9),
+             {(1, 0): 3, (0, 0): 2}),
+            ((VARS_XY, {(1, 1): Fraction(-1, 2), (0, 0): 1}), Fraction(-1, 2),
+             {(1, 1): 1, (0, 0): -2}),
+            ((VARS_T, {(3,): -4, (1,): 6, (0,): Fraction(-2, 5)}), Fraction(-2, 5),
+             {(3,): 10, (1,): -15, (0,): 1}),
+            ((VARS_T, {(2,): Fraction(6, 4)}), Fraction(3, 2), {(2,): 1}),
+        ]
+        for (vars, terms), cont, ints in cases:
+            q = MultiPoly(vars, terms)
+            assert (q.cont, q.ints) == (cont, ints), terms
+            assert type(q.cont) is Fraction
+            assert q.terms == {e: c for e, c in terms.items() if c}
+        for q in render_pool():
+            assert MultiPoly(q.vars, q.terms) == q, q.render()
+        with pytest.raises(ValueError, match=re.escape(
+                "bad exponent vector (1,) for vars ('x', 'y')")):
+            MultiPoly(VARS_XY, {(1,): 1})
+        with pytest.raises(ValueError, match=re.escape(
+                "bad exponent vector (-1,) for vars ('t',)")):
+            MultiPoly(VARS_T, {(-1,): 1})
+        with pytest.raises(TypeError, match="^coefficient must be int or Fraction, got float$"):
+            MultiPoly(VARS_T, {(1,): 0.5})
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -324,7 +358,7 @@ class TestGcd:
                     assert g.is_zero() and qa.is_zero() and qb.is_zero()
                     continue
                 assert g * qa == a and g * qb == b, (a.render(), b.render())
-                assert g.lc() > 0 and g.content() == 1
+                assert g.lc() > 0 and g.cont == 1
                 assert poly_gcd(qa, qb) == MultiPoly.const(vars, 1)
 
     def test_unlucky_point_is_rejected(self):
@@ -760,7 +794,7 @@ class TestRatFunc:
     def test_den_normalization(self):
         f = RatFunc(X, MultiPoly.const(VARS_XY, Fraction(-1, 2)) * Y)
         assert f.den.lc() > 0
-        assert f.den.content() in (1, Fraction(1))
+        assert f.den.cont in (1, Fraction(1))
 
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
@@ -897,10 +931,27 @@ class TestRender:
         assert {p.vars for p in pool} == {VARS_T, VARS_XY}
         assert any(p.is_zero() for p in pool)
         assert any(p.is_const() for p in nonzero)
-        assert any(p.content().denominator != 1 and any(
+        assert any(p.cont.denominator != 1 and any(
             c.denominator == 1 for c in p.terms.values()) for p in nonzero)
         assert any(p.lc() < 0 for p in nonzero)
         assert any(abs(c) == 1 for p in nonzero for c in p.terms.values())
+
+    def test_sort_key_matches_the_fraction_key(self):
+        # the key reads the integer parts, with int products for an integral
+        # content; it must equal, and so order primes as, the Fraction key
+        pool = render_pool()
+        nonzero = [p for p in pool if not p.is_zero()]
+        assert any(p.cont.denominator == 1 and p.cont < 0 for p in nonzero)
+        assert any(p.cont.denominator == 1 and p.cont > 1 for p in nonzero)
+        assert any(p.cont.denominator != 1 and p.cont < 0 for p in nonzero)
+        assert any(p.cont.denominator != 1 and p.cont > 0 for p in nonzero)
+        for p in pool:
+            assert p.sort_key() == fraction_sort_key(p), p.render()
+        for vars in (VARS_T, VARS_XY):
+            mixed = [p for p in pool if p.vars == vars]
+            got = sorted(mixed, key=lambda p: p.sort_key())
+            want = sorted(mixed, key=fraction_sort_key)
+            assert [id(p) for p in got] == [id(p) for p in want]
 
     def test_multipoly_render_matches_the_fraction_oracle(self):
         for p in render_pool():

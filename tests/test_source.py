@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import tamearc
+import tamearc.poly
 
 PACKAGE = Path(tamearc.__file__).parent
 
@@ -99,12 +100,16 @@ def test_trusted_arcs_and_residues_stay_in_their_modules():
 
 
 def test_factor_reads_no_fraction_view():
-    # the factorizer runs on the kernel's integer parts, truncating and
-    # specializing by rem; the Fraction view `terms` is for renderers
-    tree = ast.parse((PACKAGE / "factor.py").read_text())
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    # the factorizer and the polynomial kernel run on the integer parts; the
+    # Fraction view `terms` is built on each read for callers outside them,
+    # and (vars, cont, ints) is a polynomial's only state
+    found = []
+    for name in ("factor.py", "poly.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found.extend(f"{name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "terms")
     assert not found, found
+    assert tamearc.poly.MultiPoly.__slots__ == ("vars", "cont", "ints", "_hash")
 
 
 def test_no_uncalled_private_functions():

@@ -96,7 +96,7 @@ class MultiPoly(Value):
         width = len(vars)
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != width or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != width or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for vars {vars!r}")
             c = _as_fraction(c)
             if c:

@@ -91,7 +91,8 @@ class TestMultiPoly:
     def test_normal_form_drops_zeros(self):
         p = X - X
         assert p.is_zero() and p.terms == {}
-        # the public constructor: (terms, cont, ints) it must make of them
+        # the public constructor on zeros, mixed int and Fraction values, shared
+        # rational contents and negative leading coefficients: the (cont, ints) it makes
         cases = [
             ((VARS_XY, {}), 1, {}),
             ((VARS_T, {}), 1, {}),
@@ -120,6 +121,9 @@ class TestMultiPoly:
         with pytest.raises(ValueError, match=re.escape(
                 "bad exponent vector (-1,) for vars ('t',)")):
             MultiPoly(VARS_T, {(-1,): 1})
+        with pytest.raises(ValueError, match=re.escape(
+                "bad exponent vector ('a',) for vars ('t',)")):
+            MultiPoly(VARS_T, {("a",): 1})
         with pytest.raises(TypeError, match="^coefficient must be int or Fraction, got float$"):
             MultiPoly(VARS_T, {(1,): 0.5})
 
